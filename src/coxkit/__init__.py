@@ -1,11 +1,11 @@
 """coxkit: exact computation in Coxeter groups at desk scale.
 
-Length-bounded balls of arbitrary Coxeter systems (exact word
-rewriting, with fast combinatorial models for the named types),
-reflections and the reflection order, intermediate and k-absolute
-orders, parabolic projections, poset analytics (gradedness, Sperner,
-shellability), distance generating polynomials, and exploratory
-Ollivier-Ricci curvature.
+Length-bounded balls of arbitrary Coxeter systems (one exact engine
+that builds the Cayley table level by level, plus a word kernel for
+free words), reflections and the reflection order, intermediate and
+k-absolute orders, parabolic projections, poset analytics (gradedness,
+Sperner, shellability), distance generating polynomials, and
+exploratory Ollivier-Ricci curvature.
 """
 from .ball import Element, GroupBall, enumerate_ball, is_reduced, normal_form, reduce_word
 from .curvature import curvature_spectrum, ollivier_ricci_edge

@@ -2,17 +2,16 @@
 
 A GroupBall holds every element of length <= radius, with ShortLex
 normal forms, left/right Cayley tables (boundary marker -1), descent
-sets and inverses.  Two construction engines exist: exact word
-rewriting (works for every Coxeter matrix) and the combinatorial models
-of the named types; both produce identical balls, which the test suite
-checks pairwise.
+sets and inverses.  One exact engine builds it for every Coxeter
+matrix, from the Cayley table itself (see `enumerate_ball`).  Products
+and words that leave the table are followed by the same integer rule
+on elements beyond the radius, which the ball adds as it meets them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import models
 from .errors import OutOfBallError, ResourceError
 from .matrices import CoxeterMatrix
 from .wordcore import WordKernel
@@ -33,7 +32,7 @@ class Element:
 
 class GroupBall:
     def __init__(self, matrix: CoxeterMatrix, radius: int, elements, right, left,
-                 inv, is_complete_group: bool, engine):
+                 inv, is_complete_group: bool):
         self.matrix = matrix
         self.radius = radius
         self.elements: list[Element] = elements
@@ -41,9 +40,17 @@ class GroupBall:
         self.left = left    # left[w][s]  = id of s*w, or BOUNDARY
         self.inv = inv
         self.is_complete_group = is_complete_group
-        self._engine = engine
         self.index = {e.word: e.id for e in elements}
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
+        # elements beyond the radius met by lookups, with ids from
+        # len(elements) on: their right rows (None = not yet known),
+        # lengths and right-descent masks; `_rim` holds w*s for the top
+        # level's ascents
+        self._bonds = _bonds(matrix)
+        self._rows: list[list] = []
+        self._lengths: list[int] = []
+        self._descents: list[int] = []
+        self._rim: dict[tuple[int, int], int] = {}
 
     # -- basic accessors ------------------------------------------------
 
@@ -62,10 +69,19 @@ class GroupBall:
 
     def id_of_word(self, letters) -> int:
         """Element id of an arbitrary word, if inside the ball."""
-        nf = self._engine.nf_of_word(bytes(letters))
-        if nf is None or nf not in self.index:
-            raise OutOfBallError(f"word {list(letters)} has length > radius {self.radius}")
-        return self.index[nf]
+        letters = tuple(letters)
+        rank = self.matrix.rank
+        for letter in letters:
+            if not 0 <= letter < rank:
+                raise ValueError(f"letter {letter} out of range for rank {rank}")
+        x = self.identity
+        for i, letter in enumerate(letters):
+            y = self.right[x][letter]
+            if y == BOUNDARY:
+                return self._walk(x, letters[i:], f"word {list(letters)} has length "
+                                                  f"> radius {self.radius}")
+            x = y
+        return x
 
     def left_descents(self, w: int) -> frozenset[int]:
         lw = self.left[w]
@@ -96,8 +112,65 @@ class GroupBall:
         for letter in reversed(self.elements[u].word):
             x = self.left[x][letter]
             if x == BOUNDARY:
-                return self._engine.multiply_fallback(self, u, v)
+                return self._walk(u, self.elements[v].word,
+                                  f"product of elements {u}, {v} has length "
+                                  f"> radius {self.radius}; enlarge the ball")
         return x
+
+    # -- beyond the radius ----------------------------------------------------
+
+    def _walk(self, x: int, letters, message: str) -> int:
+        """x times the letters, through elements beyond the radius where
+        needed; OutOfBallError as soon as the letters still to come cannot
+        bring the product back into the ball."""
+        todo = len(letters)
+        for letter in letters:
+            x = self._times(x, letter)
+            todo -= 1
+            if self._length(x) - todo > self.radius:
+                raise OutOfBallError(message)
+        return x
+
+    def _length(self, x: int) -> int:
+        n = len(self.elements)
+        return self.elements[x].length if x < n else self._lengths[x - n]
+
+    def _is_descent(self, x: int, s: int) -> bool:
+        n = len(self.elements)
+        if x >= n:
+            return bool(self._descents[x - n] >> s & 1)
+        y = self.right[x][s]
+        return y != BOUNDARY and self.elements[y].length < self.elements[x].length
+
+    def _times(self, x: int, s: int) -> int:
+        """x*s for x in the ball or beyond it; a new element is added as in
+        `enumerate_ball`, from elements of smaller length."""
+        n = len(self.elements)
+        if x < n:
+            y = self.right[x][s]
+            if y != BOUNDARY:
+                return y
+            z = self._rim.get((x, s))
+        else:
+            z = self._rows[x - n][s]
+        if z is not None:
+            return z
+        # z is new: had it been met before, it would have been linked from
+        # every z*t with t a right descent, x included
+        below = _below(self._bonds, x, s, self._is_descent, self._times)
+        z = n + len(self._rows)
+        row = [None] * self.matrix.rank
+        for t, y in below.items():
+            row[t] = y
+        self._rows.append(row)
+        self._lengths.append(self._length(x) + 1)
+        self._descents.append(sum(1 << t for t in below))
+        for t, y in below.items():  # z is y*t
+            if y < n:
+                self._rim[(y, t)] = z
+            else:
+                self._rows[y - n][t] = z
+        return z
 
     def inverse(self, w: int) -> int:
         return self.inv[w]
@@ -142,151 +215,119 @@ class GroupBall:
         return sorted(out)
 
 
-# -- engines --------------------------------------------------------------
+# -- construction -------------------------------------------------------------
 
 
-class _TitsEngine:
-    """Word-rewriting backend (exact for every Coxeter matrix)."""
+def _alternating(a: int, b: int, n: int) -> tuple[int, ...]:
+    """The alternating word a b a ... of length n."""
+    return tuple((a, b)[i % 2] for i in range(n))
 
-    name = "tits"
 
-    def __init__(self, matrix: CoxeterMatrix, budget: int):
-        self.kernel = WordKernel(matrix.entries, budget)
+def _bonds(matrix: CoxeterMatrix):
+    """For each s and each t finitely bonded to it: (t, the letters t, s,
+    t, ... to strip, the word of length m(s, t) - 1 ending in s)."""
+    return [[(t, _alternating(t, s, matrix.m(s, t) - 1),
+              _alternating(s, t, matrix.m(s, t) - 1)[::-1])
+             for t in range(matrix.rank) if t != s and matrix.is_finite_bond(s, t)]
+            for s in range(matrix.rank)]
 
-    def nf_of_word(self, word: bytes):
-        return self.kernel.shortlex(word)
 
-    def multiply_fallback(self, ball: GroupBall, u: int, v: int) -> int:
-        nf = self.kernel.shortlex(ball.elements[u].word + ball.elements[v].word)
-        wid = ball.index.get(nf)
-        if wid is None:
-            raise OutOfBallError(
-                f"product has length {len(nf)} > radius {ball.radius}; enlarge the ball")
-        return wid
-
-    def build(self, matrix: CoxeterMatrix, radius: int, cap: int) -> GroupBall:
-        rank = matrix.rank
-        kernel = self.kernel
-        elements = [Element(0, b"", 0)]
-        index = {b"": 0}
-        right = [[None] * rank]
-        level = [0]
-        complete = True
-        for length in range(radius + 1):
-            next_level = []
-            for w in level:
-                word = elements[w].word
-                for s in range(rank):
-                    if right[w][s] is not None:
-                        continue
-                    if length == radius:
-                        right[w][s] = BOUNDARY
-                        complete = False
-                        continue
-                    nf = kernel.shortlex_of_reduced(word + bytes([s]))
-                    x = index.get(nf)
-                    if x is None:
-                        x = len(elements)
-                        if x >= cap:
-                            raise ResourceError(
-                                f"element cap {cap} exceeded at length {length + 1} "
-                                f"(partial size {x})")
-                        elements.append(Element(x, nf, length + 1))
-                        index[nf] = x
-                        right.append([None] * rank)
-                        next_level.append(x)
-                    right[w][s] = x
-                    right[x][s] = w
-            level = next_level
-            if not level:
+def _below(bonds, x: int, s: int, is_descent, times) -> dict[int, int]:
+    """{t: z*t} over the right descents t of z = x*s, for s not a right
+    descent of x, given the descents and right products of elements no
+    longer than x (see `enumerate_ball`)."""
+    below = {s: x}
+    for t, strip, tail in bonds[s]:
+        y = x
+        for a in strip:
+            if not is_descent(y, a):
                 break
-        inv = [index[kernel.shortlex_of_reduced(bytes(reversed(e.word)))] for e in elements]
-        left = _left_from_right(right, inv, rank)
-        return GroupBall(matrix, radius, elements, right, left, inv, complete, self)
+            y = times(y, a)
+        else:
+            for a in tail:
+                y = times(y, a)
+            below[t] = y
+    return below
 
 
-class _ModelEngine:
-    """Backend running on a combinatorial model of a named type."""
+def enumerate_ball(matrix: CoxeterMatrix, radius: int,
+                   cap: int = 2_000_000) -> GroupBall:
+    """All elements of length <= radius, as a GroupBall.
 
-    name = "model"
+    The right Cayley table is filled level by level, in integers only.
+    When s is not a right descent of w, x = w*s is one level up, and
+    for t != s with m = m(s, t) finite, t is a right descent of x iff
+    the {s, t}-parabolic part of w (stripped off as alternating right
+    descents t, s, t, ...) has length m - 1; then x*t = y * (s t ...)
+    with y the stripped w and the alternating word of length m - 1
+    ending in s (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    2.3-2.4).  A new x is linked from every x*t at once, so a pair (w, s)
+    whose product is already known is skipped.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    rank = matrix.rank
+    bonds = _bonds(matrix)
+    right: list[list] = [[None] * rank]
+    lengths = [0]
+    descents = [0]  # bit t set iff t is a right descent
+    parent = [(0, 0)]  # (w, s) with element = w*s
+    level = [0]
 
-    def __init__(self, matrix: CoxeterMatrix, model):
-        self.model = model
-        self.to_model: list = []
-        self.from_model: dict = {}
-        self._nf_kernel = None
-        self.matrix = matrix
+    def is_descent(y, a):
+        return descents[y] >> a & 1
 
-    def nf_of_word(self, word: bytes):
-        m = self.model
-        x = m.identity
-        for letter in word:
-            x = m.mult(x, m.gens[letter])
-        wid = self.from_model.get(x)
-        return None if wid is None else self._ball.elements[wid].word
+    def times(y, a):
+        return right[y][a]
 
-    def multiply_fallback(self, ball: GroupBall, u: int, v: int) -> int:
-        m = self.model
-        z = m.mult(self.to_model[u], self.to_model[v])
-        wid = self.from_model.get(z)
-        if wid is None:
-            raise OutOfBallError(
-                f"product of elements {u}, {v} has length > radius {ball.radius}; "
-                "enlarge the ball")
-        return wid
-
-    def build(self, matrix: CoxeterMatrix, radius: int, cap: int) -> GroupBall:
-        rank = matrix.rank
-        m = self.model
-        self.to_model = [m.identity]
-        self.from_model = {m.identity: 0}
-        lengths = [0]
-        right = [[None] * rank]
-        level = [0]
-        complete = True
-        for length in range(radius + 1):
-            next_level = []
-            for w in level:
-                xw = self.to_model[w]
-                for s in range(rank):
-                    if right[w][s] is not None:
-                        continue
-                    if length == radius:
-                        right[w][s] = BOUNDARY
-                        complete = False
-                        continue
-                    z = m.mult(xw, m.gens[s])
-                    x = self.from_model.get(z)
-                    if x is None:
-                        x = len(self.to_model)
-                        if x >= cap:
-                            raise ResourceError(
-                                f"element cap {cap} exceeded at length {length + 1} "
-                                f"(partial size {x})")
-                        self.to_model.append(z)
-                        self.from_model[z] = x
-                        lengths.append(length + 1)
-                        right.append([None] * rank)
-                        next_level.append(x)
-                    right[w][s] = x
-                    right[x][s] = w
-            level = next_level
-            if not level:
-                break
-        inv = [self.from_model[m.inv(x)] for x in self.to_model]
-        left = _left_from_right(right, inv, rank)
-        # ShortLex normal form: smallest left descent first, recursively.
-        n = len(self.to_model)
-        words: list[bytes | None] = [None] * n
-        words[0] = b""
-        for w in range(1, n):  # ids are sorted by length
-            s = min(s for s in range(rank)
-                    if left[w][s] != BOUNDARY and lengths[left[w][s]] < lengths[w])
-            words[w] = bytes([s]) + words[left[w][s]]
-        elements = [Element(i, words[i], lengths[i]) for i in range(n)]
-        ball = GroupBall(matrix, radius, elements, right, left, inv, complete, self)
-        self._ball = ball
-        return ball
+    complete = True
+    for length in range(radius + 1):
+        next_level = []
+        for w in level:
+            rw = right[w]
+            for s in range(rank):
+                if rw[s] is not None:
+                    continue
+                if length == radius:
+                    rw[s] = BOUNDARY
+                    complete = False
+                    continue
+                x = len(lengths)
+                if x >= cap:
+                    raise ResourceError(
+                        f"element cap {cap} exceeded at length {length + 1} "
+                        f"(partial size {x})")
+                below = _below(bonds, w, s, is_descent, times)
+                row = [None] * rank
+                for t, y in below.items():
+                    row[t] = y
+                    right[y][t] = x
+                right.append(row)
+                lengths.append(length + 1)
+                descents.append(sum(1 << t for t in below))
+                parent.append((w, s))
+                next_level.append(x)
+        level = next_level
+        if not level:
+            break
+    # w^-1 is the identity times w's letters in reverse, read off the parents
+    n = len(lengths)
+    inv = [0] * n
+    for x in range(1, n):
+        z, y = 0, x
+        while y:
+            y, s = parent[y]
+            z = right[z][s]
+        inv[x] = z
+    left = _left_from_right(right, inv, rank)
+    # ShortLex normal form: smallest left descent first, recursively
+    words = [b""] * n
+    for w in range(1, n):  # ids are sorted by length
+        d = descents[inv[w]]
+        s = (d & -d).bit_length() - 1
+        words[w] = bytes((s,)) + words[left[w][s]]
+    elements = [Element(i, words[i], lengths[i]) for i in range(n)]
+    return GroupBall(matrix, radius, elements, right, left, inv, complete)
 
 
 def _left_from_right(right, inv, rank):
@@ -299,26 +340,6 @@ def _left_from_right(right, inv, rank):
             row.append(BOUNDARY if t == BOUNDARY else inv[t])
         left.append(row)
     return left
-
-
-def enumerate_ball(matrix: CoxeterMatrix, radius: int, backend: str = "auto",
-                   cap: int = 2_000_000, budget: int = 100_000) -> GroupBall:
-    """All elements of length <= radius, as a GroupBall.
-
-    backend: "auto" picks the combinatorial model for named types that
-    have one, the word-rewriting engine otherwise; "tits" and "model"
-    force a choice.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    model = models.model_for(matrix) if backend in ("auto", "model") else None
-    if backend == "model" and model is None:
-        raise ValueError(f"no combinatorial model for matrix {matrix.name or matrix}")
-    if model is not None:
-        engine = _ModelEngine(matrix, model)
-    else:
-        engine = _TitsEngine(matrix, budget)
-    return engine.build(matrix, radius, cap)
 
 
 # -- module-level word operations ------------------------------------------

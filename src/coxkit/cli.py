@@ -17,7 +17,7 @@ from . import curvature as curvature_mod
 from . import orders, polynomials, posets, projections, reflections, serialize
 from .ball import enumerate_ball
 from .errors import CoxkitError, DomainError, ResourceError
-from .matrices import longest_length, parse_coxeter_matrix
+from .matrices import group_order, longest_length, parse_coxeter_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,8 +77,9 @@ def _build_ball(args):
     radius = _resolve_radius(args, matrix)
     cap = getattr(args, "cap_elements", None) or 2_000_000
     ball = enumerate_ball(matrix, radius, cap=int(cap))
-    if (getattr(args, "radius", None) in (None, "auto")
-            and not ball.is_complete_group):
+    if getattr(args, "radius", None) in (None, "auto") and not (
+            ball.is_complete_group and len(ball) == group_order(matrix)
+            and len(ball.rank_sizes()) == radius + 1):
         raise CoxkitError("auto radius did not close the group; file a bug")
     return ball
 
@@ -461,7 +462,10 @@ def _add_common(sub):
     sub.add_argument("--config", help="key=value file supplying flag defaults")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The argument parser; `defaults` (from a --config file) replace the
+    built-in defaults of the subcommands that have those options, so
+    explicit flags still win.  A key that names no option is an error."""
     parser = argparse.ArgumentParser(
         prog="coxkit",
         description="Length-bounded Coxeter group balls, reflection orders, "
@@ -497,6 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--in", dest="input", required=True, help="input JSON file")
     p.set_defaults(fn=cmd_export)
+    if defaults:
+        dests = {sub: {a.dest for a in sub._actions} - {"help", "config"}
+                 for sub in subs.choices.values()}
+        unknown = set(defaults).difference(*dests.values())
+        if unknown:
+            raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        for sub, names in dests.items():
+            sub.set_defaults(**{k: v for k, v in defaults.items() if k in names})
     return parser
 
 
@@ -505,10 +517,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            defaults = _load_config(args.config)
-            for key, value in defaults.items():
-                if getattr(args, key, None) in (None, "tk", "intermediate"):
-                    setattr(args, key, value)
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import prod
 
 INF = 0  # matrix encoding of an infinite bond
 
@@ -79,14 +80,19 @@ def _path(rank: int, labels, name: str) -> CoxeterMatrix:
     return _from_edges(rank, edges, name)
 
 
-# Longest-element lengths (number of positive roots) for the finite types.
-_LONGEST = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": {6: 36, 7: 63, 8: 120},
-    "F": {4: 24},
-    "H": {3: 15, 4: 60},
+# Degrees of the basic invariants of the finite irreducible types
+# (Humphreys, Reflection Groups and Coxeter Groups, Table 3.1):
+# |W| is their product and the longest element has length sum(d - 1).
+_DEGREES = {
+    "A": lambda n: range(2, n + 2),
+    "B": lambda n: range(2, 2 * n + 1, 2),
+    "C": lambda n: range(2, 2 * n + 1, 2),
+    "D": lambda n: [*range(2, 2 * n - 1, 2), n],
+    "E": {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+          8: (2, 8, 12, 14, 18, 20, 24, 30)}.get,
+    "F": {4: (2, 6, 8, 12)}.get,
+    "G": {2: (2, 6)}.get,
+    "H": {3: (2, 6, 10), 4: (2, 12, 20, 30)}.get,
 }
 
 
@@ -130,8 +136,8 @@ def named_matrix(name: str) -> CoxeterMatrix:
                 edges[(i, i + 1)] = 3
             return _from_edges(n, edges, key)
         if letter == "E" and n in (6, 7, 8):
-            # node 0 is the branch node hanging off node 2 of the path 1-2-...-(n-1)
-            edges = {(0, 2): 3}
+            # node 0 hangs off node 3 of the path 1-2-...-(n-1)
+            edges = {(0, 3): 3}
             for i in range(1, n - 1):
                 edges[(i, i + 1)] = 3
             return _from_edges(n, edges, key)
@@ -167,23 +173,32 @@ def named_matrix(name: str) -> CoxeterMatrix:
     raise MatrixError(f"unrecognized or unsupported type name {name!r}")
 
 
-def longest_length(matrix: CoxeterMatrix) -> int | None:
-    """Length of the longest element for recognized finite named types,
-    else None."""
+def _degrees(matrix: CoxeterMatrix) -> tuple[int, ...] | None:
+    """Degrees of a finite named type (I2(m): 2 and m), else None."""
     name = matrix.name
     if name is None:
         return None
     m = re.fullmatch(r"I2\((\d+)\)", name)
     if m:
-        return int(m.group(1))
-    m = re.fullmatch(r"([ABDEFH])(\d+)", name)
+        return (2, int(m.group(1)))
+    m = re.fullmatch(r"([A-H])(\d+)", name)
     if not m:
         return None
-    letter, n = m.group(1), int(m.group(2))
-    spec = _LONGEST[letter]
-    if callable(spec):
-        return spec(n)
-    return spec.get(n)
+    found = _DEGREES[m.group(1)](int(m.group(2)))
+    return None if found is None else tuple(found)
+
+
+def group_order(matrix: CoxeterMatrix) -> int | None:
+    """|W| for recognized finite named types, else None."""
+    degs = _degrees(matrix)
+    return None if degs is None else prod(degs)
+
+
+def longest_length(matrix: CoxeterMatrix) -> int | None:
+    """Length of the longest element for recognized finite named types,
+    else None."""
+    degs = _degrees(matrix)
+    return None if degs is None else sum(d - 1 for d in degs)
 
 
 def parse_coxeter_matrix(spec: str) -> CoxeterMatrix:

@@ -172,16 +172,6 @@ class Poset:
                 return False
         return True
 
-    def height_levels(self):
-        """height[i] = longest chain below i (0 for minimal elements)."""
-        order = self.topological_order()
-        h = [0] * self.n
-        dadj = self.down_adj()
-        for x in order:
-            if dadj[x]:
-                h[x] = 1 + max(h[y] for y in dadj[x])
-        return h
-
     def topological_order(self):
         indeg = [0] * self.n
         uadj = self.up_adj()

@@ -26,7 +26,7 @@ from .posets import Poset
 
 __all__ = [
     "ReflectionTable", "ReflectionSubgroup", "reflections_in_ball",
-    "t_k_set", "dihedral_subgroup", "t_order_leq", "t_order_poset",
+    "t_k_set", "dihedral_subgroup", "t_order_poset",
     "omega_distance_in_dihedral", "is_order_ideal",
 ]
 
@@ -227,16 +227,6 @@ def omega_distance_in_dihedral(sub: ReflectionSubgroup, t: int, tp: int):
                     nxt.append(b)
         frontier = nxt
     return dist.get(tp)
-
-
-def t_order_leq(ball: GroupBall, t: int, tp: int) -> bool:
-    """Whether t is below t' in the reflection order.  Builds the full
-    order on the ball's reflections; prefer t_order_poset for repeated
-    queries."""
-    if t == tp:
-        return True
-    poset = t_order_poset(reflections_in_ball(ball))
-    return poset.leq(poset.index(t), poset.index(tp))
 
 
 def t_order_poset(table: ReflectionTable, restrict_to=None) -> Poset:

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 
-from .ball import BOUNDARY, Element, GroupBall, _TitsEngine, _left_from_right
+from .ball import BOUNDARY, Element, GroupBall, _left_from_right
 from .errors import DomainError
 from .matrices import CoxeterMatrix
 from .posets import Poset
@@ -40,7 +40,7 @@ def ball_to_json_dict(ball: GroupBall) -> dict:
     }
 
 
-def ball_from_json_dict(data: dict, budget: int = 100_000) -> GroupBall:
+def ball_from_json_dict(data: dict) -> GroupBall:
     if data.get("inf_token", 0) != 0:
         raise DomainError("unsupported infinity token")
     matrix = CoxeterMatrix(rank=len(data["matrix"]),
@@ -63,9 +63,7 @@ def ball_from_json_dict(data: dict, budget: int = 100_000) -> GroupBall:
     rank = matrix.rank
     right = _left_from_right(left, inv, rank)  # the identity is its own mirror
     complete = all(v != BOUNDARY for row in left for v in row)
-    engine = _TitsEngine(matrix, budget)
-    return GroupBall(matrix, data["radius"], elements, right, left, inv,
-                     complete, engine)
+    return GroupBall(matrix, data["radius"], elements, right, left, inv, complete)
 
 
 # -- posets -------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Pure-Python word kernels: braid-move closure, reducedness, ShortLex
-normal forms.
+"""Word kernel: braid-move closure, reducedness, ShortLex normal forms.
 
 Words are `bytes` over generator indices.  A word is reduced iff its
 closure under braid moves contains no word with two equal adjacent
@@ -7,12 +6,15 @@ letters; two reduced words represent the same element iff their braid
 closures coincide, so the ShortLex-least member of the closure is a
 canonical form.  Everything here is exact for arbitrary Coxeter
 matrices, including infinite bonds.
+
+The kernel serves the free-word API (`reduce_word`, `normal_form`,
+`is_reduced`); balls and their products do not use it.
 """
 from __future__ import annotations
 
 from collections import deque
 
-IMPLEMENTATION = "pure"
+IMPLEMENTATION = "pure"  # exported as coxkit.WORDCORE_IMPLEMENTATION
 
 
 class ClosureBudgetError(RuntimeError):
@@ -96,10 +98,3 @@ class WordKernel:
         w = self.reduce(word)
         _, seen = self._scan(w)
         return min(seen) if seen else b""
-
-    def shortlex_of_reduced(self, word: bytes) -> bytes:
-        """ShortLex canonical form of a word known to be reduced."""
-        kind, seen = self._scan(bytes(word))
-        if kind != "closed":
-            raise ValueError("word is not reduced")
-        return min(seen)

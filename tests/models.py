@@ -1,16 +1,17 @@
 """Combinatorial models of the finite (and infinite dihedral) named types.
 
-These give fast, exact multiplication independent of any word rewriting:
-permutations for type A, signed permutations for B/C, even-signed
-permutations for D, and an explicit rotation/reflection model for
-dihedral groups.  Used both as fast ball backends and as independent
-cross-check oracles for the word-rewriting engine.
+These give exact multiplication independent of the ball engine and of
+word rewriting: permutations for type A, signed permutations for B/C,
+even-signed permutations for D, and an explicit rotation/reflection
+model for dihedral groups.  `model_ball` builds a ball from a model
+alone, as the oracle the engine is compared with edge for edge.
 """
 from __future__ import annotations
 
 import re
 
-from .matrices import CoxeterMatrix, INF
+from coxkit.ball import BOUNDARY, Element, GroupBall
+from coxkit.matrices import CoxeterMatrix
 
 
 class PermutationModel:
@@ -134,3 +135,52 @@ def model_for(matrix: CoxeterMatrix):
     if letter == "D":
         return EvenSignedPermutationModel(n)
     return None
+
+
+def model_ball(matrix: CoxeterMatrix, radius: int) -> GroupBall:
+    """The ball of the given radius, found by breadth-first search in the
+    matrix's model: ids in discovery order (level by level, then by
+    generator), ShortLex words by smallest left descent first."""
+    m = model_for(matrix)
+    rank = matrix.rank
+    to_model = [m.identity]
+    from_model = {m.identity: 0}
+    lengths = [0]
+    right = [[None] * rank]
+    level = [0]
+    complete = True
+    for length in range(radius + 1):
+        next_level = []
+        for w in level:
+            for s in range(rank):
+                if right[w][s] is not None:
+                    continue
+                if length == radius:
+                    right[w][s] = BOUNDARY
+                    complete = False
+                    continue
+                z = m.mult(to_model[w], m.gens[s])
+                x = from_model.get(z)
+                if x is None:
+                    x = len(to_model)
+                    to_model.append(z)
+                    from_model[z] = x
+                    lengths.append(length + 1)
+                    right.append([None] * rank)
+                    next_level.append(x)
+                right[w][s] = x
+                right[x][s] = w
+        level = next_level
+        if not level:
+            break
+    n = len(to_model)
+    inv = [from_model[m.inv(x)] for x in to_model]
+    left = [[BOUNDARY if right[inv[w]][s] == BOUNDARY else inv[right[inv[w]][s]]
+             for s in range(rank)] for w in range(n)]
+    words = [b""] * n
+    for w in range(1, n):
+        s = min(s for s in range(rank)
+                if left[w][s] != BOUNDARY and lengths[left[w][s]] < lengths[w])
+        words[w] = bytes([s]) + words[left[w][s]]
+    elements = [Element(i, words[i], lengths[i]) for i in range(n)]
+    return GroupBall(matrix, radius, elements, right, left, inv, complete)

@@ -24,8 +24,7 @@ from coxkit.posets import (is_graded, max_h_family_value, nc_lattice,
 from coxkit.projections import (is_order_preserving, phi_k_image_poset,
                                 projection_map)
 from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
-from coxkit.wordcore import PureWordKernel
-
+from models import model_ball
 from oracles import brute_max_h_family, brute_w1, perm_of_word
 
 PASS = "CRITERION {:02d}: PASS"
@@ -271,19 +270,23 @@ def test_criterion_13_strong_sperner_and_flow_oracle(ball_a3, table_a3,
 
 
 def test_criterion_14_backend_equivalence():
-    for name in ("A3", "B3") + tuple(f"I2({m})" for m in range(2, 9)):
-        from coxkit.matrices import longest_length
+    # the ball engine agrees edge for edge with an independent model search
+    from coxkit.matrices import longest_length
+    for name in ("A3", "B3", "D4") + tuple(f"I2({m})" for m in range(2, 9)):
         matrix = named_matrix(name)
         radius = longest_length(matrix)
-        tits = enumerate_ball(matrix, radius, backend="tits")
-        model = enumerate_ball(matrix, radius, backend="model")
-        assert len(tits) == len(model)
-        assert [e.word for e in tits.elements] == [e.word for e in model.elements]
-        assert [e.length for e in tits.elements] == [e.length for e in model.elements]
-        assert tits.right == model.right and tits.left == model.left
-        assert all(tits.left_descents(w) == model.left_descents(w)
-                   and tits.right_descents(w) == model.right_descents(w)
-                   for w in range(len(tits)))
+        for r in (radius, radius // 2):
+            ball = enumerate_ball(matrix, r)
+            model = model_ball(matrix, r)
+            assert len(ball) == len(model)
+            assert [e.word for e in ball.elements] == [e.word for e in model.elements]
+            assert [e.length for e in ball.elements] == [e.length for e in model.elements]
+            assert ball.right == model.right and ball.left == model.left
+            assert ball.inv == model.inv
+            assert ball.is_complete_group == model.is_complete_group == (r == radius)
+            assert all(ball.left_descents(w) == model.left_descents(w)
+                       and ball.right_descents(w) == model.right_descents(w)
+                       for w in range(len(ball)))
     print(PASS.format(14))
 
 

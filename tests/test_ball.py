@@ -5,9 +5,11 @@ import random
 import pytest
 
 from coxkit import (OutOfBallError, ResourceError, enumerate_ball,
-                    named_matrix, normal_form)
+                    named_matrix, normal_form, parse_coxeter_matrix)
 from coxkit.ball import BOUNDARY
+from coxkit.wordcore import WordKernel
 
+from models import model_ball, model_for
 from oracles import bruhat_subword_leq, perm_of_word
 
 
@@ -19,27 +21,74 @@ def _ball_signature(ball):
         ball.right,
         ball.left,
         ball.inv,
+        ball.is_complete_group,
         [ball.left_descents(w) for w in range(len(ball))],
         [ball.right_descents(w) for w in range(len(ball))],
     )
 
 
 @pytest.mark.parametrize("name,radius", [("A3", 6), ("B3", 9)]
-                         + [(f"I2({m})", m) for m in range(2, 9)])
+                         + [(f"I2({m})", m) for m in range(2, 9)]
+                         + [("A4", 10), ("B4", 16), ("D4", 12), ("D5", 20)])
 def test_backend_equivalence(name, radius):
+    # the engine agrees edge for edge with a ball searched in the model
     matrix = named_matrix(name)
-    tits = enumerate_ball(matrix, radius, backend="tits")
-    model = enumerate_ball(matrix, radius, backend="model")
-    assert _ball_signature(tits) == _ball_signature(model)
-    assert tits.is_complete_group and model.is_complete_group
+    ball = enumerate_ball(matrix, radius)
+    assert _ball_signature(ball) == _ball_signature(model_ball(matrix, radius))
+    assert ball.is_complete_group
 
 
 def test_backend_equivalence_truncated():
-    matrix = named_matrix("B3")
-    tits = enumerate_ball(matrix, 4, backend="tits")
-    model = enumerate_ball(matrix, 4, backend="model")
-    assert _ball_signature(tits) == _ball_signature(model)
-    assert not tits.is_complete_group
+    for name, radius in [("B3", 4), ("A5", 7), ("B4", 9), ("D4", 5),
+                         ("D5", 8), ("I2(7)", 4), ("I2(inf)", 8)]:
+        matrix = named_matrix(name)
+        ball = enumerate_ball(matrix, radius)
+        assert _ball_signature(ball) == _ball_signature(model_ball(matrix, radius))
+        assert not ball.is_complete_group
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("H3", 15), ("affA2", 8), ("affC2", 8),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, id="hyperbolic-8"), ("F4", 10)])
+def test_engine_matches_word_kernel(spec, radius):
+    # types without a model: every in-table edge w -> w*s is the ShortLex
+    # form the braid-closure kernel gives for word(w) + s
+    matrix = parse_coxeter_matrix(spec)
+    kernel = WordKernel(matrix.entries)
+    ball = enumerate_ball(matrix, radius)
+    assert ball.word(ball.identity) == b""
+    for w in range(len(ball)):
+        assert ball.length(w) == len(ball.word(w))
+        for s in matrix.generators:
+            ws = ball.right[w][s]
+            if ws == BOUNDARY:
+                assert ball.length(w) == radius
+                continue
+            assert ball.word(ws) == kernel.shortlex(ball.word(w) + bytes([s]))
+            assert ball.right[ws][s] == w
+    assert ball.index == {ball.word(w): w for w in range(len(ball))}
+
+
+# |W| and the length of the longest element (Humphreys, Reflection Groups
+# and Coxeter Groups, 2.11 and 3.7)
+NAMED_ORDERS = {
+    "A1": (2, 1), "A5": (720, 15), "A7": (40320, 28), "B2": (8, 4),
+    "B6": (46080, 36), "C3": (48, 9), "D4": (192, 12), "D6": (23040, 30),
+    "E6": (51840, 36), "F4": (1152, 24), "G2": (12, 6), "H3": (120, 15),
+    "H4": (14400, 60), "I2(5)": (10, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
+def test_named_types_close_at_group_order(name):
+    from coxkit.matrices import group_order, longest_length
+    order, top = NAMED_ORDERS[name]
+    matrix = named_matrix(name)
+    assert (group_order(matrix), longest_length(matrix)) == (order, top)
+    ball = enumerate_ball(matrix, top)
+    assert ball.is_complete_group
+    assert len(ball) == order
+    assert ball.rank_sizes()[-1] == 1 and len(ball.rank_sizes()) == top + 1
 
 
 def test_rank_sizes_s4(ball_a3):
@@ -164,17 +213,78 @@ def test_element_cap():
         enumerate_ball(named_matrix("A3"), 6, cap=10)
 
 
-def test_model_backend_unavailable():
-    from coxkit import parse_coxeter_matrix
-    anonymous = parse_coxeter_matrix("1 7 2; 7 1 3; 2 3 1")
-    with pytest.raises(ValueError):
-        enumerate_ball(anonymous, 3, backend="model")
+def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         enumerate_ball(named_matrix("A3"), -1)
 
 
 def test_infinite_dihedral_backends_agree():
     matrix = named_matrix("I2(inf)")
-    tits = enumerate_ball(matrix, 6, backend="tits")
-    model = enumerate_ball(matrix, 6, backend="model")
-    assert _ball_signature(tits) == _ball_signature(model)
+    ball = enumerate_ball(matrix, 6)
+    assert _ball_signature(ball) == _ball_signature(model_ball(matrix, 6))
+
+
+def test_id_of_word_crossing_the_boundary():
+    # a word that leaves the table and comes back still names its element
+    ball = enumerate_ball(named_matrix("I2(inf)"), 2)
+    assert ball.id_of_word((0, 1, 0, 0, 1, 0)) == ball.identity
+    assert ball.id_of_word((0, 1, 0, 0)) == ball.id_of_word((0, 1))
+    with pytest.raises(OutOfBallError):
+        ball.id_of_word((0, 1, 0))
+    for letters in ((0, -1), (2,)):
+        with pytest.raises(ValueError):
+            ball.id_of_word(letters)
+
+
+def _model_product(model, ball, u, v):
+    x = model.identity
+    for a in ball.word(u) + ball.word(v):
+        x = model.mult(x, model.gens[a])
+    return x
+
+
+@pytest.mark.parametrize("name,radius", [("A3", 3), ("B3", 4), ("D4", 5), ("I2(7)", 4),
+                                         ("I2(inf)", 5), ("A5", 14), ("B4", 15)])
+def test_multiply_across_the_boundary(name, radius):
+    # every product of two elements of a truncated ball, against the model:
+    # in the ball iff the model's product has a word of length <= radius
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, radius)
+    model = model_for(matrix)
+    ids = {_model_product(model, ball, w, 0): w for w in range(len(ball))}
+    rng = random.Random(5)
+    n = len(ball)
+    pairs = ([(u, v) for u in range(n) for v in range(n)] if n <= 100
+             else [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)])
+    if name == "A5":  # s * (s w0): the product is w0, one past the radius
+        w0s = max(range(n), key=ball.length)
+        s = min(ball.right_descents(w0s) ^ frozenset(matrix.generators))
+        pairs.append((ball.id_of_word((s,)), ball.inverse(w0s)))
+    outside = 0
+    for u, v in pairs:
+        want = ids.get(_model_product(model, ball, u, v))
+        if want is None:
+            outside += 1
+            with pytest.raises(OutOfBallError):
+                ball.multiply(u, v)
+        else:
+            assert ball.multiply(u, v) == want
+    assert outside
+    if model.order:  # elements met beyond the radius are stored once each
+        assert len(ball) + len(ball._rows) <= model.order
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("H3", 7), ("affA2", 5), pytest.param("1 3 inf; 3 1 3; inf 3 1", 5, id="hyperbolic-5")])
+def test_multiply_across_the_boundary_matches_word_kernel(spec, radius):
+    matrix = parse_coxeter_matrix(spec)
+    kernel = WordKernel(matrix.entries)
+    ball = enumerate_ball(matrix, radius)
+    for u in range(len(ball)):
+        for v in range(len(ball)):
+            want = ball.index.get(kernel.shortlex(ball.word(u) + ball.word(v)))
+            if want is None:
+                with pytest.raises(OutOfBallError):
+                    ball.multiply(u, v)
+            else:
+                assert ball.multiply(u, v) == want

@@ -170,6 +170,47 @@ def test_config_file_defaults(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_does_not_override_explicit_flags(tmp_path, capsys):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("ideal = all\nkind = weak\n")
+    check = ["check", "--type", "A3", "--checks", "graded", "--config", str(cfg)]
+    code, out, _e = _run(capsys, check + ["--ideal", "tk"])
+    assert code == 0
+    assert json.loads(out)["checks"]["graded"]["ideals_checked"] == 3
+    code, out, _e = _run(capsys, check)
+    assert code == 0
+    assert json.loads(out)["checks"]["graded"]["ideals_checked"] == 14
+    order = ["order", "--type", "A2", "--config", str(cfg)]
+    _code, weak, _e = _run(capsys, order)
+    _code, inter, _e = _run(capsys, order + ["--kind", "intermediate", "--k", "1"])
+    assert json.loads(weak)["metadata"] != json.loads(inter)["metadata"]
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    for line in ("fn = x", "no_such_option = 1", "help = 1"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _o, err = _run(capsys, ["check", "--type", "A2", "--checks", "refinement",
+                                      "--config", str(cfg)])
+        assert code == 2 and "unknown config key" in err, line
+
+
+def test_order_at_the_top_of_a_finite_group(capsys):
+    # products that leave the table near the longest element are skipped
+    # as boundary products, not an error
+    code, out, err = _run(capsys, ["order", "--type", "A5", "--radius", "14",
+                                   "--kind", "intermediate", "--k", "0"])
+    assert code == 0, err
+    assert json.loads(out)["metadata"]["boundary_skips"] > 0
+
+
+def test_auto_radius_closes_every_finite_type(capsys):
+    for name, size in (("G2", 12), ("C3", 48), ("I2(5)", 10), ("F4", 1152)):
+        code, out, err = _run(capsys, ["ball", "--type", name, "--radius", "auto"])
+        assert code == 0, err
+        assert len(json.loads(out)["elements"]) == size
+
+
 def test_curvature_command(capsys):
     code, out, _e = _run(capsys, ["curvature", "--type", "A3", "--k", "0"])
     assert code == 0

@@ -74,6 +74,15 @@ def test_longest_lengths():
     assert longest_length(parse_coxeter_matrix("1 3; 3 1")) is None
 
 
+def test_e_types_branch_at_node_3():
+    # E_n is the path 1-2-...-(n-1) with node 0 attached to node 3;
+    # attached to node 2 it would be D_n
+    for n in (6, 7, 8):
+        e = named_matrix(f"E{n}")
+        assert e.entries != named_matrix(f"D{n}").entries
+        assert [j for j in range(n) if e.m(0, j) == 3] == [3]
+
+
 def test_json_round_trip():
     m = named_matrix("B3")
     again = matrix_from_json_dict(m.to_json_dict())

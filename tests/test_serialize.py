@@ -35,6 +35,8 @@ def test_ball_round_trip_truncated():
     assert not again.is_complete_group
     # and the infinity entry survives the 0 encoding
     assert again.matrix.m(0, 1) == named_matrix("I2(inf)").m(0, 1)
+    # products across the boundary work on the restored ball too
+    assert again.id_of_word((0, 1, 0, 1, 0, 1, 1, 0)) == ball.id_of_word((0, 1, 0, 1))
 
 
 def test_ball_json_rejects_corruption(ball_a2):

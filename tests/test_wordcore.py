@@ -1,45 +1,23 @@
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit import named_matrix
-from coxkit.wordcore import IMPLEMENTATION, PureWordKernel, WordKernel
-from coxkit.wordcore.pure import ClosureBudgetError
+from coxkit.wordcore import ClosureBudgetError, WordKernel
 
 from oracles import all_reduced_words
 
 MATRICES = [named_matrix(n) for n in ("A3", "B3", "H3", "I2(7)", "I2(inf)", "affA2")]
-
-try:
-    from coxkit._speedups import WordKernel as CompiledKernel
-    HAVE_COMPILED = True
-except ImportError:
-    CompiledKernel = None
-    HAVE_COMPILED = False
 
 
 def _random_words(matrix, count=120, max_len=12, seed=11):
     rng = random.Random(seed + matrix.rank)
     return [bytes(rng.randrange(matrix.rank) for _ in range(rng.randrange(max_len + 1)))
             for _ in range(count)]
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel unavailable")
-@pytest.mark.parametrize("matrix", MATRICES, ids=lambda m: m.name)
-def test_pure_and_compiled_agree(matrix):
-    pure = PureWordKernel(matrix.entries)
-    fast = CompiledKernel(matrix.entries)
-    for w in _random_words(matrix):
-        assert pure.is_reduced(w) == fast.is_reduced(w)
-        assert pure.reduce(w) == fast.reduce(w)
-        assert pure.shortlex(w) == fast.shortlex(w)
 
 
 @pytest.mark.parametrize("matrix", MATRICES, ids=lambda m: m.name)
@@ -71,12 +49,6 @@ def test_reduced_iff_length_preserved():
         assert kernel.is_reduced(w) == (len(kernel.reduce(w)) == len(w))
 
 
-def test_shortlex_of_reduced_rejects_unreduced():
-    kernel = WordKernel(named_matrix("A2").entries)
-    with pytest.raises(ValueError):
-        kernel.shortlex_of_reduced(b"\x00\x00")
-
-
 def test_closure_budget_error():
     matrix = named_matrix("A5")
     kernel = WordKernel(matrix.entries, 5)
@@ -93,13 +65,3 @@ def test_involution_of_appended_inverse(letters):
     kernel = WordKernel(matrix.entries)
     w = bytes(letters)
     assert kernel.reduce(w + bytes(reversed(w))) == b""
-
-
-def test_implementation_selection_and_override():
-    assert IMPLEMENTATION in ("pure", "cython")
-    env = dict(os.environ, COXKIT_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from coxkit.wordcore import IMPLEMENTATION; print(IMPLEMENTATION)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "pure"
