@@ -130,12 +130,7 @@ def _order_poset(args, ball):
     if kind == "torder":
         return reflections.t_order_poset(table), ball
     if kind == "bruhat":
-        n = len(ball)
-        pairs = [(u, v) for u in range(n) for v in range(n)
-                 if u != v and ball.bruhat_leq(u, v)]
-        return posets.Poset.from_relation(
-            list(range(n)), pairs, rank=[ball.length(w) for w in range(n)],
-            metadata={"kind": "bruhat"}), ball
+        return orders.bruhat_poset(ball, table), ball
     k = int(args.k or 0)
     if kind in ("weak", "intermediate"):
         kk = 0 if kind == "weak" else k
@@ -308,11 +303,7 @@ def _check_sperner(ball, table, args):
 def _check_phi(ball, table, args):
     name = ball.matrix.name or ""
     ks = _parse_k_range(args.k, _max_k(ball, table))
-    n = len(ball)
-    bruhat_pairs = [(u, v) for u in range(n) for v in range(n)
-                    if u != v and ball.bruhat_leq(u, v)]
-    bruhat = posets.Poset.from_relation(
-        list(range(n)), bruhat_pairs, rank=[ball.length(w) for w in range(n)])
+    bruhat = orders.bruhat_poset(ball, table)
     rows = []
     ok = True
     for k in ks:

@@ -17,7 +17,7 @@ from .reflections import ReflectionTable, t_k_set
 
 __all__ = [
     "OmegaGraph", "AbsoluteLengthTable", "omega_graph", "intermediate_poset",
-    "k_absolute_length_all", "k_absolute_poset", "interval_poset",
+    "bruhat_poset", "k_absolute_length_all", "k_absolute_poset", "interval_poset",
     "refinement_chain_check", "RefinementReport",
 ]
 
@@ -43,7 +43,6 @@ def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
     arcs = []
     skips = 0
     for t in sorted(xs):
-        lt = ball.length(t)
         for a in range(len(ball)):
             try:
                 b = ball.multiply(t, a)
@@ -69,6 +68,26 @@ def intermediate_poset(ball: GroupBall, x_set, graph: OmegaGraph | None = None) 
         list(range(len(ball))), pairs, rank=rank,
         metadata={"kind": "intermediate-order", "x_size": len(g.x_set),
                   "boundary_skips": g.boundary_skips})
+
+
+def bruhat_poset(ball: GroupBall, table: ReflectionTable) -> Poset:
+    """Bruhat order on all ball elements, ranked by length.
+
+    On a complete group this is the reachability order of the arc graph
+    over all reflections (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 2.1).  A truncated ball can miss the witnessing reflection:
+    in I2(inf) at radius 2, s < st needs sts, of length 3.  There every
+    pair is tested with `bruhat_leq`.
+    """
+    n = len(ball)
+    if ball.is_complete_group:
+        pairs = [(a, b) for a, b, _t in omega_graph(ball, table.reflections).arcs]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and ball.bruhat_leq(u, v)]
+    return Poset.from_relation(
+        list(range(n)), pairs, rank=[ball.length(w) for w in range(n)],
+        metadata={"kind": "bruhat"})
 
 
 @dataclass
@@ -169,8 +188,7 @@ def refinement_chain_check(table: ReflectionTable, k_max: int) -> RefinementRepo
     for k in range(k_max + 1):
         p = intermediate_poset(ball, t_k_set(table, k))
         rels.append(p.relation_pairs())
-    bruhat = frozenset((u, v) for u in range(len(ball)) for v in range(len(ball))
-                       if u != v and ball.bruhat_leq(u, v))
+    bruhat = bruhat_poset(ball, table).relation_pairs()
     rows = []
     ok = True
     for a in range(k_max + 1):

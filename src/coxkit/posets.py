@@ -37,7 +37,9 @@ class Poset:
     @classmethod
     def from_relation(cls, nodes, leq_pairs, rank=None, metadata=None) -> "Poset":
         """Build from the full (or generating) set of strict index pairs
-        (i, j) meaning node i < node j; covers by transitive reduction."""
+        (i, j) meaning node i < node j.  Self pairs are ignored and a cycle
+        raises DomainError.  Covers are read from the generating pairs: a
+        cover is a pair that no other successor of i reaches."""
         nodes = list(nodes)
         n = len(nodes)
         succ = [0] * n
@@ -45,7 +47,7 @@ class Poset:
             if i != j:
                 succ[i] |= 1 << j
         up = _transitive_closure(succ)
-        covers = _covers_from_closure(up)
+        covers = _covers_from_generators(succ, up)
         return cls(nodes, covers, rank=rank, metadata=metadata, _up=up)
 
     # -- relation -------------------------------------------------------
@@ -250,27 +252,25 @@ def _topo(succ, n):
     return out
 
 
-def _covers_from_closure(up):
-    n = len(up)
+def _covers_from_generators(succ, up):
+    """Transitive reduction (Aho, Garey and Ullman, SIAM J. Comput. 1,
+    1972): i < j is a cover iff j is a successor of i that no other
+    successor k of i reaches, i.e. covers(i) = succ(i) minus the strict
+    up-sets of succ(i).  Every cover is a generating pair, since a
+    longer path from i to j passes through an element between them."""
     covers = []
-    for i in range(n):
-        above = up[i] & ~(1 << i)
-        m = above
+    for i, s in enumerate(succ):
+        reached = 0
+        m = s
         while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            # i < j is a cover iff no k lies strictly between them
-            between = above & ~(1 << j)
-            ok = True
-            b = between
-            while b:
-                k = (b & -b).bit_length() - 1
-                b &= b - 1
-                if up[k] >> j & 1:
-                    ok = False
-                    break
-            if ok:
-                covers.append((i, j))
+            low = m & -m
+            reached |= up[low.bit_length() - 1] ^ low  # up is reflexive
+            m ^= low
+        m = s & ~reached
+        while m:
+            low = m & -m
+            covers.append((i, low.bit_length() - 1))
+            m ^= low
     return covers
 
 

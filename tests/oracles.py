@@ -64,6 +64,28 @@ def all_reduced_words(matrix, word):
 # -- posets -------------------------------------------------------------------
 
 
+def brute_closure(n, pairs):
+    """Strict transitive closure of a relation on range(n), by
+    repeating the composition step until nothing new appears."""
+    less = {(i, j) for i, j in pairs if i != j}
+    while True:
+        more = {(i, k) for i, j in less for j2, k in less if j == j2} - less
+        if not more:
+            return less
+        less |= more
+
+
+def brute_covers(less):
+    """Cover pairs of a strict order given as the full set of pairs
+    (i, j) with i < j: i is covered by j iff no k lies strictly
+    between them."""
+    above, below = {}, {}
+    for i, j in less:
+        above.setdefault(i, set()).add(j)
+        below.setdefault(j, set()).add(i)
+    return {(i, j) for i, j in less if not above[i] & below[j]}
+
+
 def brute_max_h_family(poset, h):
     """Largest union of h antichains = largest subset with no chain of
     h+1 elements, by include/exclude search with a simple bound."""

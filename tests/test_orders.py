@@ -3,12 +3,26 @@ from __future__ import annotations
 import pytest
 
 from coxkit import IncompleteSliceError, enumerate_ball, named_matrix
-from coxkit.orders import (intermediate_poset, interval_poset,
+from coxkit.matrices import longest_length
+from coxkit.orders import (bruhat_poset, intermediate_poset, interval_poset,
                            k_absolute_length_all, k_absolute_poset,
                            omega_graph, refinement_chain_check)
-from coxkit.reflections import reflections_in_ball, t_k_set
+from coxkit.posets import check_graded
+from coxkit.projections import phi_k_image_poset
+from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 
-from oracles import perm_of_word
+from oracles import brute_covers, perm_of_word
+
+
+def _complete(name):
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    return ball, reflections_in_ball(ball)
+
+
+def _brute_force_covers(poset):
+    less = {(poset.index(a), poset.index(b)) for a, b in poset.relation_pairs()}
+    return sorted(brute_covers(less))
 
 
 def _cycles(perm):
@@ -154,3 +168,49 @@ def test_interval_poset(ball_a3, table_a3):
     st = ball_a3.id_of_word((0, 1))
     small = interval_poset(poset, s, st)
     assert sorted(small.nodes) == sorted([s, st])
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "H3"])
+def test_poset_covers_match_brute_force(name):
+    ball, table = _complete(name)
+    k_max = (max(table.lengths().values()) - 1) // 2
+    posets = [t_order_poset(table), k_absolute_poset(k_absolute_length_all(table, 1))]
+    for k in range(k_max + 1):
+        inter = intermediate_poset(ball, t_k_set(table, k))
+        posets += [inter, phi_k_image_poset(ball, inter)]
+    for poset in posets:
+        assert poset.covers == _brute_force_covers(poset)
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("A3", None), ("B3", None), ("H3", None), ("I2(inf)", 2), ("B3", 4)])
+def test_bruhat_poset_matches_bruhat_leq(name, radius):
+    if radius is None:
+        ball, table = _complete(name)
+    else:
+        ball = enumerate_ball(named_matrix(name), radius)
+        table = reflections_in_ball(ball)
+    poset = bruhat_poset(ball, table)
+    n = len(ball)
+    less = {(u, v) for u in range(n) for v in range(n)
+            if u != v and ball.bruhat_leq(u, v)}
+    assert poset.nodes == list(range(n))
+    assert set(poset.relation_pairs()) == less
+    assert poset.covers == sorted(brute_covers(less))
+    assert poset.rank == [ball.length(w) for w in range(n)]
+    assert poset.metadata == {"kind": "bruhat"}
+
+
+@pytest.mark.parametrize("name,k,covers", [
+    ("B5", 0, 9600), ("B5", 1, 15360), ("F4", 0, 2304), ("F4", 1, 3648),
+    ("H4", 0, 28800)])
+def test_intermediate_orders_graded_by_length(name, k, covers):
+    # the intermediate orders are graded by Coxeter length; for k = 0
+    # (left weak order) each element has one cover per generator, up or
+    # down, so there are n * rank / 2 covers
+    ball, table = _complete(name)
+    poset = intermediate_poset(ball, t_k_set(table, k))
+    assert check_graded(poset, ball.length).ok
+    assert len(poset.covers) == covers
+    if k == 0:
+        assert covers == len(ball) * ball.matrix.rank // 2

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxkit import DomainError
 from coxkit.orders import intermediate_poset
@@ -14,8 +16,8 @@ from coxkit.posets import (Poset, check_graded, is_graded, is_meet_semilattice,
                            strong_sperner_check)
 from coxkit.reflections import t_k_set
 
-from oracles import (brute_max_h_family, brute_shellable,
-                     is_union_of_h_antichains)
+from oracles import (brute_closure, brute_covers, brute_max_h_family,
+                     brute_shellable, is_union_of_h_antichains)
 
 
 def _chain(n):
@@ -44,6 +46,36 @@ def test_covers_drop_transitive_edges():
     p = Poset.from_relation([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     assert set(p.covers) == {(0, 1), (1, 2)}
     assert p.leq(0, 2) and p.lt(0, 2) and not p.leq(2, 0)
+
+
+@st.composite
+def _messy_dags(draw):
+    """A DAG on shuffled labels, given as generating pairs with
+    duplicates, self pairs and redundant transitive pairs mixed in."""
+    n = draw(st.integers(0, 12))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if rank[i] < rank[j] and draw(st.integers(0, 3)) == 0]
+    closure = sorted(brute_closure(n, pairs))
+    pairs += draw(st.lists(st.sampled_from(closure), max_size=8)) if closure else []
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    pairs += [(i, i) for i in draw(st.sets(st.integers(0, n - 1)))] if n else []
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_messy_dags(), st.randoms(use_true_random=False))
+def test_from_relation_covers_match_brute_force(dag, rng):
+    n, pairs = dag
+    p = Poset.from_relation(list(range(n)), pairs)
+    less = brute_closure(n, pairs)
+    assert p.covers == sorted(brute_covers(less))
+    assert set(p.relation_pairs()) == less
+    keep = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+    sub = p.subposet(keep)
+    induced = {(keep.index(i), keep.index(j)) for i, j in less
+               if i in keep and j in keep}
+    assert sub.covers == sorted(brute_covers(induced))
 
 
 def test_from_relation_rejects_cycles():
