@@ -1,5 +1,6 @@
-"""Integer min-cost flow and bipartite matching, shared by the Sperner
-checker and the exact optimal-transport solver.
+"""Integer min-cost flow: the one solver behind the strong Sperner check,
+the Greene-Kleitman h-family witnesses and the exact Wasserstein-1
+distance of the curvature module.
 
 All capacities and costs are integers, so optima are exact.
 """
@@ -28,7 +29,10 @@ class MinCostFlow:
         self.cost.append(-cost)
         return idx
 
-    def _spfa(self, s: int, t: int):
+    def shortest_paths(self, s: int):
+        """(dist, prev_edge): SPFA distances from s over the arcs with
+        residual capacity, and the last arc of each shortest path.  The
+        residual network must have no negative cycle."""
         INFD = float("inf")
         dist = [INFD] * self.n
         inq = [False] * self.n
@@ -61,7 +65,7 @@ class MinCostFlow:
         flow = 0
         total_cost = 0
         while max_flow is None or flow < max_flow:
-            dist, prev_edge = self._spfa(s, t)
+            dist, prev_edge = self.shortest_paths(s)
             if dist[t] == float("inf"):
                 break
             if stop_on_nonnegative and dist[t] >= 0:
@@ -84,51 +88,3 @@ class MinCostFlow:
 
     def edge_flow(self, idx: int) -> int:
         return self.cap[idx ^ 1]
-
-
-def max_bipartite_matching(n_left: int, n_right: int, adj) -> list[int]:
-    """Kuhn's algorithm.  adj[u] = iterable of right vertices.
-    Returns match_right: right vertex -> left vertex or -1."""
-    match_right = [-1] * n_right
-    match_left = [-1] * n_left
-
-    def try_kuhn(u, seen):
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or try_kuhn(match_right[v], seen):
-                    match_right[v] = u
-                    match_left[u] = v
-                    return True
-        return False
-
-    for u in range(n_left):
-        try_kuhn(u, [False] * n_right)
-    return match_right
-
-
-def koenig_independent_set(n_left: int, n_right: int, adj, match_right):
-    """Maximum independent set (complement of a minimum vertex cover)
-    of a bipartite graph, from a maximum matching."""
-    match_left = [-1] * n_left
-    for v, u in enumerate(match_right):
-        if u != -1:
-            match_left[u] = v
-    visited_l = [False] * n_left
-    visited_r = [False] * n_right
-    stack = [u for u in range(n_left) if match_left[u] == -1]
-    for u in stack:
-        visited_l[u] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not visited_r[v]:
-                visited_r[v] = True
-                w = match_right[v]
-                if w != -1 and not visited_l[w]:
-                    visited_l[w] = True
-                    stack.append(w)
-    # cover = unvisited left + visited right; independent set is the rest
-    left_in = [u for u in range(n_left) if visited_l[u]]
-    right_in = [v for v in range(n_right) if not visited_r[v]]
-    return left_in, right_in

@@ -17,7 +17,7 @@ from .reflections import ReflectionTable, t_k_set
 
 __all__ = [
     "OmegaGraph", "AbsoluteLengthTable", "omega_graph", "intermediate_poset",
-    "bruhat_poset", "k_absolute_length_all", "k_absolute_poset", "interval_poset",
+    "bruhat_poset", "k_absolute_length_all", "k_absolute_poset",
     "refinement_chain_check", "RefinementReport",
 ]
 
@@ -163,11 +163,6 @@ def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
         list(range(n)), pairs, rank=lk,
         metadata={"kind": "k-absolute-order", "k": table.k,
                   "flagged_pairs": flagged})
-
-
-def interval_poset(poset: Poset, u, v) -> Poset:
-    """Closed interval of the poset between two node labels."""
-    return poset.interval(u, v)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import DomainError, ResourceError
-from .flows import MinCostFlow, koenig_independent_set, max_bipartite_matching
+from .flows import MinCostFlow
 
 
 class Poset:
@@ -55,11 +55,14 @@ class Poset:
     @property
     def up(self):
         if self._up is None:
-            succ = [0] * self.n
-            for i, j in self.covers:
-                succ[i] |= 1 << j
-            self._up = _transitive_closure(succ)
+            self._up = _transitive_closure(self._cover_masks())
         return self._up
+
+    def _cover_masks(self):
+        succ = [0] * self.n
+        for i, j in self.covers:
+            succ[i] |= 1 << j
+        return succ
 
     @property
     def down(self):
@@ -175,23 +178,7 @@ class Poset:
         return True
 
     def topological_order(self):
-        indeg = [0] * self.n
-        uadj = self.up_adj()
-        for i, j in self.covers:
-            indeg[j] += 1
-        from collections import deque
-        q = deque(i for i in range(self.n) if indeg[i] == 0)
-        out = []
-        while q:
-            x = q.popleft()
-            out.append(x)
-            for y in uadj[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    q.append(y)
-        if len(out) != self.n:
-            raise DomainError("cover relation has a cycle; not a poset")
-        return out
+        return _topo(self._cover_masks(), self.n)
 
     def maximal_chains(self):
         """All maximal chains, as lists of indices (cover paths from
@@ -365,15 +352,18 @@ def is_order_ideal(poset: Poset, indices) -> bool:
 # -- maximum h-families (Greene-Kleitman) -----------------------------------
 
 
-def max_h_family_value(poset: Poset, h: int) -> int:
-    """Maximum size of a union of h antichains, by min-cost flow on the
-    disjoint-chain network (Greene-Kleitman duality: the optimum equals
-    n minus the best total excess of chains over length h)."""
+def _h_family_flow(poset: Poset, h: int):
+    """Min-cost flow on the disjoint-chain network for h.
+
+    Element i has an in-node i and an out-node n + i.  A chain costs h
+    to start (s -> i), gains 1 per element it covers (i -> n + i) and
+    moves up to any larger element (n + i -> j).  Returns (mcf, s, t,
+    flow, cost) after augmenting while paths have negative cost, so the
+    flow has the least cost over all flow values.
+    """
     if h < 1:
         raise DomainError("h must be >= 1")
     n = poset.n
-    if n == 0:
-        return 0
     mcf = MinCostFlow(2 * n + 2)
     s, t = 2 * n, 2 * n + 1
     for i in range(n):
@@ -385,106 +375,51 @@ def max_h_family_value(poset: Poset, h: int) -> int:
             j = (m & -m).bit_length() - 1
             m &= m - 1
             mcf.add_edge(n + i, j, 1, 0)
-    _, cost = mcf.run(s, t, stop_on_nonnegative=True)
-    return n + cost
+    flow, cost = mcf.run(s, t, stop_on_nonnegative=True)
+    return mcf, s, t, flow, cost
 
 
-def max_antichain(poset: Poset):
-    """A maximum antichain, via Dilworth/Koenig on the comparability
-    bipartite graph."""
-    n = poset.n
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        m = poset.up[i] & ~(1 << i)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            adj[i].append(j)
-    match_right = max_bipartite_matching(n, n, adj)
-    left_in, right_in = koenig_independent_set(n, n, adj, match_right)
-    anti = sorted(set(left_in) & set(right_in))
-    return anti
+def max_h_family_value(poset: Poset, h: int) -> int:
+    """Maximum size of a union of h antichains, by min-cost flow on the
+    disjoint-chain network (Greene-Kleitman duality: the optimum equals
+    n minus the best total excess of chains over length h)."""
+    cost = _h_family_flow(poset, h)[4]
+    return poset.n + cost
 
 
-def _h_family_witness_search(poset: Poset, h: int, target: int, budget: int = 500_000):
-    """Backtracking for a union of h antichains of the given size:
-    keep/discard nodes in topological order, tracking the Mirsky level
-    (longest kept chain ending at each node)."""
-    order = poset.topological_order()
-    n = poset.n
-    down = poset.down
-    nodes_left = len(order)
-    state: list = [None] * n  # level of kept nodes
-    kept: list = []
-    count = [0]
-
-    def rec(k, nkept):
-        count[0] += 1
-        if count[0] > budget:
-            raise ResourceError("witness search budget exceeded")
-        if nkept + (n - k) < target:
-            return False
-        if nkept == target:
-            return True
-        if k == n:
-            return False
-        x = order[k]
-        level = 1
-        m = down[x] & ~(1 << x)
-        while m:
-            y = (m & -m).bit_length() - 1
-            m &= m - 1
-            if state[y] is not None and state[y] + 1 > level:
-                level = state[y] + 1
-        if level <= h:
-            state[x] = level
-            kept.append(x)
-            if rec(k + 1, nkept + 1):
-                return True
-            kept.pop()
-            state[x] = None
-        return rec(k + 1, nkept)
-
-    found = rec(0, 0)
-    if not found:
-        return None
-    families = [[] for _ in range(h)]
-    for x in kept:
-        families[state[x] - 1].append(poset.nodes[x])
-    return [f for f in families if f]
-
-
-def max_h_family(poset: Poset, h: int, witness_budget: int = 500_000):
+def max_h_family(poset: Poset, h: int):
     """(size, witness) for the largest union of h antichains.
 
-    The size comes from the flow computation; the witness from a pruned
-    backtracking search (greedy antichain peeling as a fallback), and is
-    None when neither produces one within budget.
+    The witness is a list of nonempty antichains of node labels, read
+    off the potentials of the same min-cost flow that gives the size.
     """
-    value = max_h_family_value(poset, h)
-    if h >= 1 and poset.n:
-        # greedy peeling: often optimal and cheap
-        remaining = set(range(poset.n))
-        fams = []
-        sub_map = None
-        sub = poset
-        idx_map = list(range(poset.n))
-        total = 0
-        for _ in range(h):
-            if not remaining:
-                break
-            sub = poset.subposet(sorted(remaining))
-            anti = max_antichain(sub)
-            labels = [sub.nodes[a] for a in anti]
-            fams.append(labels)
-            total += len(labels)
-            remaining -= {poset.index(x) for x in labels}
-        if total == value:
-            return value, fams
-    try:
-        witness = _h_family_witness_search(poset, h, value, witness_budget)
-    except ResourceError:
-        witness = None
+    n = poset.n
+    mcf, s, t, flow, cost = _h_family_flow(poset, h)
+    value = n + cost
+    # A return arc t -> s with cost 0 carrying the flow turns it into a
+    # min-cost circulation.  Its residual is one arc s -> t of cost 0
+    # and capacity flow; with it the residual network has no negative
+    # cycle, reaches every node from s, and the shortest distances d
+    # from s give potentials p = -d.
+    mcf.add_edge(s, t, flow, 0)
+    d, _ = mcf.shortest_paths(s)
+    # Frank (J. Combin. Theory B 29, 1980): with a = max(p(x_in), -h)
+    # and b = min(p(x_out), 0), the elements with a < b form a maximum
+    # h-family, and each level set {x : a = c} is an antichain because
+    # a(y) >= b(x) whenever x < y: an unused arc x_out -> y_in gives
+    # p(y_in) >= p(x_out), and a used one is the only residual arc into
+    # x_out, so p(x_out) = p(y_in).
+    families = [[] for _ in range(h)]
+    for x in range(n):
+        a = max(-d[x], -h)
+        b = min(-d[n + x], 0)
+        if a < b:
+            families[a + h].append(poset.nodes[x])
+    witness = [f for f in families if f]
+    size = sum(len(f) for f in witness)
+    if size != value:
+        raise RuntimeError(f"internal error: h-family witness has {size} "
+                           f"elements, the flow value is {value}")
     return value, witness
 
 
@@ -594,35 +529,47 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
         return True
 
     dead: set[frozenset] = set()
-    nodes = [0]
-    out: list[int] = []
+    nodes = 0
 
-    def rec(used, used_set):
-        if len(used) == m:
-            out.extend(used)
-            return True
-        key = frozenset(used_set)
-        if key in dead:
-            return False
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise ResourceError("shelling search budget exceeded")
-        for f in range(m):
-            if f not in used_set and can_add(f, used):
-                used.append(f)
-                used_set.add(f)
-                if rec(used, used_set):
-                    return True
-                used_set.remove(f)
-                used.pop()
-        dead.add(key)
-        return False
+    def search(first):
+        """Depth-first search for a shelling that starts with first.
+        stack[d] is the next facet to try once d + 1 facets are placed;
+        a state whose facet set is in dead is not searched again."""
+        nonlocal nodes
+        used, used_set = [first], {first}
+        stack: list[int] = []
+        while True:
+            if len(used) == m:
+                return used
+            if frozenset(used_set) in dead:
+                if not stack:
+                    return None
+                used_set.remove(used.pop())
+            else:
+                nodes += 1
+                if nodes > node_budget:
+                    raise ResourceError("shelling search budget exceeded")
+                stack.append(0)
+            while True:  # advance the deepest open state, or backtrack
+                f = next((g for g in range(stack[-1], m)
+                          if g not in used_set and can_add(g, used)), None)
+                if f is not None:
+                    stack[-1] = f + 1
+                    used.append(f)
+                    used_set.add(f)
+                    break
+                stack.pop()
+                dead.add(frozenset(used_set))
+                if not stack:
+                    return None
+                used_set.remove(used.pop())
 
     # any facet may start a shelling, so each is tried as a root
     try:
         for first in sorted(range(m), key=lambda f: -len(facets[f])):
-            if rec([first], {first}):
-                return ShellingVerdict("shellable", order=[facets[i] for i in out])
+            order = search(first)
+            if order is not None:
+                return ShellingVerdict("shellable", order=[facets[i] for i in order])
     except ResourceError:
         return ShellingVerdict("inconclusive")
     return ShellingVerdict("not_shellable")
@@ -657,40 +604,39 @@ def poset_isomorphic(p: Poset, q: Poset, size_cap: int = 5000):
     order = sorted(range(p.n), key=lambda i: len(candidates[i]))
     p_up, q_up = p.up_adj(), q.up_adj()
     p_dn, q_dn = p.down_adj(), q.down_adj()
-    mapping = [-1] * p.n
-    used = [False] * q.n
-
-    def rec(k):
-        if k == p.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            # cover relation must match exactly on already-mapped nodes
-            ok = True
-            for x in range(p.n):
-                if mapping[x] != -1:
-                    if (mapping[x] in q_up_sets[j]) != (x in p_up_sets[i]):
-                        ok = False
-                        break
-                    if (mapping[x] in q_dn_sets[j]) != (x in p_dn_sets[i]):
-                        ok = False
-                        break
-            if ok:
-                mapping[i] = j
-                used[j] = True
-                if rec(k + 1):
-                    return True
-                used[j] = False
-                mapping[i] = -1
-        return False
-
     p_up_sets = [set(a) for a in p_up]
     p_dn_sets = [set(a) for a in p_dn]
     q_up_sets = [set(a) for a in q_up]
     q_dn_sets = [set(a) for a in q_dn]
-    if rec(0):
+    mapping = [-1] * p.n
+    used = [False] * q.n
+    nxt = [0] * p.n  # next candidate to try for order[k]
+    k = 0
+    while 0 <= k < p.n:
+        i = order[k]
+        if mapping[i] != -1:  # back from a dead end: undo the last choice
+            used[mapping[i]] = False
+            mapping[i] = -1
+        cands = candidates[i]
+        c = nxt[k]
+        while c < len(cands):
+            j = cands[c]
+            c += 1
+            # cover relation must match exactly on already-mapped nodes
+            if not used[j] and all(
+                    (mapping[x] in q_up_sets[j]) == (x in p_up_sets[i])
+                    and (mapping[x] in q_dn_sets[j]) == (x in p_dn_sets[i])
+                    for x in order[:k]):
+                mapping[i] = j
+                used[j] = True
+                break
+        nxt[k] = c
+        if mapping[i] == -1:
+            nxt[k] = 0
+            k -= 1
+        else:
+            k += 1
+    if k == p.n:
         return True, {p.nodes[i]: q.nodes[mapping[i]] for i in range(p.n)}
     return False, None
 

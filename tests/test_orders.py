@@ -4,7 +4,7 @@ import pytest
 
 from coxkit import IncompleteSliceError, enumerate_ball, named_matrix
 from coxkit.matrices import longest_length
-from coxkit.orders import (bruhat_poset, intermediate_poset, interval_poset,
+from coxkit.orders import (bruhat_poset, intermediate_poset,
                            k_absolute_length_all, k_absolute_poset,
                            omega_graph, refinement_chain_check)
 from coxkit.posets import check_graded
@@ -162,11 +162,11 @@ def test_flagged_pairs_on_truncated_ball():
 def test_interval_poset(ball_a3, table_a3):
     poset = intermediate_poset(ball_a3, t_k_set(table_a3, 2))
     w0 = max(range(len(ball_a3)), key=ball_a3.length)
-    whole = interval_poset(poset, ball_a3.identity, w0)
+    whole = poset.interval(ball_a3.identity, w0)
     assert whole.n == poset.n
     s = ball_a3.id_of_word((0,))
     st = ball_a3.id_of_word((0, 1))
-    small = interval_poset(poset, s, st)
+    small = poset.interval(s, st)
     assert sorted(small.nodes) == sorted([s, st])
 
 

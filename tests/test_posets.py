@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit import DomainError
+from coxkit import DomainError, enumerate_ball, named_matrix
+from coxkit.matrices import longest_length
 from coxkit.orders import intermediate_poset
 from coxkit.posets import (Poset, check_graded, is_graded, is_meet_semilattice,
-                           is_order_ideal, max_antichain, max_h_family,
-                           max_h_family_value, nc_lattice, order_complex,
+                           is_order_ideal, max_h_family, max_h_family_value,
+                           nc_lattice, OrderComplex, order_complex,
                            order_ideals, poset_isomorphic, shellability,
                            strong_sperner_check)
-from coxkit.reflections import t_k_set
+from coxkit.reflections import reflections_in_ball, t_k_set
 
 from oracles import (brute_closure, brute_covers, brute_max_h_family,
-                     brute_shellable, is_union_of_h_antichains)
+                     brute_shellable, is_shelling_order, is_union_of_h_antichains)
 
 
 def _chain(n):
@@ -121,11 +122,19 @@ def test_check_graded_reports_bad_covers():
     assert not rep.ok and rep.bad_covers == [(1, 2)]
 
 
+def _weak_order(name):
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    return ball, intermediate_poset(ball, t_k_set(reflections_in_ball(ball), 0))
+
+
 @pytest.mark.parametrize("maker,seed", [
     ("nc4", 0), ("boolean4", 0), ("chain", 0), ("antichain", 0),
-    ("random", 1), ("random", 2), ("random", 3), ("weak_i26", 0),
+    ("random", 1), ("random", 2), ("random", 3), ("random16", 9),
+    ("weak_i26", 0), ("weak_a4", 0), ("weak_b4", 0),
 ])
 def test_h_family_flow_matches_bruteforce(maker, seed, ball_a2, table_a2):
+    level_sizes = None
     if maker == "nc4":
         p = nc_lattice(4).poset
     elif maker == "boolean4":
@@ -136,11 +145,22 @@ def test_h_family_flow_matches_bruteforce(maker, seed, ball_a2, table_a2):
         p = _antichain(6)
     elif maker == "weak_i26":
         p = intermediate_poset(ball_a2, t_k_set(table_a2, 0))
+    elif maker in ("weak_a4", "weak_b4"):
+        ball, p = _weak_order(maker[-2:].upper())
+        level_sizes = sorted(ball.rank_sizes(), reverse=True)
+    elif maker == "random16":
+        p = _random_poset(16, 0.3, seed)
     else:
         p = _random_poset(14, 0.25, seed)
     for h in range(1, 5):
         value = max_h_family_value(p, h)
-        assert value == brute_max_h_family(p, h), (maker, h)
+        if level_sizes is None:
+            assert value == brute_max_h_family(p, h), (maker, h)
+        else:
+            # too large for the brute-force search.  h rank levels form an
+            # h-family, so the h largest give a lower bound, which the
+            # flow meets on these weak orders (strong Sperner property)
+            assert value == sum(level_sizes[:h]), (maker, h)
         got, witness = max_h_family(p, h)
         assert got == value
         assert witness is not None
@@ -148,11 +168,15 @@ def test_h_family_flow_matches_bruteforce(maker, seed, ball_a2, table_a2):
         assert sum(len(f) for f in witness) == value
 
 
-def test_max_antichain_is_antichain():
-    p = _random_poset(16, 0.3, seed=9)
-    anti = max_antichain(p)
-    assert p.is_antichain(anti)
-    assert len(anti) == max_h_family_value(p, 1)
+@settings(max_examples=300, deadline=None)
+@given(_messy_dags(), st.integers(1, 5))
+def test_h_family_witness_matches_brute_force(dag, h):
+    n, pairs = dag
+    p = Poset.from_relation(list(range(n)), pairs)
+    value, witness = max_h_family(p, h)
+    assert value == brute_max_h_family(p, h)
+    assert is_union_of_h_antichains(p, witness, h)
+    assert sum(len(f) for f in witness) == value
 
 
 def test_strong_sperner_positive():
@@ -216,7 +240,6 @@ def test_shellability_matches_bruteforce(facets, expected):
     assert (verdict.status == "shellable") == expected
     assert brute_shellable(complex_facets) == expected
     if verdict.status == "shellable":
-        from oracles import is_shelling_order
         assert is_shelling_order(verdict.order)
 
 
@@ -234,6 +257,15 @@ def test_shellability_on_random_interval_complexes():
         assert (verdict.status == "shellable") == brute_shellable(facets), facets
 
 
+def test_shellability_of_a_long_path():
+    # 1100 facets: deeper than the interpreter's recursion limit, below
+    # facet_cap
+    facets = [frozenset((i, i + 1)) for i in range(1100)]
+    verdict = shellability(OrderComplex(vertices=list(range(1101)), facets=facets))
+    assert verdict.status == "shellable"
+    assert is_shelling_order(verdict.order)
+
+
 def test_poset_isomorphic_relabels():
     p = _random_poset(12, 0.3, seed=7)
     rng = random.Random(1)
@@ -248,6 +280,12 @@ def test_poset_isomorphic_relabels():
         for j in range(p.n):
             assert p.leq(i, j) == q.leq(q.index(bij[p.nodes[i]]),
                                         q.index(bij[p.nodes[j]]))
+
+
+def test_poset_isomorphic_long_chains():
+    # deeper than the interpreter's recursion limit, below size_cap
+    ok, bij = poset_isomorphic(_chain(1500), _chain(1500))
+    assert ok and all(bij[i] == i for i in range(1500))
 
 
 def test_poset_not_isomorphic():
