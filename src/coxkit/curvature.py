@@ -7,6 +7,11 @@ is undirected, the measure at a vertex is uniform on its neighbors
 kappa(x, y) = 1 - W1(mu_x, mu_y).  No published value is asserted; all
 expected values in the tests come from independent small-instance
 oracles.
+
+The edges of one `curvature_spectrum` call share a `_GraphCache`: each
+vertex's distance ball and boundary verdict is computed once per graph,
+and each transport problem, up to the order of its rows and columns, is
+solved once.
 """
 from __future__ import annotations
 
@@ -113,45 +118,112 @@ def wasserstein_1(supports_x, supports_y, dist_fn) -> tuple[Fraction, dict]:
     return Fraction(cost, scale), plan
 
 
+class _GraphCache:
+    """What the edges of one graph share: the undirected adjacency, each
+    vertex's distance ball of radius 3 (BFS once per vertex), on a
+    truncated ball each vertex's margin verdict (one radius-4 BFS), and
+    the solved transport problems.
+
+    W1 between uniform measures depends only on the p x q cost matrix
+    and not on the order of its rows and columns, so the key of a
+    problem is its matrix with the rows and the columns sorted; the
+    stored plan is mapped back through the two permutations.
+    """
+
+    def __init__(self, graph, adj):
+        self.adj = adj
+        self.balls: dict[int, dict[int, int]] = {}
+        self.short: dict[int, int | None] = {}
+        self.plans: dict[tuple, tuple[Fraction, dict]] = {}
+        self.ball = ball = graph.ball
+        self.margin = None
+        if not ball.is_complete_group:
+            self.margin = max((ball.length(t) for t in graph.x_set), default=0)
+
+    def distances(self, u):
+        d = self.balls.get(u)
+        if d is None:
+            d = self.balls[u] = _bfs_distances(self.adj, u, 3)
+        return d
+
+    def short_of_margin(self, x):
+        """The first node within distance 4 of x, in BFS order, whose
+        neighborhood may reach past the radius; None if there is none."""
+        if x not in self.short:
+            ball, margin = self.ball, self.margin
+            self.short[x] = next(
+                (v for v in _bfs_distances(self.adj, x, 4)
+                 if ball.length(v) + margin > ball.radius), None)
+        return self.short[x]
+
+    def transport(self, nx, ny):
+        rows = [self.distances(u) for u in nx]
+        costs = [[d.get(v) for v in ny] for d in rows]
+        if any(None in row for row in costs):
+            # raises DomainError naming the pair; nothing is cached
+            return wasserstein_1(nx, ny, lambda u, v: self.distances(u).get(v))
+        # Sort rows by their multisets of entries, then columns by theirs
+        # with ties read down the sorted rows, then rows again with ties
+        # read along the sorted columns.  A multiset does not depend on
+        # the order of the other side, so most relabellings of one
+        # problem meet at one key.
+        cols = list(zip(*costs))
+        row_sig = [sorted(row) for row in costs]
+        col_sig = [sorted(col) for col in cols]
+        rp = sorted(range(len(nx)), key=row_sig.__getitem__)
+        cp = sorted(range(len(ny)),
+                    key=lambda j: (col_sig[j], [cols[j][i] for i in rp]))
+        rp.sort(key=lambda i: (row_sig[i], [costs[i][j] for j in cp]))
+        key = tuple(tuple(costs[i][j] for j in cp) for i in rp)
+        hit = self.plans.get(key)
+        if hit is None:
+            hit = self.plans[key] = wasserstein_1(
+                range(len(rp)), range(len(cp)), lambda i, j: key[i][j])
+        w1, plan = hit
+        return w1, {(nx[rp[i]], ny[cp[j]]): m for (i, j), m in plan.items()}
+
+
 def ollivier_ricci_edge(graph, x: int, y: int,
-                        adj: dict[int, set[int]] | None = None) -> CurvatureRecord:
+                        adj: dict[int, set[int]] | None = None,
+                        cache: _GraphCache | None = None) -> CurvatureRecord:
     """Curvature of the undirected edge {x, y}.
 
     On a truncated ball, every node within distance 4 of x must have a
     fully known neighborhood (its length plus the longest reflection in
     the slice must fit inside the radius); otherwise the metric could be
     contaminated by missing arcs and the edge is rejected.
+
+    `cache` is the per-graph state that `curvature_spectrum` shares
+    between edges; an edge called alone builds its own.
     """
-    if adj is None:
-        adj = undirected_adjacency(graph)
+    if cache is None:
+        cache = _GraphCache(graph, adj if adj is not None
+                            else undirected_adjacency(graph))
+    adj = cache.adj
     if y not in adj.get(x, ()):
         raise DomainError(f"({x},{y}) is not an edge")
-    ball = graph.ball
-    if not ball.is_complete_group:
-        margin = max(ball.length(t) for t in graph.x_set)
-        for v in _bfs_distances(adj, x, 4):
-            if ball.length(v) + margin > ball.radius:
-                raise OutOfBallError(
-                    f"edge ({x},{y}) is too close to the ball boundary for "
-                    f"exact curvature (node {v} lacks margin {margin})")
-    nx = sorted(adj[x])
-    ny = sorted(adj[y])
-    dists = {u: _bfs_distances(adj, u, 3) for u in nx}
-    w1, plan = wasserstein_1(nx, ny, lambda u, v: dists[u].get(v))
+    if cache.margin is not None:
+        v = cache.short_of_margin(x)
+        if v is not None:
+            raise OutOfBallError(
+                f"edge ({x},{y}) is too close to the ball boundary for "
+                f"exact curvature (node {v} lacks margin {cache.margin})")
+    w1, plan = cache.transport(sorted(adj[x]), sorted(adj[y]))
     return CurvatureRecord(x=x, y=y, kappa=1 - w1, transport_plan=plan)
 
 
 def curvature_spectrum(graph, edges=None) -> CurvatureReport:
     """Curvature of a batch of edges (default: all undirected edges of
-    the graph); per-edge failures are collected, not raised."""
-    adj = undirected_adjacency(graph)
+    the graph); per-edge failures are collected, not raised.  The edges
+    share one `_GraphCache`, which lives as long as this call."""
+    cache = _GraphCache(graph, undirected_adjacency(graph))
     if edges is None:
         edges = sorted({(min(a, b), max(a, b)) for a, b, _t in graph.arcs})
     records = []
     errors = []
     for x, y in edges:
         try:
-            records.append(ollivier_ricci_edge(graph, x, y, adj=adj))
+            records.append(ollivier_ricci_edge(graph, x, y, cache=cache))
         except (DomainError, OutOfBallError) as exc:
             errors.append((x, y, str(exc)))
     return CurvatureReport(records=records, errors=errors)

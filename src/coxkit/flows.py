@@ -2,6 +2,12 @@
 the Greene-Kleitman h-family witnesses and the exact Wasserstein-1
 distance of the curvature module.
 
+The poset layer runs it on one chain network per poset, built on the
+Hasse diagram: unit augmentations give the chain gains, from which
+every Greene-Kleitman number follows, and the potentials of one more
+run give an h-family witness.  The curvature layer runs it once per
+distinct transport problem of a graph.
+
 All capacities and costs are integers, so optima are exact.
 """
 from __future__ import annotations

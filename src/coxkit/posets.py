@@ -31,6 +31,7 @@ class Poset:
         self.n = len(self.nodes)
         self._up = _up  # up[i] = bitmask of j >= i (reflexive)
         self._down = None
+        self._gains = None  # chain gains, see _chain_gains
 
     # -- construction ---------------------------------------------------
 
@@ -316,24 +317,33 @@ def is_graded(poset: Poset) -> bool:
 
 
 def order_ideals(poset: Poset):
-    """All down-closed subsets, as frozensets of indices."""
+    """All down-closed subsets, as frozensets of indices.
+
+    A depth-first search over the elements in topological order, each
+    excluded before it is included; path[k] says whether the k-th is in.
+    """
     order = poset.topological_order()
     dadj = poset.down_adj()
-
-    def rec(k, current):
-        if k == len(order):
-            yield frozenset(current)
+    n = len(order)
+    current = set()
+    path = []
+    while True:
+        path.extend([False] * (n - len(path)))
+        yield frozenset(current)
+        # back up to the last excluded element that may be included
+        while path:
+            x = order[len(path) - 1]
+            if path[-1]:
+                current.remove(x)
+                path.pop()
+            elif all(y in current for y in dadj[x]):
+                current.add(x)
+                path[-1] = True
+                break
+            else:
+                path.pop()
+        else:
             return
-        x = order[k]
-        # exclude x
-        yield from rec(k + 1, current)
-        # include x only if all lower covers are in
-        if all(y in current for y in dadj[x]):
-            current.add(x)
-            yield from rec(k + 1, current)
-            current.remove(x)
-
-    yield from rec(0, set())
 
 
 def is_order_ideal(poset: Poset, indices) -> bool:
@@ -353,48 +363,80 @@ def is_order_ideal(poset: Poset, indices) -> bool:
 
 
 def _h_family_flow(poset: Poset, h: int):
-    """Min-cost flow on the disjoint-chain network for h.
+    """The chain network on the Hasse diagram, with chain-start cost h.
+    Returns (mcf, s, t).
 
-    Element i has an in-node i and an out-node n + i.  A chain costs h
-    to start (s -> i), gains 1 per element it covers (i -> n + i) and
-    moves up to any larger element (n + i -> j).  Returns (mcf, s, t,
-    flow, cost) after augmenting while paths have negative cost, so the
-    flow has the least cost over all flow values.
+    Element i has an in-node i and an out-node n + i, joined by a
+    counted arc (capacity 1, cost -1) and an uncounted pass-through arc
+    (capacity n, cost 0).  Each cover i < j gives an arc n + i -> j
+    (capacity n, cost 0); a chain starts at a minimal element (s -> i,
+    cost h) and ends at a maximal one (n + i -> t, cost 0).  A unit of
+    flow is a maximal chain that counts some of its elements, so a flow
+    of k units counts at most c_k elements, the most that k chains can
+    cover, and reaches it.  Capacity n stands for unbounded: the flows
+    run here have at most n units, as all units but the last count two
+    elements or more.
     """
-    if h < 1:
-        raise DomainError("h must be >= 1")
     n = poset.n
     mcf = MinCostFlow(2 * n + 2)
     s, t = 2 * n, 2 * n + 1
+    has_lower = [False] * n
+    has_upper = [False] * n
     for i in range(n):
-        mcf.add_edge(s, i, 1, h)          # starting a chain costs h
-        mcf.add_edge(i, n + i, 1, -1)     # covering an element gains 1
-        mcf.add_edge(n + i, t, 1, 0)
-        m = poset.up[i] & ~(1 << i)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            mcf.add_edge(n + i, j, 1, 0)
-    flow, cost = mcf.run(s, t, stop_on_nonnegative=True)
-    return mcf, s, t, flow, cost
+        mcf.add_edge(i, n + i, 1, -1)     # counting an element gains 1
+        mcf.add_edge(i, n + i, n, 0)      # passing through it gains nothing
+    for i, j in poset.covers:
+        mcf.add_edge(n + i, j, n, 0)
+        has_upper[i] = has_lower[j] = True
+    for i in range(n):
+        if not has_lower[i]:
+            mcf.add_edge(s, i, n, h)      # starting a chain costs h
+        if not has_upper[i]:
+            mcf.add_edge(n + i, t, n, 0)
+    return mcf, s, t
+
+
+def _chain_gains(poset: Poset) -> list:
+    """The gains g_1 >= g_2 >= ... >= 2 of the successive shortest paths
+    on the chain network with chain-start cost 0, one unit at a time:
+    c_k = g_1 + ... + g_k.  Computed once per poset and kept on it."""
+    if poset._gains is None:
+        mcf, s, t = _h_family_flow(poset, 0)
+        gains = []
+        while True:
+            flow, cost = mcf.run(s, t, max_flow=1)
+            if flow == 0 or -cost <= 1:
+                break
+            gains.append(-cost)
+        poset._gains = gains
+    return poset._gains
 
 
 def max_h_family_value(poset: Poset, h: int) -> int:
-    """Maximum size of a union of h antichains, by min-cost flow on the
-    disjoint-chain network (Greene-Kleitman duality: the optimum equals
-    n minus the best total excess of chains over length h)."""
-    cost = _h_family_flow(poset, h)[4]
-    return poset.n + cost
+    """Maximum size of a union of h antichains.
+
+    Greene-Kleitman duality gives it as min over k of n - c_k + h*k,
+    and c_k is concave in k (Frank, J. Combin. Theory B 29, 1980), so it
+    is n - sum(max(g - h, 0)) over the chain gains g, which one
+    successive-shortest-path run gives for every h at once.
+    """
+    if h < 1:
+        raise DomainError("h must be >= 1")
+    return poset.n - sum(g - h for g in _chain_gains(poset) if g > h)
 
 
 def max_h_family(poset: Poset, h: int):
     """(size, witness) for the largest union of h antichains.
 
     The witness is a list of nonempty antichains of node labels, read
-    off the potentials of the same min-cost flow that gives the size.
+    off the potentials of a min-cost flow on the chain network with
+    chain-start cost h.
     """
+    if h < 1:
+        raise DomainError("h must be >= 1")
     n = poset.n
-    mcf, s, t, flow, cost = _h_family_flow(poset, h)
+    mcf, s, t = _h_family_flow(poset, h)
+    flow, cost = mcf.run(s, t, stop_on_nonnegative=True)
     value = n + cost
     # A return arc t -> s with cost 0 carrying the flow turns it into a
     # min-cost circulation.  Its residual is one arc s -> t of cost 0
@@ -403,17 +445,18 @@ def max_h_family(poset: Poset, h: int):
     # from s give potentials p = -d.
     mcf.add_edge(s, t, flow, 0)
     d, _ = mcf.shortest_paths(s)
-    # Frank (J. Combin. Theory B 29, 1980): with a = max(p(x_in), -h)
-    # and b = min(p(x_out), 0), the elements with a < b form a maximum
-    # h-family, and each level set {x : a = c} is an antichain because
-    # a(y) >= b(x) whenever x < y: an unused arc x_out -> y_in gives
-    # p(y_in) >= p(x_out), and a used one is the only residual arc into
-    # x_out, so p(x_out) = p(y_in).
+    # Frank (J. Combin. Theory B 29, 1980): the elements x with
+    # p(x_in) < p(x_out) form a maximum h-family, and each level set
+    # {x : p(x_in) = c} is an antichain.  The arcs of capacity n are
+    # never full, so p does not fall along pass-through and cover arcs:
+    # -h <= p(x_in) <= p(x_out) <= 0 for every x, and p(y_in) >= p(x_out)
+    # whenever x < y.  Each unit of flow climbs from -h to 0 by at most
+    # 1 per counted element, so it puts h of its elements in the family,
+    # and with the uncounted ones that is n + cost elements.
     families = [[] for _ in range(h)]
     for x in range(n):
-        a = max(-d[x], -h)
-        b = min(-d[n + x], 0)
-        if a < b:
+        a = -d[x]
+        if a < -d[n + x]:
             families[a + h].append(poset.nodes[x])
     witness = [f for f in families if f]
     size = sum(len(f) for f in witness)

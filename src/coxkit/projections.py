@@ -10,6 +10,8 @@ never increases length and therefore never leaves the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .ball import GroupBall
 from .errors import DomainError, ResourceError
@@ -128,14 +130,28 @@ def phi_k_image_poset(ball: GroupBall, order_poset: Poset) -> Poset:
     gens = list(ball.matrix.generators)
     maps = [projection_map(ball, [s for s in gens if s != i], "P") for i in gens]
     tuples = sorted({tuple(m(w) for m in maps) for w in range(len(ball))})
-    pos = {t: i for i, t in enumerate(tuples)}
+    # above[c][x]: bitmask of the tuples whose c-th entry is >= x, for
+    # each x that occurs as a c-th entry; the tuples >= a are then the
+    # AND over c of above[c][a[c]].
+    up, index = order_poset.up, order_poset.index
+    above = []
+    for c in range(len(maps)):
+        at = {}  # x -> bitmask of the tuples whose c-th entry is x
+        for i, a in enumerate(tuples):
+            at[a[c]] = at.get(a[c], 0) | 1 << i
+        above.append({x: reduce(or_, (mask for y, mask in at.items()
+                                  if up[index(x)] >> index(y) & 1), 0)
+                      for x in at})
     pairs = []
-    for a in tuples:
-        for b in tuples:
-            if a != b and all(order_poset.leq(order_poset.index(x),
-                                              order_poset.index(y))
-                              for x, y in zip(a, b)):
-                pairs.append((pos[a], pos[b]))
+    everything = (1 << len(tuples)) - 1
+    for i, a in enumerate(tuples):
+        m = everything ^ (1 << i)
+        for c, x in enumerate(a):
+            m &= above[c][x]
+        while m:
+            low = m & -m
+            pairs.append((i, low.bit_length() - 1))
+            m ^= low
     return Poset.from_relation(tuples, pairs,
                                metadata={"kind": "projection-image-poset"})
 

@@ -74,6 +74,39 @@ def test_conjecture_checks_never_fail_exit(capsys):
     assert all(report["checks"][n].get("conjecture") for n in report["checks"])
 
 
+# The sperner and curvature rows of `coxkit check` on B3 and H3, as the
+# per-h network with an arc per comparable pair and the per-edge BFS
+# gave them.  Every slice of these weak-order refinements is strongly
+# Sperner, so each row's flow value is the top rank sum: the running
+# sums of the sorted rank sizes.
+_PINNED = {
+    "B3": ([8, 16, 23, 30, 35, 40, 43, 46, 47, 48], [
+        (72, "-2/3", "0"), (144, "-1/3", "0"), (192, "0", "0"),
+        (216, "0", "0")]),
+    "H3": ([12, 24, 36, 48, 59, 70, 79, 88, 95, 102, 107, 112, 115, 118,
+            119, 120], [
+        (180, "-2/3", "0"), (360, "-1/3", "0"), (540, "-4/9", "0"),
+        (660, "-4/11", "0"), (780, "-2/13", "0"), (840, "0", "0"),
+        (900, "0", "0")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_check_sperner_and_curvature_rows_pinned(capsys, name):
+    sums, curvature = _PINNED[name]
+    code, out, _e = _run(capsys, ["check", "--type", name,
+                                  "--checks", "sperner,curvature"])
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks["sperner"] == {"ok": True, "per_k": [
+        {"k": k, "ok": True,
+         "rows": [[h, v, v, True] for h, v in enumerate(sums, 1)]}
+        for k in range(len(curvature))]}
+    assert checks["curvature"] == {"ok": True, "conjecture": True, "per_k": [
+        {"k": k, "edges": edges, "skipped": 0, "kappa_min": lo, "kappa_max": hi}
+        for k, (edges, lo, hi) in enumerate(curvature)]}
+
+
 def test_theorem_failure_gives_exit_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._CHECK_FNS, "graded",
                         lambda ball, table, args: {"ok": False, "failures": ["x"]})

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from coxkit import DomainError, OutOfBallError, enumerate_ball, named_matrix
+from coxkit.matrices import longest_length
 from coxkit.curvature import (CONVENTION, curvature_spectrum,
                               ollivier_ricci_edge, undirected_adjacency,
                               wasserstein_1)
@@ -119,6 +120,76 @@ def test_boundary_edges_rejected_on_truncated_ball():
     identity_edges = [r for r in report.records if ball.identity in (r.x, r.y)]
     for r in identity_edges:
         assert r.kappa == 0  # the infinite path is flat at its center
+
+
+def _all_distances(adj):
+    """Unbounded BFS from every vertex."""
+    out = {}
+    for s in adj:
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        out[s] = dist
+    return out
+
+
+def _graphs():
+    for name in ("A3", "B3", "A4"):
+        matrix = named_matrix(name)
+        ball = enumerate_ball(matrix, longest_length(matrix))
+        table = reflections_in_ball(ball)
+        top = max(ball.length(t) for t in table.reflections)
+        for k in range((top - 1) // 2 + 1):
+            yield omega_graph(ball, t_k_set(table, k))
+    ball = enumerate_ball(named_matrix("I2(inf)"), 6)
+    table = reflections_in_ball(ball)
+    for k in range(3):
+        yield omega_graph(ball, t_k_set(table, k))
+
+
+def test_curvature_matches_uncached():
+    # every edge of every slice against its own transport problem on a
+    # distance matrix built here; on the truncated ball, against the
+    # margin rule read off the same matrix
+    for graph in _graphs():
+        ball = graph.ball
+        adj = undirected_adjacency(graph)
+        dist = _all_distances(adj)
+        report = curvature_spectrum(graph)
+        edges = sorted({(min(a, b), max(a, b)) for a, b, _t in graph.arcs})
+        margin = max(ball.length(t) for t in graph.x_set)
+        records = iter(report.records)
+        errors = iter(report.errors)
+        for x, y in edges:
+            short = [v for v, d in dist[x].items() if d <= 4
+                     and ball.length(v) + margin > ball.radius]
+            if short and not ball.is_complete_group:
+                ex, ey, message = next(errors)
+                assert (ex, ey) == (x, y)
+                assert any(f"node {v} lacks margin {margin})" in message
+                           for v in short)
+                continue
+            rec = next(records)
+            assert (rec.x, rec.y) == (x, y)
+            nx, ny = sorted(adj[x]), sorted(adj[y])
+            w1, _plan = wasserstein_1(nx, ny, lambda u, v: dist[u][v])
+            assert rec.kappa == 1 - w1
+            # the plan is a coupling of the two measures with cost W1
+            row = {u: Fraction(0) for u in nx}
+            col = {v: Fraction(0) for v in ny}
+            for (u, v), mass in rec.transport_plan.items():
+                assert mass > 0
+                row[u] += mass
+                col[v] += mass
+            assert all(m == Fraction(1, len(nx)) for m in row.values())
+            assert all(m == Fraction(1, len(ny)) for m in col.values())
+            assert sum(m * dist[u][v]
+                       for (u, v), m in rec.transport_plan.items()) == w1
+        assert next(records, None) is None and next(errors, None) is None
 
 
 def test_convention_is_fixed():

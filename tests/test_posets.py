@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -50,17 +51,26 @@ def test_covers_drop_transitive_edges():
 
 
 @st.composite
-def _messy_dags(draw):
+def _messy_dags(draw, graded=False):
     """A DAG on shuffled labels, given as generating pairs with
-    duplicates, self pairs and redundant transitive pairs mixed in."""
+    duplicates, self pairs and redundant transitive pairs mixed in.
+    With graded, nodes get levels 0..3 and generating pairs go up one
+    level, so every cover does: (n, pairs, levels)."""
     n = draw(st.integers(0, 12))
-    rank = draw(st.permutations(range(n)))
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if rank[i] < rank[j] and draw(st.integers(0, 3)) == 0]
+    if graded:
+        rank = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if rank[j] == rank[i] + 1 and draw(st.integers(0, 2)) > 0]
+    else:
+        rank = draw(st.permutations(range(n)))
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if rank[i] < rank[j] and draw(st.integers(0, 3)) == 0]
     closure = sorted(brute_closure(n, pairs))
     pairs += draw(st.lists(st.sampled_from(closure), max_size=8)) if closure else []
     pairs += draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
     pairs += [(i, i) for i in draw(st.sets(st.integers(0, n - 1)))] if n else []
+    if graded:
+        return n, draw(st.permutations(pairs)), rank
     return n, draw(st.permutations(pairs))
 
 
@@ -96,6 +106,11 @@ def test_order_ideals_counts_and_validity():
     brute = sum(1 for r in range(p.n + 1) for c in combinations(range(p.n), r)
                 if is_order_ideal(p, c))
     assert len(set(order_ideals(p))) == brute
+
+
+def test_order_ideals_long_chain():
+    # one level of search per element, so no recursion limit applies
+    assert sum(1 for _ in order_ideals(_chain(1200))) == 1201
 
 
 def test_is_graded():
@@ -177,6 +192,23 @@ def test_h_family_witness_matches_brute_force(dag, h):
     assert value == brute_max_h_family(p, h)
     assert is_union_of_h_antichains(p, witness, h)
     assert sum(len(f) for f in witness) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_messy_dags(graded=True))
+def test_strong_sperner_rows_match_brute_force(dag):
+    n, pairs, levels = dag
+    p = Poset.from_relation(list(range(n)), pairs, rank=levels)
+    rep = strong_sperner_check(p)
+    sizes = sorted(Counter(levels).values(), reverse=True)
+    assert [row.h for row in rep.rows] == list(range(1, len(sizes) + 1))
+    for row in rep.rows:
+        assert row.flow_value == brute_max_h_family(p, row.h)
+        assert row.top_rank_sum == sum(sizes[:row.h])
+        assert row.ok == (row.flow_value == row.top_rank_sum)
+    assert rep.ok == all(row.ok for row in rep.rows)
+    for h in range(len(sizes) + 1, n + 2):
+        assert max_h_family_value(p, h) == n == brute_max_h_family(p, h)
 
 
 def test_strong_sperner_positive():
