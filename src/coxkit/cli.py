@@ -100,6 +100,16 @@ def _max_k(ball, table):
     return (top - 1) // 2
 
 
+def _format(args, accepted):
+    """The requested output format (the first accepted one by default);
+    a format the command does not produce is a usage error."""
+    fmt = args.format or accepted[0]
+    if fmt not in accepted:
+        raise UsageError(f"unknown format {fmt!r} for {args.command} "
+                         f"(accepted: {', '.join(accepted)})")
+    return fmt
+
+
 def _emit(args, text):
     out = getattr(args, "out", None)
     if out:
@@ -117,6 +127,7 @@ def _emit_json(args, payload):
 
 
 def cmd_ball(args) -> int:
+    _format(args, ("json",))
     ball = _build_ball(args)
     _emit_json(args, serialize.ball_to_json_dict(ball))
     print(f"ball: {len(ball)} elements, radius {ball.radius}, "
@@ -146,9 +157,9 @@ def _order_poset(args, ball):
 
 
 def cmd_order(args) -> int:
+    fmt = _format(args, ("json", "dot", "csv"))
     ball = _build_ball(args)
     poset, ball = _order_poset(args, ball)
-    fmt = args.format or "json"
     if fmt == "json":
         _emit_json(args, serialize.poset_to_json_dict(poset))
     elif fmt == "dot":
@@ -157,12 +168,11 @@ def cmd_order(args) -> int:
     elif fmt == "csv":
         rows = "\n".join(f"{i},{j}" for i, j in poset.covers)
         _emit(args, "lower,upper\n" + rows + ("\n" if rows else ""))
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
     return EXIT_OK
 
 
 def cmd_poly(args) -> int:
+    _format(args, ("json",))
     ball = _build_ball(args)
     table = reflections.reflections_in_ball(ball)
     ks = _parse_k_range(args.k, _max_k(ball, table))
@@ -182,12 +192,13 @@ def cmd_poly(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    fmt = _format(args, ("json", "csv"))
     ball = _build_ball(args)
     table = reflections.reflections_in_ball(ball)
     k = int(args.k or 0)
     graph = orders.omega_graph(ball, reflections.t_k_set(table, k))
     report = curvature_mod.curvature_spectrum(graph)
-    if (args.format or "json") == "csv":
+    if fmt == "csv":
         _emit(args, serialize.curvature_to_csv(report))
     else:
         _emit_json(args, serialize.curvature_to_json_dict(report))
@@ -195,12 +206,12 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_export(args) -> int:
+    fmt = _format(args, ("dot", "json", "csv"))
     with open(args.input, encoding="utf-8") as fh:
         data = json.load(fh)
     if "covers" not in data:
         raise UsageError("input is not a poset JSON file")
     poset = serialize.poset_from_json_dict(data)
-    fmt = args.format or "dot"
     if fmt == "dot":
         _emit(args, serialize.poset_to_dot(poset))
     elif fmt == "json":
@@ -208,8 +219,6 @@ def cmd_export(args) -> int:
     elif fmt == "csv":
         rows = "\n".join(f"{i},{j}" for i, j in poset.covers)
         _emit(args, "lower,upper\n" + rows + ("\n" if rows else ""))
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
     return EXIT_OK
 
 
@@ -328,17 +337,20 @@ def _check_monoid(ball, table, args):
     ks = _parse_k_range(args.k, _max_k(ball, table))
     gens = [projections.projection_map(ball, [s], "P")
             for s in ball.matrix.generators]
+    # the closure does not depend on k; order preservation is decided on
+    # the generators, as in `projection_monoid`
+    rep = projections.projection_monoid(ball, gens)
     rows = []
     ok = True
     for k in ks:
         pk = orders.intermediate_poset(ball, reflections.t_k_set(table, k))
-        rep = projections.projection_monoid(ball, gens, poset=pk)
+        preserving = all(projections.is_order_preserving(g, pk).ok for g in gens)
         good = (rep.size == len(ball) and rep.idempotent and rep.braid_ok
-                and rep.order_preserving)
+                and preserving)
         ok = ok and good
         rows.append({"k": k, "size": rep.size, "idempotent": rep.idempotent,
                      "braid_ok": rep.braid_ok,
-                     "order_preserving": rep.order_preserving, "ok": good})
+                     "order_preserving": preserving, "ok": good})
     return {"ok": ok, "per_k": rows}
 
 
@@ -398,6 +410,7 @@ _CHECK_FNS = {
 
 
 def cmd_check(args) -> int:
+    _format(args, ("json",))
     names = [c.strip() for c in (args.checks or "").split(",") if c.strip()]
     if not names:
         raise UsageError("at least one check must be enabled via --checks")
@@ -445,7 +458,8 @@ def _add_common(sub):
     sub.add_argument("--radius", help="ball radius, or 'auto' for full finite groups")
     sub.add_argument("--k", help="slice parameter: single value, 'a..b', or comma list")
     sub.add_argument("--out", help="output file (default stdout)")
-    sub.add_argument("--format", help="dot | json | csv")
+    sub.add_argument("--format", help="json (every command), dot (order, export), "
+                                      "csv (order, export, curvature)")
     sub.add_argument("--cap-elements", dest="cap_elements",
                      help="ball element cap (default 2000000)")
     sub.add_argument("--timeout-secs", dest="timeout_secs",

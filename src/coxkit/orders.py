@@ -131,15 +131,67 @@ def k_absolute_length_all(table: ReflectionTable, k: int) -> AbsoluteLengthTable
 
 
 def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
-    """The order u below v iff lk(v) = lk(u) + lk(v u^-1), over all
-    pairs certifiably inside the ball.
+    """The order u below v iff lk(v) = lk(u) + lk(v u^-1), ranked by lk.
 
-    Pairs with l(u) + l(v) > radius cannot certify v u^-1 and are
-    counted in metadata["flagged_pairs"]; with a complete group every
-    pair is tested.
+    On a complete group, lk is the word metric of T_k: the distance from
+    the identity in the Cayley graph of left multiplication by T_k
+    (undirected, as reflections are involutions).  This is checked by one
+    BFS, and then the order is generated by the unit steps u -> t u with
+    t in T_k and lk(t u) = lk(u) + 1, which are exactly its covers.
+    Proof: the graph distance is d(u, v) = lk(v u^-1), so u is below v
+    iff u lies on a geodesic from e to v.  Along a geodesic from u to v
+    each step raises lk by at most 1 and d(u, v) steps raise it by
+    d(u, v), so every step is a unit step.  Conversely, m unit steps from
+    u to v give lk(v) = lk(u) + m, with d(u, v) <= m by the path and
+    d(u, v) >= m by the triangle inequality.  A unit step raises the
+    rank by 1, so nothing lies strictly inside it.  (For the directed
+    Bruhat-graph distance at k = max, see Dyer, Proc. AMS 129, 2001.)
+
+    On a truncated ball, and on a complete group whose lk fails the
+    check, every pair is tested.  Pairs with l(u) + l(v) > radius cannot
+    certify v u^-1 and are counted in metadata["flagged_pairs"].
     """
     ball = table.ball
-    lk = table.lk
+    pairs = _unit_steps(ball, table.lk) if ball.is_complete_group else None
+    flagged = 0
+    if pairs is None:
+        pairs, flagged = _pairs_by_definition(ball, table.lk)
+    return Poset.from_relation(
+        list(range(len(ball))), pairs, rank=table.lk,
+        metadata={"kind": "k-absolute-order", "k": table.k,
+                  "flagged_pairs": flagged})
+
+
+def _unit_steps(ball: GroupBall, lk) -> list | None:
+    """The pairs (u, t u) with lk(t u) = lk(u) + 1 for t in T = {t :
+    lk(t) = 1}, read off one BFS from the identity over left
+    multiplication by T; None unless that BFS gives the distances lk.
+    On a table from `k_absolute_length_all`, T is T_k: each reflection
+    is one arc above the identity."""
+    n = len(ball)
+    tk = [t for t in range(n) if lk[t] == 1]
+    dist = [-1] * n
+    dist[ball.identity] = 0
+    frontier = [ball.identity]
+    pairs = []
+    while frontier:
+        nxt = []
+        for u in frontier:
+            d = dist[u] + 1
+            for t in tk:
+                v = ball.multiply(t, u)
+                if dist[v] == -1:
+                    dist[v] = d
+                    nxt.append(v)
+                if dist[v] == d:
+                    pairs.append((u, v))
+        frontier = nxt
+    return pairs if dist == lk else None
+
+
+def _pairs_by_definition(ball: GroupBall, lk):
+    """Every pair (u, v) with lk(v) = lk(u) + lk(v u^-1) that the ball
+    certifies, and the number of pairs it cannot certify."""
     n = len(ball)
     pairs = []
     flagged = 0
@@ -159,10 +211,7 @@ def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
                 continue
             if lk[v] == lk[u] + lk[d]:
                 pairs.append((u, v))
-    return Poset.from_relation(
-        list(range(n)), pairs, rank=lk,
-        metadata={"kind": "k-absolute-order", "k": table.k,
-                  "flagged_pairs": flagged})
+    return pairs, flagged
 
 
 @dataclass

@@ -549,7 +549,6 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
         raise ResourceError(f"facet count {m} exceeds cap {facet_cap}")
     if m <= 1:
         return ShellingVerdict("shellable", order=list(facets))
-    inter = [[facets[a] & facets[b] for b in range(m)] for a in range(m)]
 
     def can_add(f, used):
         ff = facets[f]
@@ -557,7 +556,7 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
         walls = []
         others = []
         for g in used:
-            x = inter[f][g]
+            x = ff & facets[g]
             if len(x) == len(ff):
                 return False  # duplicate facet; filtered above, defensive
             if len(x) == want:

@@ -174,7 +174,9 @@ def projection_monoid(ball: GroupBall, generators: list[SelfMapTable],
     braid_ok: for every pair of single-generator projections, the
     m(s,t)-fold alternating compositions on both sides agree.
     order_preserving: every generated map preserves the given order
-    (None when no poset is supplied).
+    (None when no poset is supplied).  The generators decide it: they
+    are members, and a composite of order-preserving maps preserves
+    order.
     """
     if not ball.is_complete_group:
         raise DomainError("monoid closure needs the complete finite group")
@@ -220,6 +222,6 @@ def projection_monoid(ball: GroupBall, generators: list[SelfMapTable],
                 braid_ok = False
     preserving = None
     if poset is not None:
-        preserving = all(is_order_preserving(f, poset).ok for f in elements)
+        preserving = all(is_order_preserving(g, poset).ok for g in generators)
     return MonoidReport(size=len(elements), idempotent=idem, braid_ok=braid_ok,
                         order_preserving=preserving, elements=elements)

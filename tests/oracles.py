@@ -86,6 +86,35 @@ def brute_covers(less):
     return {(i, j) for i, j in less if not above[i] & below[j]}
 
 
+def t_k_word_metric(ball, tk):
+    """Distance from the identity in the undirected Cayley graph whose
+    edges join x and t*x for t in tk, by breadth-first search."""
+    dist = [None] * len(ball)
+    dist[ball.identity] = 0
+    frontier = [ball.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for t in tk:
+                for y in (ball.multiply(t, x), ball.multiply(ball.inverse(t), x)):
+                    if dist[y] is None:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def brute_k_absolute_covers(ball, tk):
+    """Covers of the k-absolute order taken from its definition, u < v
+    iff lk(v) = lk(u) + lk(v u^-1) with lk the word metric of tk, tested
+    on every pair of a complete group."""
+    lk = t_k_word_metric(ball, tk)
+    n = len(ball)
+    less = {(u, v) for u in range(n) for v in range(n)
+            if u != v and lk[v] == lk[u] + lk[ball.multiply(v, ball.inverse(u))]}
+    return brute_covers(less)
+
+
 def brute_max_h_family(poset, h):
     """Largest union of h antichains = largest subset with no chain of
     h+1 elements, by include/exclude search with a simple bound."""

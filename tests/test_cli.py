@@ -255,6 +255,25 @@ def test_curvature_command(capsys):
     assert out.startswith("x,y,kappa_num,kappa_den\n")
 
 
+@pytest.mark.parametrize("command,accepted", [
+    (["check", "--type", "A2", "--checks", "graded"], ("json",)),
+    (["poly", "--type", "A2"], ("json",)),
+    (["ball", "--type", "A2"], ("json",)),
+    (["curvature", "--type", "A2", "--k", "0"], ("json", "csv"))])
+def test_format_not_produced_is_usage_error(capsys, command, accepted):
+    for fmt in ("csv", "dot", "xml"):
+        code, out, err = _run(capsys, command + ["--format", fmt])
+        if fmt in accepted:
+            assert code == 0, err
+            continue
+        assert code == 2 and out == ""
+        assert f"usage error: unknown format '{fmt}'" in err
+        assert f"(accepted: {', '.join(accepted)})" in err
+    code, out, err = _run(capsys, command + ["--format", "json"])
+    assert code == 0, err
+    json.loads(out)
+
+
 def test_output_deterministic(capsys):
     runs = []
     for _ in range(2):

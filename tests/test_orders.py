@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from coxkit import IncompleteSliceError, enumerate_ball, named_matrix
@@ -11,7 +13,8 @@ from coxkit.posets import check_graded
 from coxkit.projections import phi_k_image_poset
 from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 
-from oracles import brute_covers, perm_of_word
+from oracles import (brute_closure, brute_covers, brute_k_absolute_covers,
+                     perm_of_word, t_k_word_metric)
 
 
 def _complete(name):
@@ -157,6 +160,44 @@ def test_flagged_pairs_on_truncated_ball():
     table = reflections_in_ball(ball)
     poset = k_absolute_poset(k_absolute_length_all(table, 0))
     assert poset.metadata["flagged_pairs"] > 0
+
+
+@pytest.mark.parametrize("name,ks", [
+    ("A3", None), ("B3", None), ("H3", None), ("A4", None), ("B4", None),
+    ("D4", None), ("I2(7)", None), ("A5", (0, 1))])
+def test_k_absolute_poset_matches_definition(name, ks):
+    # lk is the word metric of T_k, and the unit steps give the covers of
+    # the order tested pair by pair (ks None: every k up to the full set)
+    ball, table = _complete(name)
+    k_max = (max(table.lengths().values()) - 1) // 2
+    n = len(ball)
+    for k in ks or range(k_max + 1):
+        tk = t_k_set(table, k)
+        alt = k_absolute_length_all(table, k)
+        assert alt.lk == t_k_word_metric(ball, tk)
+        poset = k_absolute_poset(alt)
+        assert poset.nodes == list(range(n))
+        assert set(poset.covers) == brute_k_absolute_covers(ball, tk)
+        assert poset.rank == alt.lk
+        assert poset.metadata == {"kind": "k-absolute-order", "k": k,
+                                  "flagged_pairs": 0}
+
+
+def test_k_absolute_poset_without_a_word_metric(ball_a3, table_a3):
+    # an lk that is not a word metric gets the order tested pair by pair
+    ball = ball_a3
+    n = len(ball)
+    alt = k_absolute_length_all(table_a3, 1)
+    lk = list(alt.lk)
+    lk[max(range(n), key=ball.length)] += 1
+    poset = k_absolute_poset(dataclasses.replace(alt, lk=lk))
+    less = {(u, v) for u in range(n) for v in range(n)
+            if u != v and lk[v] == lk[u] + lk[ball.multiply(v, ball.inverse(u))]}
+    expected = brute_covers(brute_closure(n, less))
+    assert set(poset.covers) == expected
+    assert expected != set(k_absolute_poset(alt).covers)
+    assert poset.rank == lk
+    assert poset.metadata["flagged_pairs"] == 0
 
 
 def test_interval_poset(ball_a3, table_a3):
