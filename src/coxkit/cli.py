@@ -225,26 +225,66 @@ def cmd_export(args) -> int:
 # -- the check suite ---------------------------------------------------------
 
 
-def _ideal_sets(ball, table, mode):
-    """The reflection sets X used by the ideal-quantified checks."""
-    tpos = reflections.t_order_poset(table)
+class _Run:
+    """What the checks of one `cmd_check` run share, each built on first
+    use: the intermediate poset of each T_k slice, the Bruhat poset and
+    the projection maps."""
+
+    def __init__(self, ball, table):
+        self.ball, self.table = ball, table
+        self._posets = {}  # X -> intermediate poset, for T_k slices
+        self._maps = {}    # (J, kind) -> projection map
+        self._bruhat = None
+
+    def intermediate(self, k):
+        X = reflections.t_k_set(self.table, k)
+        poset = self._posets.get(X)
+        if poset is None:
+            poset = self._posets[X] = orders.intermediate_poset(self.ball, X)
+        return poset
+
+    def known(self, X):
+        """The intermediate poset of X if this run has built it."""
+        return self._posets.get(X)
+
+    def bruhat(self):
+        if self._bruhat is None:
+            self._bruhat = orders.bruhat_poset(self.ball, self.table)
+        return self._bruhat
+
+    def projection(self, J, kind):
+        key = (frozenset(J), kind)
+        table = self._maps.get(key)
+        if table is None:
+            table = self._maps[key] = projections.projection_map(
+                self.ball, J, kind)
+        return table
+
+
+def _ideal_posets(run, mode):
+    """(X, intermediate poset of X) for the reflection sets X used by the
+    ideal-quantified checks.  An ideal that is not a T_k slice the run
+    has built is built here and dropped after use."""
+    ball, table = run.ball, run.table
     if mode == "all":
+        tpos = reflections.t_order_poset(table)
         for ideal in posets.order_ideals(tpos):
-            yield frozenset(tpos.nodes[i] for i in ideal)
+            X = frozenset(tpos.nodes[i] for i in ideal)
+            yield X, run.known(X) or orders.intermediate_poset(ball, X)
     else:
         for k in range(_max_k(ball, table) + 1):
-            yield frozenset(reflections.t_k_set(table, k))
+            yield reflections.t_k_set(table, k), run.intermediate(k)
 
 
-def _check_graded(ball, table, args):
+def _check_graded(run, args):
+    ball = run.ball
     failures = []
     count = 0
-    for X in _ideal_sets(ball, table, args.ideal):
+    for X, poset in _ideal_posets(run, args.ideal):
         count += 1
         J = frozenset(s for s in ball.matrix.generators
                       if ball.right[ball.identity][s] in X)
-        poset = orders.intermediate_poset(ball, X)
-        qj = projections.projection_map(ball, J, "Q")
+        qj = run.projection(J, "Q")
         rank_fn = lambda w: ball.length(w) - ball.length(qj(w))
         rep = posets.check_graded(poset, rank_fn)
         if not rep.ok:
@@ -259,7 +299,7 @@ def _check_graded(ball, table, args):
         if len(comps) != minreps:
             failures.append({"X_size": len(X), "components": len(comps),
                              "expected": minreps})
-        else:
+        elif len(comps) > 1:
             base = poset.subposet(comps[0])
             for comp in comps[1:]:
                 iso, _ = posets.poset_isomorphic(base, poset.subposet(comp))
@@ -270,16 +310,15 @@ def _check_graded(ball, table, args):
     return {"ok": not failures, "ideals_checked": count, "failures": failures}
 
 
-def _check_projections(ball, table, args):
+def _check_projections(run, args):
     failures = []
-    gens = list(ball.matrix.generators)
+    gens = list(run.ball.matrix.generators)
     count = 0
-    for X in _ideal_sets(ball, table, args.ideal):
-        poset = orders.intermediate_poset(ball, X)
+    for X, poset in _ideal_posets(run, args.ideal):
         for r in range(len(gens) + 1):
             for J in combinations(gens, r):
                 count += 1
-                pmap = projections.projection_map(ball, J, "P")
+                pmap = run.projection(J, "P")
                 rep = projections.is_order_preserving(pmap, poset)
                 if not rep.ok:
                     failures.append({"X_size": len(X), "J": list(J),
@@ -287,20 +326,24 @@ def _check_projections(ball, table, args):
     return {"ok": not failures, "maps_checked": count, "failures": failures}
 
 
-def _check_refinement(ball, table, args):
-    ks = _parse_k_range(args.k, _max_k(ball, table))
-    rep = orders.refinement_chain_check(table, max(ks))
+def _check_refinement(run, args):
+    k_max = max(_parse_k_range(args.k, _max_k(run.ball, run.table)))
+    rep = orders.refinement_chain_check(
+        run.table, k_max,
+        intermediate=[run.intermediate(k) for k in range(k_max + 1)],
+        bruhat=run.bruhat())
     return {"ok": rep.ok,
             "containments": [[str(a), str(b), ok] for a, b, ok in rep.containments],
             "equals_bruhat_at": rep.equals_bruhat_at}
 
 
-def _check_sperner(ball, table, args):
-    ks = _parse_k_range(args.k, _max_k(ball, table))
+def _check_sperner(run, args):
+    ball = run.ball
+    ks = _parse_k_range(args.k, _max_k(ball, run.table))
     rows = []
     ok = True
     for k in ks:
-        poset = orders.intermediate_poset(ball, reflections.t_k_set(table, k))
+        poset = run.intermediate(k)
         rep = posets.strong_sperner_check(poset, rank_fn=lambda w: ball.length(w))
         ok = ok and rep.ok
         rows.append({"k": k, "ok": rep.ok,
@@ -309,19 +352,20 @@ def _check_sperner(ball, table, args):
     return {"ok": ok, "per_k": rows}
 
 
-def _check_phi(ball, table, args):
+def _check_phi(run, args):
+    ball = run.ball
     name = ball.matrix.name or ""
-    ks = _parse_k_range(args.k, _max_k(ball, table))
-    bruhat = orders.bruhat_poset(ball, table)
+    ks = _parse_k_range(args.k, _max_k(ball, run.table))
+    gens = list(ball.matrix.generators)
+    maps = [run.projection([s for s in gens if s != i], "P") for i in gens]
     rows = []
     ok = True
     for k in ks:
-        pk = orders.intermediate_poset(ball, reflections.t_k_set(table, k))
-        image = projections.phi_k_image_poset(ball, pk)
+        image = projections.phi_k_image_poset(ball, run.intermediate(k), maps)
         graded = posets.is_graded(image)
         row = {"k": k, "image_size": image.n, "graded": graded}
         if name.startswith("A"):
-            iso, _ = posets.poset_isomorphic(image, bruhat)
+            iso, _ = posets.poset_isomorphic(image, run.bruhat())
             row["isomorphic_to_bruhat"] = iso
             row["ok"] = iso
         elif name == "B3" and k == 0:
@@ -333,17 +377,17 @@ def _check_phi(ball, table, args):
     return {"ok": ok, "per_k": rows}
 
 
-def _check_monoid(ball, table, args):
-    ks = _parse_k_range(args.k, _max_k(ball, table))
-    gens = [projections.projection_map(ball, [s], "P")
-            for s in ball.matrix.generators]
+def _check_monoid(run, args):
+    ball = run.ball
+    ks = _parse_k_range(args.k, _max_k(ball, run.table))
+    gens = [run.projection([s], "P") for s in ball.matrix.generators]
     # the closure does not depend on k; order preservation is decided on
     # the generators, as in `projection_monoid`
     rep = projections.projection_monoid(ball, gens)
     rows = []
     ok = True
     for k in ks:
-        pk = orders.intermediate_poset(ball, reflections.t_k_set(table, k))
+        pk = run.intermediate(k)
         preserving = all(projections.is_order_preserving(g, pk).ok for g in gens)
         good = (rep.size == len(ball) and rep.idempotent and rep.braid_ok
                 and preserving)
@@ -354,22 +398,23 @@ def _check_monoid(ball, table, args):
     return {"ok": ok, "per_k": rows}
 
 
-def _check_logconcave(ball, table, args):
-    ks = _parse_k_range(args.k, _max_k(ball, table))
+def _check_logconcave(run, args):
+    ks = _parse_k_range(args.k, _max_k(run.ball, run.table))
     rows = []
     for k in ks:
-        poly = polynomials.gen_poly(orders.k_absolute_length_all(table, k))
+        poly = polynomials.gen_poly(orders.k_absolute_length_all(run.table, k))
         rows.append({"k": k, "coeffs": list(poly.coeffs),
                      "log_concave": polynomials.is_log_concave(poly),
                      "unimodal": polynomials.is_unimodal(poly)})
     return {"ok": True, "conjecture": True, "per_k": rows}
 
 
-def _check_shellability(ball, table, args):
+def _check_shellability(run, args):
+    ball, table = run.ball, run.table
     ks = _parse_k_range(args.k, _max_k(ball, table))
     rows = []
     for k in ks:
-        inter = orders.intermediate_poset(ball, reflections.t_k_set(table, k))
+        inter = run.intermediate(k)
         absol = orders.k_absolute_poset(orders.k_absolute_length_all(table, k))
         for flavor, poset in (("intermediate", inter), ("absolute", absol)):
             for c in ball.coxeter_elements():
@@ -383,11 +428,11 @@ def _check_shellability(ball, table, args):
     return {"ok": True, "conjecture": True, "intervals": rows}
 
 
-def _check_curvature(ball, table, args):
-    ks = _parse_k_range(args.k, _max_k(ball, table))
+def _check_curvature(run, args):
+    ks = _parse_k_range(args.k, _max_k(run.ball, run.table))
     rows = []
     for k in ks:
-        graph = orders.omega_graph(ball, reflections.t_k_set(table, k))
+        graph = orders.omega_graph(run.ball, reflections.t_k_set(run.table, k))
         rep = curvature_mod.curvature_spectrum(graph)
         rows.append({
             "k": k, "edges": len(rep.records), "skipped": len(rep.errors),
@@ -419,7 +464,7 @@ def cmd_check(args) -> int:
             raise UsageError(f"unknown check {name!r} "
                              f"(available: {', '.join(ALL_CHECKS)})")
     ball = _build_ball(args)
-    table = reflections.reflections_in_ball(ball)
+    run = _Run(ball, reflections.reflections_in_ball(ball))
     deadline = None
     if args.timeout_secs:
         deadline = time.monotonic() + float(args.timeout_secs)
@@ -433,7 +478,7 @@ def cmd_check(args) -> int:
             partial = True
             continue
         try:
-            result = _CHECK_FNS[name](ball, table, args)
+            result = _CHECK_FNS[name](run, args)
         except ResourceError as exc:
             report["checks"][name] = {"ok": None, "skipped": str(exc)}
             partial = True

@@ -11,7 +11,8 @@ oracles.
 The edges of one `curvature_spectrum` call share a `_GraphCache`: each
 vertex's distance ball and boundary verdict is computed once per graph,
 and each transport problem, up to the order of its rows and columns, is
-solved once.
+solved once.  On a complete group the graph is vertex-transitive, and
+one transport problem per reflection in X gives every edge.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from .ball import GroupBall
 from .errors import DomainError, OutOfBallError
 from .flows import MinCostFlow
 
@@ -215,15 +217,66 @@ def ollivier_ricci_edge(graph, x: int, y: int,
 def curvature_spectrum(graph, edges=None) -> CurvatureReport:
     """Curvature of a batch of edges (default: all undirected edges of
     the graph); per-edge failures are collected, not raised.  The edges
-    share one `_GraphCache`, which lives as long as this call."""
+    share one `_GraphCache`, which lives as long as this call.
+
+    On a complete group the arc graph is the Cayley graph of left
+    multiplication by X, and right multiplication by x is an automorphism
+    of it that maps the edge {e, t} to {x, t x}.  So each t in X gets one
+    transport problem, on {e, t}, and every edge {x, t x} takes its
+    curvature and its plan moved by x.  A truncated ball is not closed
+    under right multiplication, so there every edge is solved on its own,
+    with the margin rule of `ollivier_ricci_edge`.
+    """
     cache = _GraphCache(graph, undirected_adjacency(graph))
+    labels = {(min(a, b), max(a, b)): t for a, b, t in graph.arcs}
     if edges is None:
-        edges = sorted({(min(a, b), max(a, b)) for a, b, _t in graph.arcs})
+        edges = sorted(labels)
+    translate = None
+    if isinstance(graph.ball, GroupBall) and graph.ball.is_complete_group:
+        translate = _RightTranslation(graph, cache)
     records = []
     errors = []
     for x, y in edges:
+        t = labels.get((min(x, y), max(x, y)))
         try:
-            records.append(ollivier_ricci_edge(graph, x, y, cache=cache))
+            if translate is None or t is None:
+                records.append(ollivier_ricci_edge(graph, x, y, cache=cache))
+            else:
+                records.append(translate.record(x, y, t))
         except (DomainError, OutOfBallError) as exc:
             errors.append((x, y, str(exc)))
     return CurvatureReport(records=records, errors=errors)
+
+
+class _RightTranslation:
+    """The edges {x, t x} of an arc graph on a complete group, from the
+    solved edge {e, t}.  steps[a][t] = t a, read off the arcs."""
+
+    def __init__(self, graph, cache):
+        self.graph, self.cache = graph, cache
+        self.steps: dict[int, dict[int, int]] = {}
+        for a, b, t in graph.arcs:
+            self.steps.setdefault(a, {})[t] = b
+            self.steps.setdefault(b, {})[t] = a
+        self.identity = graph.ball.identity
+        self.base: dict[int, tuple[Fraction, list]] = {}
+
+    def _solve(self, t):
+        """kappa(e, t) and its plan as (t1, t2, mass): mass moves from
+        t1 e to t2 t."""
+        e = self.identity
+        rec = ollivier_ricci_edge(self.graph, e, t, cache=self.cache)
+        at_e = {b: s for s, b in self.steps[e].items()}
+        at_t = {b: s for s, b in self.steps[t].items()}
+        return rec.kappa, [(at_e[u], at_t[v], m)
+                           for (u, v), m in rec.transport_plan.items()]
+
+    def record(self, x, y, t) -> CurvatureRecord:
+        """The edge {x, y} with y = t x, as the image of {e, t} under
+        right multiplication by x: t1 e -> t1 x and t2 t -> t2 y."""
+        if t not in self.base:
+            self.base[t] = self._solve(t)
+        kappa, plan = self.base[t]
+        sx, sy = self.steps[x], self.steps[y]
+        return CurvatureRecord(x=x, y=y, kappa=kappa, transport_plan={
+            (sx[t1], sy[t2]): m for t1, t2, m in plan})

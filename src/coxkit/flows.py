@@ -43,16 +43,17 @@ class MinCostFlow:
         dist = [INFD] * self.n
         inq = [False] * self.n
         prev_edge = [-1] * self.n
+        head, to, cap, cost = self.head, self.to, self.cap, self.cost
         dist[s] = 0
         q = deque([s])
         while q:
             u = q.popleft()
             inq[u] = False
             du = dist[u]
-            for e in self.head[u]:
-                if self.cap[e] > 0:
-                    v = self.to[e]
-                    nd = du + self.cost[e]
+            for e in head[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    nd = du + cost[e]
                     if nd < dist[v]:
                         dist[v] = nd
                         prev_edge[v] = e

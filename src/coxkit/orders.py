@@ -221,32 +221,39 @@ class RefinementReport:
     equals_bruhat_at: int | None = None
 
 
-def refinement_chain_check(table: ReflectionTable, k_max: int) -> RefinementReport:
+def refinement_chain_check(table: ReflectionTable, k_max: int,
+                           intermediate: list[Poset] | None = None,
+                           bruhat: Poset | None = None) -> RefinementReport:
     """Containment of the intermediate orders as k grows, ending inside
     Bruhat order: relation(k=a) is a subset of relation(k=b) for a <= b,
-    and the largest tested order sits inside Bruhat."""
+    and the largest tested order sits inside Bruhat.
+
+    `intermediate[k]` (k = 0..k_max) and `bruhat` are those posets, if
+    they are already built.  All of them have the ball ids 0..n-1 as
+    nodes, so the relations are compared on their up-set bitmasks.
+    """
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     ball = table.ball
-    rels = []
-    for k in range(k_max + 1):
-        p = intermediate_poset(ball, t_k_set(table, k))
-        rels.append(p.relation_pairs())
-    bruhat = bruhat_poset(ball, table).relation_pairs()
+    if intermediate is None:
+        intermediate = [intermediate_poset(ball, t_k_set(table, k))
+                        for k in range(k_max + 1)]
+    if bruhat is None:
+        bruhat = bruhat_poset(ball, table)
+    ups = [p.up for p in intermediate[:k_max + 1]]
+    top = bruhat.up
+
+    def contained(a, b):
+        return all(x & ~y == 0 for x, y in zip(a, b))
+
     rows = []
     ok = True
-    for a in range(k_max + 1):
-        b = a + 1
-        if b <= k_max:
-            holds = rels[a] <= rels[b]
-            rows.append((a, b, holds))
-            ok = ok and holds
-    holds = rels[k_max] <= bruhat
+    for a in range(k_max):
+        holds = contained(ups[a], ups[a + 1])
+        rows.append((a, a + 1, holds))
+        ok = ok and holds
+    holds = contained(ups[k_max], top)
     rows.append((k_max, "bruhat", holds))
     ok = ok and holds
-    equals_at = None
-    for k in range(k_max + 1):
-        if rels[k] == bruhat:
-            equals_at = k
-            break
+    equals_at = next((k for k in range(k_max + 1) if ups[k] == top), None)
     return RefinementReport(ok=ok, containments=rows, equals_bruhat_at=equals_at)

@@ -47,9 +47,19 @@ class Poset:
         for i, j in leq_pairs:
             if i != j:
                 succ[i] |= 1 << j
-        up = _transitive_closure(succ)
-        covers = _covers_from_generators(succ, up)
-        return cls(nodes, covers, rank=rank, metadata=metadata, _up=up)
+        return cls._from_closed(nodes, _transitive_closure(succ), rank=rank,
+                                metadata=metadata, succ=succ)
+
+    @classmethod
+    def _from_closed(cls, nodes, up, rank=None, metadata=None, succ=None) -> "Poset":
+        """Build from reflexive, transitively closed up-set bitmasks
+        (bit j of up[i] set iff node i <= node j), which are trusted.
+        `succ` are generating successor masks the covers are read from;
+        by default the strict up-sets."""
+        if succ is None:
+            succ = [m ^ (1 << i) for i, m in enumerate(up)]
+        return cls(nodes, _covers_from_generators(succ, up), rank=rank,
+                   metadata=metadata, _up=up)
 
     # -- relation -------------------------------------------------------
 
@@ -123,20 +133,24 @@ class Poset:
     # -- derived posets ---------------------------------------------------
 
     def subposet(self, indices) -> "Poset":
-        """Induced subposet; covers recomputed for the induced relation."""
+        """Induced subposet; covers recomputed for the induced relation,
+        which is the restriction of the closed up-sets."""
         indices = sorted(indices)
-        pos = {x: k for k, x in enumerate(indices)}
-        pairs = []
+        pos = {x: 1 << k for k, x in enumerate(indices)}
+        keep = sum(1 << x for x in pos)
+        up = self.up
+        sub_up = []
         for a in indices:
-            m = self.up[a] & ~(1 << a)
+            m = up[a] & keep
+            bits = 0
             while m:
-                b = (m & -m).bit_length() - 1
-                m &= m - 1
-                if b in pos:
-                    pairs.append((pos[a], pos[b]))
+                low = m & -m
+                bits |= pos[low.bit_length() - 1]
+                m ^= low
+            sub_up.append(bits)
         rank = [self.rank[i] for i in indices] if self.rank is not None else None
-        return Poset.from_relation([self.nodes[i] for i in indices], pairs,
-                                   rank=rank, metadata=self.metadata)
+        return Poset._from_closed([self.nodes[i] for i in indices], sub_up,
+                                  rank=rank, metadata=self.metadata)
 
     def interval(self, u, v) -> "Poset":
         """Closed interval [u, v] as an induced subposet (labels)."""

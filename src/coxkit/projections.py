@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from .ball import GroupBall
+from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, ResourceError
 from .posets import Poset
 
@@ -88,15 +88,36 @@ def project_QJ(ball: GroupBall, w: int, J) -> int:
 
 
 def projection_map(ball: GroupBall, J, kind: str = "P") -> SelfMapTable:
-    J = frozenset(J)
+    """The table of P^J (kind "P") or Q^J (kind "Q") on the whole ball.
+
+    One pass over the ids, which are sorted by length: w goes where w s
+    goes for the smallest right descent s in J (P), or where s w goes
+    for the smallest left descent s in J (Q), and is its own image when
+    it has none.  This is the descent stripping of `parabolic_decompose`,
+    read off the images already computed.
+    """
+    J = sorted(frozenset(J))
     if kind == "P":
-        images = tuple(project_PJ(ball, w, J) for w in range(len(ball)))
+        steps = ball.right
     elif kind == "Q":
-        images = tuple(project_QJ(ball, w, J) for w in range(len(ball)))
+        steps = ball.left
     else:
         raise DomainError("kind must be 'P' or 'Q'")
-    label = ",".join(str(s) for s in sorted(J))
-    return SelfMapTable(descriptor=f"{kind}^{{{label}}}", images=images)
+    for s in J:
+        if s not in ball.matrix.generators:
+            raise DomainError(f"generator {s} not in the system")
+    length = [e.length for e in ball.elements]
+    images = []
+    for w, row in enumerate(steps):
+        image = w
+        for s in J:
+            x = row[s]
+            if x != BOUNDARY and length[x] < length[w]:
+                image = images[x]
+                break
+        images.append(image)
+    label = ",".join(str(s) for s in J)
+    return SelfMapTable(descriptor=f"{kind}^{{{label}}}", images=tuple(images))
 
 
 @dataclass
@@ -111,24 +132,27 @@ def is_order_preserving(table: SelfMapTable, poset: Poset) -> OrderPreservationR
     Poset nodes must be the ball ids the map is defined on.
     """
     bad = []
+    nodes, index, up, images = poset.nodes, poset.index, poset.up, table.images
     for i, j in poset.covers:
-        fu = table(poset.nodes[i])
-        fv = table(poset.nodes[j])
-        if not poset.leq(poset.index(fu), poset.index(fv)):
-            bad.append((poset.nodes[i], poset.nodes[j]))
+        if not up[index(images[nodes[i]])] >> index(images[nodes[j]]) & 1:
+            bad.append((nodes[i], nodes[j]))
     return OrderPreservationReport(ok=not bad, violations=bad)
 
 
-def phi_k_image_poset(ball: GroupBall, order_poset: Poset) -> Poset:
+def phi_k_image_poset(ball: GroupBall, order_poset: Poset,
+                      maps: list[SelfMapTable] | None = None) -> Poset:
     """Image of w -> (P^{S-{s}}(w))_{s in S} with the componentwise
     order, each component compared inside the given order on the ball.
 
-    order_poset must have the ball ids 0..n-1 as nodes.
+    order_poset must have the ball ids 0..n-1 as nodes.  `maps` are the
+    tables of P^{S-{s}} in generator order, if they are already built.
     """
     if not ball.is_complete_group:
         raise DomainError("image poset needs the complete finite group")
-    gens = list(ball.matrix.generators)
-    maps = [projection_map(ball, [s for s in gens if s != i], "P") for i in gens]
+    if maps is None:
+        gens = list(ball.matrix.generators)
+        maps = [projection_map(ball, [s for s in gens if s != i], "P")
+                for i in gens]
     tuples = sorted({tuple(m(w) for m in maps) for w in range(len(ball))})
     # above[c][x]: bitmask of the tuples whose c-th entry is >= x, for
     # each x that occurs as a c-th entry; the tuples >= a are then the
@@ -142,18 +166,16 @@ def phi_k_image_poset(ball: GroupBall, order_poset: Poset) -> Poset:
         above.append({x: reduce(or_, (mask for y, mask in at.items()
                                   if up[index(x)] >> index(y) & 1), 0)
                       for x in at})
-    pairs = []
+    ups = []
     everything = (1 << len(tuples)) - 1
-    for i, a in enumerate(tuples):
-        m = everything ^ (1 << i)
+    for a in tuples:
+        m = everything
         for c, x in enumerate(a):
             m &= above[c][x]
-        while m:
-            low = m & -m
-            pairs.append((i, low.bit_length() - 1))
-            m ^= low
-    return Poset.from_relation(tuples, pairs,
-                               metadata={"kind": "projection-image-poset"})
+        ups.append(m)
+    # the componentwise order is already transitively closed
+    return Poset._from_closed(tuples, ups,
+                              metadata={"kind": "projection-image-poset"})
 
 
 @dataclass

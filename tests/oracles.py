@@ -115,6 +115,20 @@ def brute_k_absolute_covers(ball, tk):
     return brute_covers(less)
 
 
+def refinement_by_relation_pairs(intermediate, bruhat):
+    """(ok, containments, equals_bruhat_at) of the refinement chain,
+    with every order materialized as its set of strict label pairs:
+    intermediate[a] inside intermediate[a + 1], the last inside Bruhat,
+    and the first k whose order equals Bruhat."""
+    rels = [p.relation_pairs() for p in intermediate]
+    top = bruhat.relation_pairs()
+    k_max = len(rels) - 1
+    rows = [(a, a + 1, rels[a] <= rels[a + 1]) for a in range(k_max)]
+    rows.append((k_max, "bruhat", rels[k_max] <= top))
+    equals_at = next((k for k, rel in enumerate(rels) if rel == top), None)
+    return all(holds for _a, _b, holds in rows), rows, equals_at
+
+
 def brute_max_h_family(poset, h):
     """Largest union of h antichains = largest subset with no chain of
     h+1 elements, by include/exclude search with a simple bound."""

@@ -110,7 +110,7 @@ def test_criterion_05_gradedness_suite_over_all_ideals():
     start = time.monotonic()
     args = SimpleNamespace(ideal="all")
     for name, ball, table in _suite_balls():
-        result = cli._check_graded(ball, table, args)
+        result = cli._check_graded(cli._Run(ball, table), args)
         assert result["ok"], (name, result["failures"][:3])
         assert result["ideals_checked"] >= 2
     assert time.monotonic() - start < 300.0
@@ -121,7 +121,7 @@ def test_criterion_06_projection_suite_and_negative_control(
         ball_a2, table_a2):
     args = SimpleNamespace(ideal="all")
     for name, ball, table in _suite_balls():
-        result = cli._check_projections(ball, table, args)
+        result = cli._check_projections(cli._Run(ball, table), args)
         assert result["ok"], (name, result["failures"][:3])
     # negative control: the left projection stripping the second
     # generator breaks the weak order at (ts, sts)

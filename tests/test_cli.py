@@ -109,7 +109,7 @@ def test_check_sperner_and_curvature_rows_pinned(capsys, name):
 
 def test_theorem_failure_gives_exit_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._CHECK_FNS, "graded",
-                        lambda ball, table, args: {"ok": False, "failures": ["x"]})
+                        lambda run, args: {"ok": False, "failures": ["x"]})
     code, out, _e = _run(capsys, ["check", "--type", "A2", "--checks", "graded"])
     assert code == 1
     assert json.loads(out)["status"] == "failed"

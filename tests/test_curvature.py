@@ -196,3 +196,49 @@ def test_convention_is_fixed():
     assert CONVENTION["idleness"] == 0
     assert CONVENTION["kappa"] == "1 - W1"
     assert CONVENTION["measure"] == "uniform-on-neighbors"
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "I2(7)"])
+def test_right_translation_matches_each_edge_alone(name):
+    # on a complete group every edge takes kappa and plan from {e, t}
+    # moved by right multiplication; each must agree with the edge
+    # solved on its own, and each plan must be an optimal coupling
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    table = reflections_in_ball(ball)
+    top = max(ball.length(t) for t in table.reflections)
+    for k in range((top - 1) // 2 + 1):
+        graph = omega_graph(ball, t_k_set(table, k))
+        adj = undirected_adjacency(graph)
+        dist = _all_distances(adj)
+        report = curvature_spectrum(graph)
+        edges = sorted({(min(a, b), max(a, b)) for a, b, _t in graph.arcs})
+        assert not report.errors
+        assert [(r.x, r.y) for r in report.records] == edges
+        for rec in report.records:
+            alone = ollivier_ricci_edge(graph, rec.x, rec.y, adj=adj)
+            assert rec.kappa == alone.kappa, (name, k, rec.x, rec.y)
+            row = {u: Fraction(0) for u in adj[rec.x]}
+            col = {v: Fraction(0) for v in adj[rec.y]}
+            for (u, v), mass in rec.transport_plan.items():
+                assert mass > 0
+                row[u] += mass
+                col[v] += mass
+            assert set(row.values()) == {Fraction(1, len(row))}
+            assert set(col.values()) == {Fraction(1, len(col))}
+            assert sum(m * dist[u][v] for (u, v), m
+                       in rec.transport_plan.items()) == 1 - rec.kappa
+
+
+def test_explicit_edges_on_a_complete_group(ball_a3, table_a3):
+    # a batch of chosen edges, in either orientation, and a non-edge
+    graph = omega_graph(ball_a3, t_k_set(table_a3, 1))
+    a, b, _t = graph.arcs[7]
+    report = curvature_spectrum(graph, edges=[(b, a), (a, b), (a, a)])
+    assert [(r.x, r.y) for r in report.records] == [(b, a), (a, b)]
+    for rec in report.records:
+        assert rec.kappa == ollivier_ricci_edge(graph, rec.x, rec.y).kappa
+        assert {u for u, _v in rec.transport_plan} <= set(
+            undirected_adjacency(graph)[rec.x])
+    assert [(x, y) for x, y, _m in report.errors] == [(a, a)]
+    assert "is not an edge" in report.errors[0][2]

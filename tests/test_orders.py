@@ -14,7 +14,8 @@ from coxkit.projections import phi_k_image_poset
 from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 
 from oracles import (brute_closure, brute_covers, brute_k_absolute_covers,
-                     perm_of_word, t_k_word_metric)
+                     perm_of_word, refinement_by_relation_pairs,
+                     t_k_word_metric)
 
 
 def _complete(name):
@@ -146,6 +147,32 @@ def test_refinement_chain_b3(table_b3):
     report = refinement_chain_check(table_b3, 4)
     assert report.ok
     assert report.equals_bruhat_at is not None
+
+
+@pytest.mark.parametrize("name,radius", [("A3", None), ("B3", None), ("H3", None),
+                                         ("A4", None), ("B3", 4), ("I2(inf)", 6)])
+def test_refinement_chain_matches_relation_pairs(name, radius):
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix) if radius is None
+                          else radius)
+    table = reflections_in_ball(ball)
+    slices = [intermediate_poset(ball, t_k_set(table, k))
+              for k in range((min(ball.radius, max(
+                  ball.length(t) for t in table.reflections)) - 1) // 2 + 1)]
+    bruhat = bruhat_poset(ball, table)
+    for k_max in range(len(slices)):
+        want = refinement_by_relation_pairs(slices[:k_max + 1], bruhat)
+        for rep in (refinement_chain_check(table, k_max),
+                    refinement_chain_check(table, k_max, slices, bruhat)):
+            assert (rep.ok, rep.containments, rep.equals_bruhat_at) == want
+    # the slices handed over in reverse, with the weak order standing in
+    # for Bruhat order: the containments that fail are found
+    backwards = slices[::-1]
+    rep = refinement_chain_check(table, len(slices) - 1, backwards, slices[0])
+    want = refinement_by_relation_pairs(backwards, slices[0])
+    assert (rep.ok, rep.containments, rep.equals_bruhat_at) == want
+    if len(slices) > 1 and slices[0].covers != slices[-1].covers:
+        assert not rep.ok
 
 
 def test_incomplete_slice_raises():

@@ -89,6 +89,27 @@ def test_from_relation_covers_match_brute_force(dag, rng):
     assert sub.covers == sorted(brute_covers(induced))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_messy_dags(), st.randoms(use_true_random=False))
+def test_subposet_matches_brute_force(dag, rng):
+    # the subposet reads the restricted up-sets; its covers and up-sets
+    # must be those of the induced relation, on labels and ranks
+    n, pairs = dag
+    p = Poset.from_relation([f"v{i}" for i in range(n)], pairs,
+                            rank=[i % 3 for i in range(n)])
+    less = brute_closure(n, pairs)
+    keep = rng.sample(range(n), rng.randrange(n + 1))
+    sub = p.subposet(keep)
+    keep.sort()
+    at = {x: k for k, x in enumerate(keep)}
+    induced = {(at[i], at[j]) for i, j in less if i in at and j in at}
+    assert sub.nodes == [f"v{i}" for i in keep]
+    assert sub.rank == [i % 3 for i in keep]
+    assert sub.covers == sorted(brute_covers(induced))
+    assert sub.up == [(1 << a) | sum(1 << b for a2, b in induced if a2 == a)
+                      for a in range(len(keep))]
+
+
 def test_from_relation_rejects_cycles():
     with pytest.raises(DomainError):
         Poset.from_relation([0, 1], [(0, 1), (1, 0)])

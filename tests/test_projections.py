@@ -5,12 +5,15 @@ from itertools import chain, combinations
 import pytest
 
 from coxkit import DomainError, enumerate_ball, named_matrix
+from coxkit.matrices import longest_length
 from coxkit.orders import intermediate_poset
 from coxkit.posets import poset_isomorphic
 from coxkit.projections import (is_order_preserving, parabolic_decompose,
                                 phi_k_image_poset, project_PJ, project_QJ,
                                 projection_map, projection_monoid)
 from coxkit.reflections import reflections_in_ball, t_k_set
+
+from oracles import brute_covers
 
 
 def _subsets(gens):
@@ -124,3 +127,42 @@ def test_errors(ball_a2):
     with pytest.raises(DomainError):
         phi_k_image_poset(truncated, _bruhat_poset(
             truncated, reflections_in_ball(truncated)))
+
+
+@pytest.mark.parametrize("name,radius", [("A3", None), ("B3", None), ("H3", None),
+                                         ("A4", None), ("B3", 4)])
+def test_projection_map_matches_descent_stripping(name, radius):
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix) if radius is None
+                          else radius)
+    for J in _subsets(matrix.generators):
+        p = projection_map(ball, J, "P")
+        q = projection_map(ball, J, "Q")
+        assert p.images == tuple(project_PJ(ball, w, J) for w in range(len(ball)))
+        assert q.images == tuple(project_QJ(ball, w, J) for w in range(len(ball)))
+        label = ",".join(map(str, J))
+        assert (p.descriptor, q.descriptor) == (f"P^{{{label}}}", f"Q^{{{label}}}")
+    with pytest.raises(DomainError):
+        projection_map(ball, [matrix.rank], "P")
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "A4"])
+def test_phi_image_covers_match_brute_force(name):
+    # the image tuples under the componentwise order, compared pair by
+    # pair in each intermediate order, reduced by the brute-force oracle
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    table = reflections_in_ball(ball)
+    gens = list(matrix.generators)
+    top = max(ball.length(t) for t in table.reflections)
+    tuples = sorted({tuple(project_PJ(ball, w, [s for s in gens if s != i])
+                           for i in gens) for w in range(len(ball))})
+    for k in range((top - 1) // 2 + 1):
+        order = intermediate_poset(ball, t_k_set(table, k))
+        image = phi_k_image_poset(ball, order)
+        assert image.nodes == tuples
+        less = {(i, j) for i, a in enumerate(tuples) for j, b in enumerate(tuples)
+                if i != j and all(order.leq(x, y) for x, y in zip(a, b))}
+        assert image.covers == sorted(brute_covers(less))
+        assert set(image.relation_pairs()) == {(tuples[i], tuples[j])
+                                               for i, j in less}
