@@ -243,10 +243,6 @@ class _Run:
             poset = self._posets[X] = orders.intermediate_poset(self.ball, X)
         return poset
 
-    def known(self, X):
-        """The intermediate poset of X if this run has built it."""
-        return self._posets.get(X)
-
     def bruhat(self):
         if self._bruhat is None:
             self._bruhat = orders.bruhat_poset(self.ball, self.table)
@@ -263,14 +259,14 @@ class _Run:
 
 def _ideal_posets(run, mode):
     """(X, intermediate poset of X) for the reflection sets X used by the
-    ideal-quantified checks.  An ideal that is not a T_k slice the run
-    has built is built here and dropped after use."""
+    ideal-quantified checks.  Under --ideal all each poset is built here
+    and dropped after use."""
     ball, table = run.ball, run.table
     if mode == "all":
         tpos = reflections.t_order_poset(table)
         for ideal in posets.order_ideals(tpos):
             X = frozenset(tpos.nodes[i] for i in ideal)
-            yield X, run.known(X) or orders.intermediate_poset(ball, X)
+            yield X, orders.intermediate_poset(ball, X)
     else:
         for k in range(_max_k(ball, table) + 1):
             yield reflections.t_k_set(table, k), run.intermediate(k)

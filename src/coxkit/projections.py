@@ -90,11 +90,11 @@ def project_QJ(ball: GroupBall, w: int, J) -> int:
 def projection_map(ball: GroupBall, J, kind: str = "P") -> SelfMapTable:
     """The table of P^J (kind "P") or Q^J (kind "Q") on the whole ball.
 
-    One pass over the ids, which are sorted by length: w goes where w s
-    goes for the smallest right descent s in J (P), or where s w goes
-    for the smallest left descent s in J (Q), and is its own image when
-    it has none.  This is the descent stripping of `parabolic_decompose`,
-    read off the images already computed.
+    One pass over the ids in order of length: w goes where w s goes for
+    the smallest right descent s in J (P), or where s w goes for the
+    smallest left descent s in J (Q), and is its own image when it has
+    none.  This is the descent stripping of `parabolic_decompose`, read
+    off the images already computed.
     """
     J = sorted(frozenset(J))
     if kind == "P":
@@ -107,15 +107,16 @@ def projection_map(ball: GroupBall, J, kind: str = "P") -> SelfMapTable:
         if s not in ball.matrix.generators:
             raise DomainError(f"generator {s} not in the system")
     length = [e.length for e in ball.elements]
-    images = []
-    for w, row in enumerate(steps):
-        image = w
+    images = list(range(len(length)))
+    # `enumerate_ball` numbers by length already; a ball read from JSON
+    # need not
+    for w in sorted(range(len(length)), key=length.__getitem__):
+        row = steps[w]
         for s in J:
             x = row[s]
             if x != BOUNDARY and length[x] < length[w]:
-                image = images[x]
+                images[w] = images[x]
                 break
-        images.append(image)
     label = ",".join(str(s) for s in J)
     return SelfMapTable(descriptor=f"{kind}^{{{label}}}", images=tuple(images))
 

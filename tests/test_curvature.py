@@ -230,6 +230,42 @@ def test_right_translation_matches_each_edge_alone(name):
                        in rec.transport_plan.items()) == 1 - rec.kappa
 
 
+def _edited(graph, arcs):
+    return type(graph)(ball=graph.ball, x_set=graph.x_set, arcs=arcs,
+                       boundary_skips=graph.boundary_skips)
+
+
+def test_edited_arc_list_is_solved_edge_by_edge(ball_a3, table_a3):
+    # arcs dropped or rewired leave a graph on which right multiplication
+    # is no automorphism, and a repeated arc is not the Cayley graph's arc
+    # list either: each edge must get the kappa it has when solved alone
+    # on that graph
+    graph = omega_graph(ball_a3, t_k_set(table_a3, 1))
+    arcs = graph.arcs
+    (a, b, t), = arcs[:1]
+    c, d, _t = next(arc for arc in arcs[1:] if arc[2] == t
+                    and not {a, b} & set(arc[:2]))
+    variants = [
+        arcs[1:],
+        [(a, d, t) if arc == (a, b, t) else (c, b, t) if arc == (c, d, t)
+         else arc for arc in arcs],
+        arcs + arcs[:1],
+    ]
+    whole = {(r.x, r.y): r.kappa for r in curvature_spectrum(graph).records}
+    for i, edited in enumerate(_edited(graph, arcs) for arcs in variants):
+        report = curvature_spectrum(edited)
+        adj = undirected_adjacency(edited)
+        assert not report.errors
+        assert [(r.x, r.y) for r in report.records] == sorted(
+            {(min(x, y), max(x, y)) for x, y, _t in edited.arcs})
+        for rec in report.records:
+            alone = ollivier_ricci_edge(edited, rec.x, rec.y, adj=adj)
+            assert rec.kappa == alone.kappa, (rec.x, rec.y)
+        # the edits that change the undirected graph change some kappa
+        assert (i == 2) != any(whole.get((r.x, r.y)) != r.kappa
+                               for r in report.records)
+
+
 def test_explicit_edges_on_a_complete_group(ball_a3, table_a3):
     # a batch of chosen edges, in either orientation, and a non-edge
     graph = omega_graph(ball_a3, t_k_set(table_a3, 1))

@@ -12,6 +12,7 @@ from coxkit.projections import (is_order_preserving, parabolic_decompose,
                                 phi_k_image_poset, project_PJ, project_QJ,
                                 projection_map, projection_monoid)
 from coxkit.reflections import reflections_in_ball, t_k_set
+from coxkit.serialize import ball_from_json_dict, ball_to_json_dict
 
 from oracles import brute_covers
 
@@ -144,6 +145,28 @@ def test_projection_map_matches_descent_stripping(name, radius):
         assert (p.descriptor, q.descriptor) == (f"P^{{{label}}}", f"Q^{{{label}}}")
     with pytest.raises(DomainError):
         projection_map(ball, [matrix.rank], "P")
+
+
+@pytest.mark.parametrize("name,radius", [("B3", 9), ("B3", 4)])
+def test_projection_map_on_ids_out_of_length_order(name, radius):
+    # a ball read from JSON may number its elements in any order that
+    # keeps the identity at 0; here the longest come first
+    ball = enumerate_ball(named_matrix(name), radius)
+    n = len(ball)
+    new_id = [0] + list(range(n - 1, 0, -1))
+    data = ball_to_json_dict(ball)
+    data["elements"] = [dict(d, id=new_id[d["id"]]) for d in data["elements"]]
+    cayley = [None] * n
+    for w, row in enumerate(data["cayley"]):
+        cayley[new_id[w]] = [x if x < 0 else new_id[x] for x in row]
+    data["cayley"] = cayley
+    shuffled = ball_from_json_dict(data)
+    assert shuffled.length(1) == max(e.length for e in ball.elements)
+    for J in _subsets(shuffled.matrix.generators):
+        p = projection_map(shuffled, J, "P")
+        q = projection_map(shuffled, J, "Q")
+        assert p.images == tuple(project_PJ(shuffled, w, J) for w in range(n))
+        assert q.images == tuple(project_QJ(shuffled, w, J) for w in range(n))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "A4"])
