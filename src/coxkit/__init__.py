@@ -1,13 +1,13 @@
 """coxkit: exact computation in Coxeter groups at desk scale.
 
 Length-bounded balls of arbitrary Coxeter systems (one exact engine
-that builds the Cayley table level by level, plus a word kernel for
-free words), reflections and the reflection order, intermediate and
-k-absolute orders, parabolic projections, poset analytics (gradedness,
-Sperner, shellability), distance generating polynomials, and
-exploratory Ollivier-Ricci curvature.
+that builds the Cayley table level by level and follows free words
+past the radius), reflections and the reflection order, intermediate
+and k-absolute orders, parabolic projections, poset analytics
+(gradedness, Sperner, shellability), distance generating polynomials,
+and exploratory Ollivier-Ricci curvature.
 """
-from .ball import Element, GroupBall, enumerate_ball, is_reduced, normal_form, reduce_word
+from .ball import Element, GroupBall, enumerate_ball
 from .curvature import curvature_spectrum, ollivier_ricci_edge
 from .errors import (CoxkitError, DomainError, IncompleteSliceError,
                      OutOfBallError, ResourceError)
@@ -25,6 +25,7 @@ from .projections import (parabolic_decompose, phi_k_image_poset,
 from .reflections import (dihedral_subgroup, reflections_in_ball, t_k_set,
                           t_order_poset)
 from .wordcore import IMPLEMENTATION as WORDCORE_IMPLEMENTATION
+from .wordcore import is_reduced, normal_form, reduce_word
 
 __version__ = "1.0.0"
 

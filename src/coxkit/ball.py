@@ -6,15 +6,15 @@ sets and inverses.  One exact engine builds it for every Coxeter
 matrix, from the Cayley table itself (see `enumerate_ball`).  Products
 and words that leave the table are followed by the same integer rule
 on elements beyond the radius, which the ball adds as it meets them.
+The free-word functions of `coxkit.wordcore` run on this engine too,
+from a radius-0 ball.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import OutOfBallError, ResourceError
 from .matrices import CoxeterMatrix
-from .wordcore import WordKernel
 
 BOUNDARY = -1
 
@@ -171,6 +171,24 @@ class GroupBall:
             else:
                 self._rows[y - n][t] = z
         return z
+
+    def _shortlex(self, letters) -> bytes:
+        """ShortLex-least reduced word of the element of `letters`, any
+        word over the generators: the reversed letters are walked to w^-1
+        with `_times`, then the smallest right descent of w^-1 is peeled
+        off until the identity; the peeled letters, in order, are the
+        smallest left descents of w, w' = s*w, ... (as in
+        `enumerate_ball`)."""
+        x = self.identity
+        for s in reversed(letters):
+            x = self._times(x, s)
+        gens = self.matrix.generators
+        peeled = []
+        while x != self.identity:
+            s = next(s for s in gens if self._is_descent(x, s))
+            peeled.append(s)
+            x = self._times(x, s)
+        return bytes(peeled)
 
     def inverse(self, w: int) -> int:
         return self.inv[w]
@@ -340,34 +358,3 @@ def _left_from_right(right, inv, rank):
             row.append(BOUNDARY if t == BOUNDARY else inv[t])
         left.append(row)
     return left
-
-
-# -- module-level word operations ------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _kernel_for(entries, budget):
-    return WordKernel(entries, budget)
-
-
-def reduce_word(matrix: CoxeterMatrix, letters, budget: int = 100_000) -> tuple[int, ...]:
-    """Some reduced word for the element represented by `letters`."""
-    _check_letters(matrix, letters)
-    return tuple(_kernel_for(matrix.entries, budget).reduce(bytes(letters)))
-
-
-def normal_form(matrix: CoxeterMatrix, letters, budget: int = 100_000) -> tuple[int, ...]:
-    """ShortLex-least reduced word of the element of `letters`."""
-    _check_letters(matrix, letters)
-    return tuple(_kernel_for(matrix.entries, budget).shortlex(bytes(letters)))
-
-
-def is_reduced(matrix: CoxeterMatrix, letters, budget: int = 100_000) -> bool:
-    _check_letters(matrix, letters)
-    return _kernel_for(matrix.entries, budget).is_reduced(bytes(letters))
-
-
-def _check_letters(matrix, letters):
-    for x in letters:
-        if not 0 <= x < matrix.rank:
-            raise ValueError(f"letter {x} out of range for rank {matrix.rank}")

@@ -139,35 +139,38 @@ def _order_poset(args, ball):
     kind = args.kind
     table = reflections.reflections_in_ball(ball)
     if kind == "torder":
-        return reflections.t_order_poset(table), ball
+        return reflections.t_order_poset(table)
     if kind == "bruhat":
-        return orders.bruhat_poset(ball, table), ball
+        return orders.bruhat_poset(ball, table)
     k = int(args.k or 0)
     if kind in ("weak", "intermediate"):
         kk = 0 if kind == "weak" else k
-        return orders.intermediate_poset(
-            ball, reflections.t_k_set(table, kk)), ball
+        return orders.intermediate_poset(ball, reflections.t_k_set(table, kk))
     if kind == "absolute":
         alt = orders.k_absolute_length_all(table, k)
         poset = orders.k_absolute_poset(alt)
         # lattice-type structure is reported, not asserted
         poset.metadata["meet_semilattice"] = posets.is_meet_semilattice(poset)
-        return poset, ball
+        return poset
     raise UsageError(f"unknown order kind {kind!r}")
+
+
+def _emit_covers_csv(args, poset):
+    rows = "\n".join(f"{i},{j}" for i, j in poset.covers)
+    _emit(args, "lower,upper\n" + rows + ("\n" if rows else ""))
 
 
 def cmd_order(args) -> int:
     fmt = _format(args, ("json", "dot", "csv"))
     ball = _build_ball(args)
-    poset, ball = _order_poset(args, ball)
+    poset = _order_poset(args, ball)
     if fmt == "json":
         _emit_json(args, serialize.poset_to_json_dict(poset))
     elif fmt == "dot":
         label = lambda w: "".join(str(c + 1) for c in ball.word(w)) or "e"
         _emit(args, serialize.poset_to_dot(poset, label_fn=label))
     elif fmt == "csv":
-        rows = "\n".join(f"{i},{j}" for i, j in poset.covers)
-        _emit(args, "lower,upper\n" + rows + ("\n" if rows else ""))
+        _emit_covers_csv(args, poset)
     return EXIT_OK
 
 
@@ -217,8 +220,7 @@ def cmd_export(args) -> int:
     elif fmt == "json":
         _emit_json(args, serialize.poset_to_json_dict(poset))
     elif fmt == "csv":
-        rows = "\n".join(f"{i},{j}" for i, j in poset.covers)
-        _emit(args, "lower,upper\n" + rows + ("\n" if rows else ""))
+        _emit_covers_csv(args, poset)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ class OutOfBallError(CoxkitError):
 
 
 class ResourceError(CoxkitError):
-    """A configured cap (element count, closure budget, search nodes) was hit."""
+    """A configured cap (element count, search nodes) was hit."""
 
 
 class IncompleteSliceError(CoxkitError):

@@ -29,12 +29,6 @@ class OmegaGraph:
     arcs: list            # (a, b, t) with b = t*a and l(b) > l(a)
     boundary_skips: int   # products t*a that left the ball
 
-    def successors(self):
-        succ = [[] for _ in range(len(self.ball))]
-        for a, b, _t in self.arcs:
-            succ[a].append(b)
-        return succ
-
 
 def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
     """Arcs a -> t*a for t in the set, whenever length strictly
@@ -55,13 +49,13 @@ def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
     return OmegaGraph(ball=ball, x_set=xs, arcs=arcs, boundary_skips=skips)
 
 
-def intermediate_poset(ball: GroupBall, x_set, graph: OmegaGraph | None = None) -> Poset:
+def intermediate_poset(ball: GroupBall, x_set) -> Poset:
     """Reachability order of the arc graph, on all ball elements.
 
     Complete for every pair inside the ball: each chain step increases
     length, so witnessing chains cannot leave the ball.
     """
-    g = graph if graph is not None else omega_graph(ball, x_set)
+    g = omega_graph(ball, x_set)
     pairs = [(a, b) for a, b, _t in g.arcs]
     rank = [ball.length(w) for w in range(len(ball))]
     return Poset.from_relation(

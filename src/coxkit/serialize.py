@@ -14,7 +14,7 @@ import json
 from .ball import BOUNDARY, Element, GroupBall, _left_from_right
 from .errors import DomainError
 from .matrices import CoxeterMatrix
-from .posets import Poset
+from .posets import Poset, _topo
 
 __all__ = [
     "ball_to_json_dict", "ball_from_json_dict", "poset_to_json_dict",
@@ -92,9 +92,22 @@ def poset_to_json_dict(poset: Poset) -> dict:
 
 
 def poset_from_json_dict(data: dict) -> Poset:
+    """Inverse of `poset_to_json_dict`.  DomainError unless every cover
+    joins two node indices, the covers have no cycle and a rank list
+    has one entry per node."""
     nodes = [tuple(x) if isinstance(x, list) else x for x in data["nodes"]]
-    return Poset(nodes, [tuple(c) for c in data["covers"]],
-                 rank=data.get("rank"), metadata=data.get("metadata"))
+    n = len(nodes)
+    covers = [tuple(c) for c in data["covers"]]
+    succ = [0] * n
+    for c in covers:
+        if len(c) != 2 or not all(type(i) is int and 0 <= i < n for i in c):
+            raise DomainError(f"cover {list(c)} does not join two of the {n} nodes")
+        succ[c[0]] |= 1 << c[1]
+    _topo(succ, n)
+    rank = data.get("rank")
+    if rank is not None and len(rank) != n:
+        raise DomainError(f"rank list has {len(rank)} entries for {n} nodes")
+    return Poset(nodes, covers, rank=rank, metadata=data.get("metadata"))
 
 
 def _dot_quote(s) -> str:

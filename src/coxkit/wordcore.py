@@ -1,100 +1,54 @@
-"""Word kernel: braid-move closure, reducedness, ShortLex normal forms.
+"""Free words: reduction, reducedness, ShortLex normal forms.
 
-Words are `bytes` over generator indices.  A word is reduced iff its
-closure under braid moves contains no word with two equal adjacent
-letters; two reduced words represent the same element iff their braid
-closures coincide, so the ShortLex-least member of the closure is a
-canonical form.  Everything here is exact for arbitrary Coxeter
-matrices, including infinite bonds.
-
-The kernel serves the free-word API (`reduce_word`, `normal_form`,
-`is_reduced`); balls and their products do not use it.
+Words are sequences of generator indices, reduced or not.  They run on
+the ball engine: a fresh radius-0 `GroupBall` follows the word beyond
+its radius exactly, and `GroupBall._shortlex` reads off the ShortLex
+word of its element.  The ball lives for one call, so memory does not
+grow across calls on infinite groups.  Everything here is exact for
+arbitrary Coxeter matrices, including infinite bonds.
 """
 from __future__ import annotations
 
-from collections import deque
+from .ball import enumerate_ball
+from .matrices import CoxeterMatrix
 
 IMPLEMENTATION = "pure"  # exported as coxkit.WORDCORE_IMPLEMENTATION
 
 
 class ClosureBudgetError(RuntimeError):
-    """Braid-closure exploration exceeded the configured word budget."""
-
-
-def _adjacent_pair(word: bytes) -> int:
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1]:
-            return i
-    return -1
+    """No longer raised: free words have no budget since they run on the
+    ball engine.  Kept for code that imports or catches it."""
 
 
 class WordKernel:
-    """Braid-move engine for one Coxeter matrix (entries 0 = infinite bond)."""
+    """ShortLex words of one Coxeter matrix; the free-word functions
+    below go through `shortlex`."""
 
-    def __init__(self, entries, budget: int = 100_000):
-        self.entries = tuple(tuple(r) for r in entries)
-        self.budget = budget
-        # per ordered pair (a, b) with finite bond: alternating pattern and image
-        self._pats = {}
-        rank = len(self.entries)
-        for a in range(rank):
-            for b in range(rank):
-                if a != b and self.entries[a][b] >= 2:
-                    m = self.entries[a][b]
-                    left = bytes((a, b)[i % 2] for i in range(m))
-                    right = bytes((b, a)[i % 2] for i in range(m))
-                    self._pats[a * rank + b] = (left, right)
-        self._rank = rank
-
-    def _scan(self, word: bytes):
-        """Explore the braid closure of `word`.
-
-        Returns ("pair", w) as soon as some braid-equivalent word w has
-        an adjacent equal pair, or ("closed", seen) with the full
-        closure if none exists (the word is then reduced).
-        """
-        pats = self._pats
-        rank = self._rank
-        budget = self.budget
-        seen = {word}
-        queue = deque((word,))
-        while queue:
-            w = queue.popleft()
-            if _adjacent_pair(w) >= 0:
-                return "pair", w
-            n = len(w)
-            for i in range(n - 1):
-                pat = pats.get(w[i] * rank + w[i + 1])
-                if pat is None:
-                    continue
-                left, right = pat
-                m = len(left)
-                if i + m <= n and w[i:i + m] == left:
-                    nb = w[:i] + right + w[i + m:]
-                    if nb not in seen:
-                        if len(seen) >= budget:
-                            raise ClosureBudgetError(
-                                f"braid closure exceeded budget of {budget} words")
-                        seen.add(nb)
-                        queue.append(nb)
-        return "closed", seen
-
-    def is_reduced(self, word: bytes) -> bool:
-        kind, _ = self._scan(bytes(word))
-        return kind == "closed"
-
-    def reduce(self, word: bytes) -> bytes:
-        """Some reduced word representing the same element."""
-        w = bytes(word)
-        while True:
-            kind, payload = self._scan(w)
-            if kind == "closed":
-                return w
-            i = _adjacent_pair(payload)
-            w = payload[:i] + payload[i + 2:]
+    def __init__(self, matrix: CoxeterMatrix):
+        self.matrix = matrix
 
     def shortlex(self, word: bytes) -> bytes:
         """ShortLex-least reduced word of the element of `word`."""
-        w = self.reduce(word)
-        _, seen = self._scan(w)
-        return min(seen) if seen else b""
+        return enumerate_ball(self.matrix, 0)._shortlex(word)
+
+
+def normal_form(matrix: CoxeterMatrix, letters) -> tuple[int, ...]:
+    """ShortLex-least reduced word of the element of `letters`."""
+    letters = tuple(letters)
+    for x in letters:
+        if not 0 <= x < matrix.rank:
+            raise ValueError(f"letter {x} out of range for rank {matrix.rank}")
+    return tuple(WordKernel(matrix).shortlex(bytes(letters)))
+
+
+def reduce_word(matrix: CoxeterMatrix, letters) -> tuple[int, ...]:
+    """Some reduced word for the element represented by `letters`: its
+    ShortLex word."""
+    return normal_form(matrix, letters)
+
+
+def is_reduced(matrix: CoxeterMatrix, letters) -> bool:
+    """Whether `letters` is a reduced word, i.e. as long as its element
+    (every step of the walk along it is an ascent)."""
+    letters = tuple(letters)
+    return len(normal_form(matrix, letters)) == len(letters)

@@ -7,8 +7,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from coxkit import normal_form
-
 
 # -- words and Bruhat order ---------------------------------------------------
 
@@ -20,6 +18,60 @@ def perm_of_word(word, n):
     for c in word:
         v[c], v[c + 1] = v[c + 1], v[c]
     return tuple(v)
+
+
+def _braid_moves(matrix, w):
+    """Every word one braid move away from the tuple w: a factor
+    a b a ... of length m(a, b) turned into b a b ..."""
+    for i in range(len(w) - 1):
+        a, b = w[i], w[i + 1]
+        m = matrix.m(a, b)
+        if m < 2 or i + m > len(w):
+            continue
+        if all(w[i + j] == (a, b)[j % 2] for j in range(m)):
+            yield w[:i] + tuple((b, a)[j % 2] for j in range(m)) + w[i + m:]
+
+
+def braid_class(matrix, word):
+    """Every word reachable from `word` by braid moves, by brute DFS,
+    yielded as it is found."""
+    start = tuple(word)
+    seen = {start}
+    stack = [start]
+    while stack:
+        w = stack.pop()
+        yield w
+        for nb in _braid_moves(matrix, w):
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+
+
+def braid_reduce(matrix, word):
+    """A reduced word of the element of `word`: while some word of the
+    braid class has two equal adjacent letters, delete them (a word is
+    reduced iff no such word exists; Tits' solution of the word
+    problem, Bjorner-Brenti 3.3)."""
+    w = tuple(word)
+    while True:
+        for v in braid_class(matrix, w):
+            i = next((i for i in range(len(v) - 1) if v[i] == v[i + 1]), None)
+            if i is not None:
+                w = v[:i] + v[i + 2:]
+                break
+        else:
+            return w
+
+
+def all_reduced_words(matrix, word):
+    """Every reduced word of the element of `word`: the braid class of
+    one reduced word (Matsumoto's theorem)."""
+    return set(braid_class(matrix, braid_reduce(matrix, word)))
+
+
+def braid_normal_form(matrix, word):
+    """ShortLex-least reduced word of the element of `word`."""
+    return min(all_reduced_words(matrix, word))
 
 
 def bruhat_subword_leq(ball, u, v):
@@ -34,31 +86,9 @@ def bruhat_subword_leq(ball, u, v):
     for r in range(len(wu), len(wu) + 1):
         for idx in combinations(range(len(wv)), r):
             sub = [wv[i] for i in idx]
-            if normal_form(matrix, sub) == target:
+            if braid_normal_form(matrix, sub) == target:
                 return True
     return False
-
-
-def all_reduced_words(matrix, word):
-    """Every reduced word of the element of `word`, by brute DFS over
-    single braid moves."""
-    from coxkit import is_reduced, reduce_word
-    start = tuple(reduce_word(matrix, word))
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for i in range(len(w) - 1):
-            a, b = w[i], w[i + 1]
-            m = matrix.m(a, b)
-            if m < 2 or i + m > len(w):
-                continue
-            if all(w[i + j] == (a, b)[j % 2] for j in range(m)):
-                nb = w[:i] + tuple((b, a)[j % 2] for j in range(m)) + w[i + m:]
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    return seen
 
 
 # -- posets -------------------------------------------------------------------

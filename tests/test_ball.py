@@ -7,10 +7,9 @@ import pytest
 from coxkit import (OutOfBallError, ResourceError, enumerate_ball,
                     named_matrix, normal_form, parse_coxeter_matrix)
 from coxkit.ball import BOUNDARY
-from coxkit.wordcore import WordKernel
 
 from models import model_ball, model_for
-from oracles import bruhat_subword_leq, perm_of_word
+from oracles import braid_normal_form, bruhat_subword_leq, perm_of_word
 
 
 def _ball_signature(ball):
@@ -52,9 +51,8 @@ def test_backend_equivalence_truncated():
     pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, id="hyperbolic-8"), ("F4", 10)])
 def test_engine_matches_word_kernel(spec, radius):
     # types without a model: every in-table edge w -> w*s is the ShortLex
-    # form the braid-closure kernel gives for word(w) + s
+    # form the braid-move oracle gives for word(w) + s
     matrix = parse_coxeter_matrix(spec)
-    kernel = WordKernel(matrix.entries)
     ball = enumerate_ball(matrix, radius)
     assert ball.word(ball.identity) == b""
     for w in range(len(ball)):
@@ -64,7 +62,7 @@ def test_engine_matches_word_kernel(spec, radius):
             if ws == BOUNDARY:
                 assert ball.length(w) == radius
                 continue
-            assert ball.word(ws) == kernel.shortlex(ball.word(w) + bytes([s]))
+            assert ball.word(ws) == bytes(braid_normal_form(matrix, ball.word(w) + bytes([s])))
             assert ball.right[ws][s] == w
     assert ball.index == {ball.word(w): w for w in range(len(ball))}
 
@@ -278,11 +276,10 @@ def test_multiply_across_the_boundary(name, radius):
     ("H3", 7), ("affA2", 5), pytest.param("1 3 inf; 3 1 3; inf 3 1", 5, id="hyperbolic-5")])
 def test_multiply_across_the_boundary_matches_word_kernel(spec, radius):
     matrix = parse_coxeter_matrix(spec)
-    kernel = WordKernel(matrix.entries)
     ball = enumerate_ball(matrix, radius)
     for u in range(len(ball)):
         for v in range(len(ball)):
-            want = ball.index.get(kernel.shortlex(ball.word(u) + ball.word(v)))
+            want = ball.index.get(bytes(braid_normal_form(matrix, ball.word(u) + ball.word(v))))
             if want is None:
                 with pytest.raises(OutOfBallError):
                     ball.multiply(u, v)

@@ -189,6 +189,20 @@ def test_export_round_trip(tmp_path, capsys):
     assert code == 2 and "not a poset" in err
 
 
+@pytest.mark.parametrize("poset,message", [
+    ({"nodes": [0, 1], "covers": [[0, 5]]}, "does not join two of the 2 nodes"),
+    ({"nodes": [0, 1], "covers": [[0, 1], [1, 0]]}, "cycle"),
+    ({"nodes": [0, 1, 2], "covers": [[0, 1]], "rank": [0, 1]},
+     "rank list has 2 entries for 3 nodes"),
+], ids=["index-out-of-range", "cover-cycle", "short-rank"])
+def test_export_rejects_a_malformed_poset(tmp_path, capsys, poset, message):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset))
+    for fmt in ("dot", "json", "csv"):
+        code, out, err = _run(capsys, ["export", "--in", str(path), "--format", fmt])
+        assert (code, out) == (2, "") and message in err
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "coxkit.cfg"
     cfg.write_text("# defaults\ntype = A2\nk = 1\n")

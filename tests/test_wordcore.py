@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit import named_matrix
-from coxkit.wordcore import ClosureBudgetError, WordKernel
+from coxkit import (is_reduced, named_matrix, normal_form, parse_coxeter_matrix,
+                    reduce_word)
 
-from oracles import all_reduced_words
+from models import model_ball
+from oracles import all_reduced_words, braid_normal_form, braid_reduce
 
 MATRICES = [named_matrix(n) for n in ("A3", "B3", "H3", "I2(7)", "I2(inf)", "affA2")]
+HYPERBOLIC = parse_coxeter_matrix("1 3 inf; 3 1 3; inf 3 1")
 
 
 def _random_words(matrix, count=120, max_len=12, seed=11):
@@ -22,46 +24,51 @@ def _random_words(matrix, count=120, max_len=12, seed=11):
 
 @pytest.mark.parametrize("matrix", MATRICES, ids=lambda m: m.name)
 def test_shortlex_properties(matrix):
-    kernel = WordKernel(matrix.entries)
     for w in _random_words(matrix, count=60):
-        red = kernel.reduce(w)
-        nf = kernel.shortlex(w)
+        red = reduce_word(matrix, w)
+        nf = normal_form(matrix, w)
         assert len(red) <= len(w)
         assert len(nf) == len(red)
-        assert kernel.is_reduced(nf)
-        assert kernel.shortlex(nf) == nf  # idempotent
+        assert is_reduced(matrix, nf)
+        assert normal_form(matrix, nf) == nf  # idempotent
         assert nf <= red  # least member of the braid class
 
 
 @pytest.mark.parametrize("matrix", MATRICES[:3], ids=lambda m: m.name)
 def test_shortlex_is_least_reduced_word(matrix):
-    kernel = WordKernel(matrix.entries)
     for w in _random_words(matrix, count=25, max_len=8, seed=5):
-        nf = kernel.shortlex(w)
-        words = all_reduced_words(matrix, kernel.reduce(w))
-        assert tuple(nf) == min(words)
+        assert normal_form(matrix, w) == min(all_reduced_words(matrix, w))
 
 
 def test_reduced_iff_length_preserved():
     matrix = named_matrix("B3")
-    kernel = WordKernel(matrix.entries)
     for w in _random_words(matrix, count=80, seed=3):
-        assert kernel.is_reduced(w) == (len(kernel.reduce(w)) == len(w))
+        assert is_reduced(matrix, w) == (len(braid_reduce(matrix, w)) == len(w))
 
 
-def test_closure_budget_error():
+@pytest.mark.parametrize("matrix", MATRICES + [HYPERBOLIC, named_matrix("F4")],
+                         ids=lambda m: m.name or "hyperbolic")
+def test_free_words_match_braid_oracle(matrix):
+    for w in _random_words(matrix, count=40, max_len=10, seed=17):
+        want = braid_normal_form(matrix, w)
+        assert normal_form(matrix, w) == want
+        assert reduce_word(matrix, w) == want
+        assert is_reduced(matrix, w) == (len(want) == len(w))
+
+
+def test_longest_word_of_a5():
+    # its braid class has 292,864 words, so a search over it is costly
     matrix = named_matrix("A5")
-    kernel = WordKernel(matrix.entries, 5)
-    # the longest element has a huge braid class
-    long_word = bytes([0, 1, 0, 2, 1, 0, 3, 2, 1, 0, 4, 3, 2, 1, 0])
-    with pytest.raises(ClosureBudgetError):
-        kernel.shortlex(long_word)
+    w0 = (0, 1, 0, 2, 1, 0, 3, 2, 1, 0, 4, 3, 2, 1, 0)
+    top = model_ball(matrix, 15)
+    top_word = tuple(top.word(max(range(len(top)), key=top.length)))
+    assert normal_form(matrix, w0) == top_word
+    assert is_reduced(matrix, w0)
+    assert not is_reduced(matrix, w0 + (3,))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 2), max_size=10))
 def test_involution_of_appended_inverse(letters):
     matrix = named_matrix("B3")
-    kernel = WordKernel(matrix.entries)
-    w = bytes(letters)
-    assert kernel.reduce(w + bytes(reversed(w))) == b""
+    assert reduce_word(matrix, letters + letters[::-1]) == ()
