@@ -78,8 +78,11 @@ class GroupBall:
         for i, letter in enumerate(letters):
             y = self.right[x][letter]
             if y == BOUNDARY:
-                return self._walk(x, letters[i:], f"word {list(letters)} has length "
-                                                  f"> radius {self.radius}")
+                y = self._walk(x, letters[i:], self.radius)
+                if y is None:
+                    raise OutOfBallError(f"word {list(letters)} has length "
+                                         f"> radius {self.radius}")
+                return y
             x = y
         return x
 
@@ -112,23 +115,25 @@ class GroupBall:
         for letter in reversed(self.elements[u].word):
             x = self.left[x][letter]
             if x == BOUNDARY:
-                return self._walk(u, self.elements[v].word,
-                                  f"product of elements {u}, {v} has length "
-                                  f"> radius {self.radius}; enlarge the ball")
+                x = self._walk(u, self.elements[v].word, self.radius)
+                if x is None:
+                    raise OutOfBallError(f"product of elements {u}, {v} has length "
+                                         f"> radius {self.radius}; enlarge the ball")
+                return x
         return x
 
     # -- beyond the radius ----------------------------------------------------
 
-    def _walk(self, x: int, letters, message: str) -> int:
+    def _walk(self, x: int, letters, limit: int):
         """x times the letters, through elements beyond the radius where
-        needed; OutOfBallError as soon as the letters still to come cannot
-        bring the product back into the ball."""
+        needed; None as soon as the letters still to come cannot bring the
+        product down to length <= limit."""
         todo = len(letters)
         for letter in letters:
             x = self._times(x, letter)
             todo -= 1
-            if self._length(x) - todo > self.radius:
-                raise OutOfBallError(message)
+            if self._length(x) - todo > limit:
+                return None
         return x
 
     def _length(self, x: int) -> int:

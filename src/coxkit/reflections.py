@@ -5,22 +5,40 @@ A reflection is any conjugate w s w^-1 of a generator.  Every
 reflection of length <= L arises with l(w s w^-1) = 2 l(w) + 1, so a
 sweep over the half ball is exhaustive.
 
-For two reflections t, t' the subgroup W' = <t, t'> is dihedral.  Its
-Cayley graph with respect to {t, t'} is a path (infinite case) or cycle
-(finite case), and group length is strictly monotone in the internal
-length of W' (a Bruhat-order consequence), so walking the chain inside
-the ball enumerates exactly the members of W' that fit in the ball,
-with no re-entry past the boundary.  The canonical generating pair is
-then certified by the descent criterion: a reflection r of W' is
-canonical iff no even-internal-length member w != e has l(w) < l(r);
-every witness w is shorter than r, hence inside the ball, so the
-certificate never depends on truncated data.
+For two reflections t, t' the subgroup W' = <t, t'> is dihedral, and
+its canonical generating pair is its two reflections of internal length
+1 (Dyer, J. Algebra 135, 1990).  The Bruhat order of W' for that pair
+implies the Bruhat order of W, so group length is strictly monotone in
+internal length.  `dihedral_subgroup` finds W' in three steps:
+
+1. Conjugation descent: while l(aba) < l(b), b becomes aba, and likewise
+   a becomes bab.  Each step keeps an adjacent pair (neighbours in the
+   circular or linear order of the reflections of W') adjacent and makes
+   it shorter, and an adjacent pair other than the canonical one has a
+   conjugate of lower internal length, hence shorter; so the descent ends
+   at the canonical pair.  Every generating pair is adjacent when W' is
+   infinite or of order 2m with m in {2, 3, 4, 6}.
+2. Only for a matrix with a finite bond outside {2, 3, 4, 6}: the walk
+   a, b, a, ... from e, for at most 2M steps with M the largest bond.  A
+   finite W' lies in a conjugate of a finite parabolic subgroup (Tits),
+   where the order m of ab is at most the largest bond of its component;
+   so the walk comes back to e, the cycle is all of W', and its two
+   shortest reflections are the canonical pair.  A walk that does not
+   come back means W' is infinite and the descent was exact.
+3. A BFS over right multiplication by the canonical pair, inside the
+   ball, gives the members, their internal lengths and the reflections;
+   by monotonicity each member in the ball is reached through members in
+   the ball.
+
+Products in steps 1 and 2 are followed past the radius with
+`GroupBall._walk` and `GroupBall._times`; a conjugate is dropped as soon
+as the letters still to come cannot bring it below the bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ball import BOUNDARY, GroupBall
+from .ball import GroupBall
 from .errors import DomainError, IncompleteSliceError, OutOfBallError
 from .posets import Poset
 
@@ -47,7 +65,7 @@ class ReflectionSubgroup:
     reflection_ids: tuple[int, ...]       # reflections of W' inside the ball
     canonical_generators: tuple[int, ...]  # the canonical pair (or single id)
     is_dihedral: bool
-    escaped: bool                          # chain left the ball (W' truncated)
+    escaped: bool                          # some member of W' is beyond the radius
     internal_length: dict[int, int] = field(default_factory=dict)
 
 
@@ -81,46 +99,46 @@ def t_k_set(table: ReflectionTable, k: int) -> frozenset[int]:
 # -- dihedral reflection subgroups -------------------------------------------
 
 
-def _chain_walk(ball: GroupBall, t: int, tp: int):
-    """Walk the two-involution Cayley chain of <t, t'> from the identity
-    in both directions, inside the ball.
+def _descend(ball: GroupBall, a: int, b: int) -> tuple[int, int]:
+    """Replace b by a*b*a, or a by b*a*b, while that shortens it."""
+    while True:
+        c = ball._walk(a, ball.word(b) + ball.word(a), ball.length(b) - 1)
+        if c is not None:
+            b = c
+            continue
+        c = ball._walk(b, ball.word(a) + ball.word(b), ball.length(a) - 1)
+        if c is None:
+            return a, b
+        a = c
 
-    Returns (members, odd_parity_set, escaped, closed_cycle).
-    """
-    members = {ball.identity}
-    odd = set()
-    escaped = False
-    closed = False
-    for first, second in ((t, tp), (tp, t)):
-        x = ball.identity
-        parity = 0
-        gen = first
-        while True:
-            try:
-                y = ball.multiply(x, gen)
-            except OutOfBallError:
-                escaped = True
-                break
-            parity ^= 1
-            if y == ball.identity:
-                closed = True
-                break
-            if y in members:
-                break  # met the other direction's sweep
-            members.add(y)
-            if parity:
-                odd.add(y)
-            x = y
-            gen = second if gen == first else first
-        if closed:
-            break
-    return members, odd, escaped, closed
+
+def _walk_steps(matrix) -> int:
+    """2M for M the largest finite bond, when some finite bond is not 2,
+    3, 4 or 6; else 0 (no walk is needed)."""
+    bonds = {matrix.m(s, t) for s in matrix.generators
+             for t in matrix.generators if s < t and matrix.is_finite_bond(s, t)}
+    return 2 * max(bonds) if bonds - {2, 3, 4, 6} else 0
+
+
+def _finite_cycle(ball: GroupBall, a: int, b: int, steps: int):
+    """[a, ab, aba, ...], the elements before (ab)^m = e, if the walk
+    comes back to e within `steps` steps (W' finite of order 2m); else
+    None."""
+    words = (ball.word(a), ball.word(b))
+    x = ball.identity
+    cycle = []
+    for i in range(steps):
+        for s in words[i % 2]:
+            x = ball._times(x, s)
+        if x == ball.identity:
+            return cycle
+        cycle.append(x)
+    return None
 
 
 def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
     """The reflection subgroup <t, t'> intersected with the ball, with
-    its canonical generating pair (certified exactly; see module
-    docstring)."""
+    its canonical generating pair (exact; see module docstring)."""
     for x in (t, tp):
         w = ball.word(x)
         if ball.multiply(x, x) != ball.identity or len(w) % 2 == 0:
@@ -130,57 +148,15 @@ def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
             ball=ball, member_ids=(ball.identity, t), reflection_ids=(t,),
             canonical_generators=(t,), is_dihedral=False, escaped=False,
             internal_length={ball.identity: 0, t: 1})
-    # Enumerating W' inside the ball: the chain walk is exhaustive only
-    # for the canonical generating pair (group length is then monotone
-    # along the chain); for other pairs it may stop early.  So the
-    # member set starts from the in-ball product closure of {t, t'},
-    # the canonical pair is read off by the even-member criterion, and
-    # the walk with that pair (which is exact) must reproduce the set;
-    # any new member restarts the loop.  Failure to stabilize means the
-    # ball is too small, never a silently wrong answer.
-    members = {ball.identity, t, tp}
-    escaped = False
-    while True:
-        # close under in-ball products
-        changed = True
-        while changed:
-            changed = False
-            for u in list(members):
-                for v in list(members):
-                    try:
-                        w = ball.multiply(u, v)
-                    except OutOfBallError:
-                        escaped = True
-                        continue
-                    if w not in members:
-                        members.add(w)
-                        changed = True
-        # members of odd length are the reflections of W' (alternating
-        # products of an odd number of t, t' factors)
-        refl = sorted(w for w in members if ball.length(w) % 2 == 1)
-        min_even = min((ball.length(w) for w in members
-                        if ball.length(w) % 2 == 0 and w != ball.identity),
-                       default=None)
-        canon = [r for r in refl
-                 if min_even is None or ball.length(r) <= min_even]
-        canon.sort(key=lambda r: (ball.length(r), r))
-        if len(canon) < 2:
-            raise OutOfBallError(
-                f"canonical generators of <{t},{tp}> not certified inside "
-                f"radius {ball.radius}")
-        walked, _odd, walk_escaped, _closed = _chain_walk(ball, canon[0], canon[1])
-        escaped = escaped or walk_escaped
-        if walked <= members:
-            if members - walked:
-                raise OutOfBallError(
-                    f"member set of <{t},{tp}> not certified inside radius "
-                    f"{ball.radius}")
-            break
-        members |= walked
-    x, y = canon[:2]
+    pair = _descend(ball, t, tp)
+    cycle = _finite_cycle(ball, *pair, _walk_steps(ball.matrix))
+    if cycle is not None:  # its reflections are a, aba, ababa, ...
+        pair = cycle[::2]
+    x, y = sorted(pair, key=lambda r: (ball._length(r), r))[:2]
     # internal length: BFS over right multiplication by the canonical pair
     internal = {ball.identity: 0}
     frontier = [ball.identity]
+    escaped = False
     while frontier:
         nxt = []
         for w in frontier:
@@ -188,19 +164,18 @@ def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
                 try:
                     z = ball.multiply(w, g)
                 except OutOfBallError:
+                    escaped = True
                     continue
-                if z in members and z not in internal:
+                if z not in internal:
                     internal[z] = internal[w] + 1
                     nxt.append(z)
         frontier = nxt
-    if set(internal) != members:
-        raise OutOfBallError(
-            f"internal lengths of <{t},{tp}> not certified inside radius "
-            f"{ball.radius}")
+    members = tuple(sorted(internal))
     return ReflectionSubgroup(
-        ball=ball, member_ids=tuple(sorted(members)),
-        reflection_ids=tuple(refl), canonical_generators=(x, y),
-        is_dihedral=True, escaped=escaped, internal_length=internal)
+        ball=ball, member_ids=members,
+        reflection_ids=tuple(w for w in members if internal[w] % 2),
+        canonical_generators=(x, y), is_dihedral=True, escaped=escaped,
+        internal_length=internal)
 
 
 def omega_distance_in_dihedral(sub: ReflectionSubgroup, t: int, tp: int):

@@ -14,7 +14,7 @@ import json
 from .ball import BOUNDARY, Element, GroupBall, _left_from_right
 from .errors import DomainError
 from .matrices import CoxeterMatrix
-from .posets import Poset, _topo
+from .posets import Poset
 
 __all__ = [
     "ball_to_json_dict", "ball_from_json_dict", "poset_to_json_dict",
@@ -93,21 +93,24 @@ def poset_to_json_dict(poset: Poset) -> dict:
 
 def poset_from_json_dict(data: dict) -> Poset:
     """Inverse of `poset_to_json_dict`.  DomainError unless every cover
-    joins two node indices, the covers have no cycle and a rank list
-    has one entry per node."""
+    joins two node indices, a rank list has one entry per node, and the
+    covers have no cycle and are the covers of the order they generate."""
     nodes = [tuple(x) if isinstance(x, list) else x for x in data["nodes"]]
     n = len(nodes)
     covers = [tuple(c) for c in data["covers"]]
-    succ = [0] * n
     for c in covers:
-        if len(c) != 2 or not all(type(i) is int and 0 <= i < n for i in c):
+        if (len(c) != 2 or not all(type(i) is int and 0 <= i < n for i in c)
+                or c[0] == c[1]):
             raise DomainError(f"cover {list(c)} does not join two of the {n} nodes")
-        succ[c[0]] |= 1 << c[1]
-    _topo(succ, n)
     rank = data.get("rank")
     if rank is not None and len(rank) != n:
         raise DomainError(f"rank list has {len(rank)} entries for {n} nodes")
-    return Poset(nodes, covers, rank=rank, metadata=data.get("metadata"))
+    poset = Poset.from_relation(nodes, covers, rank=rank, metadata=data.get("metadata"))
+    reduced = set(poset.covers)
+    for c in covers:
+        if c not in reduced:
+            raise DomainError(f"cover {list(c)} is implied by the other covers")
+    return poset
 
 
 def _dot_quote(s) -> str:

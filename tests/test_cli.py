@@ -194,7 +194,9 @@ def test_export_round_trip(tmp_path, capsys):
     ({"nodes": [0, 1], "covers": [[0, 1], [1, 0]]}, "cycle"),
     ({"nodes": [0, 1, 2], "covers": [[0, 1]], "rank": [0, 1]},
      "rank list has 2 entries for 3 nodes"),
-], ids=["index-out-of-range", "cover-cycle", "short-rank"])
+    ({"nodes": [0, 1, 2], "covers": [[0, 1], [1, 2], [0, 2]]},
+     "cover [0, 2] is implied by the other covers"),
+], ids=["index-out-of-range", "cover-cycle", "short-rank", "redundant-cover"])
 def test_export_rejects_a_malformed_poset(tmp_path, capsys, poset, message):
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(poset))

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from coxkit import (DomainError, IncompleteSliceError, OutOfBallError,
-                    enumerate_ball, named_matrix)
+                    enumerate_ball, named_matrix, parse_coxeter_matrix)
+from coxkit.matrices import longest_length
 from coxkit.posets import order_ideals
 from coxkit.reflections import (dihedral_subgroup, is_order_ideal,
                                 omega_distance_in_dihedral,
@@ -133,11 +134,53 @@ def test_infinite_dihedral_subgroups():
     sub = dihedral_subgroup(ball, tst, tststst)
     assert sorted(sub.canonical_generators) == sorted([s, tst])
 
-    # a tiny ball still certifies <s, t> (no shorter witness can exist)
+    # a tiny ball still finds the canonical pair {s, t}
     tiny = enumerate_ball(named_matrix("I2(inf)"), 2)
     sub = dihedral_subgroup(tiny, tiny.id_of_word((0,)), tiny.id_of_word((1,)))
     assert sub.escaped
     assert sorted(tuple(tiny.word(c)) for c in sub.canonical_generators) == [(0,), (1,)]
+
+
+def _subgroup_words(ball, t, tp, radius):
+    """<t, t'> as words: its members, canonical pair and internal lengths
+    of length <= radius."""
+    sub = dihedral_subgroup(ball, t, tp)
+    il = {tuple(ball.word(w)): n for w, n in sub.internal_length.items()
+          if ball.length(w) <= radius}
+    return (sorted(il), sorted(tuple(ball.word(c)) for c in sub.canonical_generators), il)
+
+
+@pytest.mark.parametrize("matrix, radius, full", [
+    (named_matrix("I2(5)"), 3, 5), (named_matrix("I2(7)"), 5, 7),
+    (named_matrix("I2(8)"), 5, 8), (named_matrix("H3"), 7, 15),
+    (named_matrix("H3"), 9, 15), (named_matrix("H3"), 11, 15),
+    (parse_coxeter_matrix("1 5 3; 5 1 3; 3 3 1"), 7, 11),
+], ids=["I2(5)@3", "I2(7)@5", "I2(8)@5", "H3@7", "H3@9", "H3@11", "hyp533@7"])
+def test_truncated_dihedral_subgroups_match_the_complete_ball(matrix, radius, full):
+    # the larger ball is the whole group for the finite types, and a ball
+    # of radius 11 for the hyperbolic (5, 3, 3) triangle group
+    small = enumerate_ball(matrix, radius)
+    large = enumerate_ball(matrix, full)
+    for t, tp in combinations(reflections_in_ball(small).reflections, 2):
+        lt, ltp = (large.id_of_word(small.word(x)) for x in (t, tp))
+        assert (_subgroup_words(small, t, tp, radius)
+                == _subgroup_words(large, lt, ltp, radius)), (small.word(t), small.word(tp))
+
+
+@pytest.mark.parametrize("name", ["H3", "F4", "B4", "D4", "I2(8)", "I2(12)"])
+def test_reflection_products_have_order_at_most_the_largest_bond(name):
+    # dihedral_subgroup's walk of 2M steps finds every finite <t, t'> only
+    # if this holds
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    largest = max(matrix.m(s, t) for s, t in combinations(matrix.generators, 2))
+    for t, tp in combinations(reflections_in_ball(ball).reflections, 2):
+        r = x = ball.multiply(t, tp)
+        order = 1
+        while x != ball.identity:
+            x = ball.multiply(x, r)
+            order += 1
+        assert order <= largest, (ball.word(t), ball.word(tp), order)
 
 
 def test_t_order_a3_matches_known_covers(ball_a3, table_a3):
