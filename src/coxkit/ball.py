@@ -41,7 +41,6 @@ class GroupBall:
         self.inv = inv
         self.is_complete_group = is_complete_group
         self.index = {e.word: e.id for e in elements}
-        self._bruhat_memo: dict[tuple[int, int], bool] = {}
         # elements beyond the radius met by lookups, with ids from
         # len(elements) on: their right rows (None = not yet known),
         # lengths and right-descent masks; `_rim` holds w*s for the top
@@ -200,26 +199,18 @@ class GroupBall:
 
     def bruhat_leq(self, u: int, v: int) -> bool:
         """Bruhat order, via the descent recursion u <= v iff
-        (su <= sv if s in D_L(u) else u <= sv) for s in D_L(v)."""
-        if u == v:
-            return True
-        lu, lv = self.elements[u].length, self.elements[v].length
-        if lu >= lv:
-            return False
-        memo = self._bruhat_memo
-        key = (u, v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        s = min(self.left_descents(v))
-        sv = self.left[v][s]
-        su = self.left[u][s]
-        if self.elements[su].length < lu:
-            res = self.bruhat_leq(su, sv)
-        else:
-            res = self.bruhat_leq(u, sv)
-        memo[key] = res
-        return res
+        (su <= sv if s in D_L(u) else u <= sv) for s in D_L(v); it is a
+        tail call, so a loop of at most l(v) steps."""
+        elements, left = self.elements, self.left
+        while u != v:
+            if elements[u].length >= elements[v].length:
+                return False
+            s = min(self.left_descents(v))
+            su = left[u][s]
+            if elements[su].length < elements[u].length:
+                u = su
+            v = left[v][s]
+        return True
 
     def coxeter_elements(self) -> list[int]:
         """Distinct products of all generators, each used once."""

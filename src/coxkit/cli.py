@@ -137,11 +137,11 @@ def cmd_ball(args) -> int:
 
 def _order_poset(args, ball):
     kind = args.kind
+    if kind == "bruhat":
+        return orders.bruhat_poset(ball)
     table = reflections.reflections_in_ball(ball)
     if kind == "torder":
         return reflections.t_order_poset(table)
-    if kind == "bruhat":
-        return orders.bruhat_poset(ball, table)
     k = int(args.k or 0)
     if kind in ("weak", "intermediate"):
         kk = 0 if kind == "weak" else k
@@ -229,34 +229,35 @@ def cmd_export(args) -> int:
 
 class _Run:
     """What the checks of one `cmd_check` run share, each built on first
-    use: the intermediate poset of each T_k slice, the Bruhat poset and
-    the projection maps."""
+    use: the intermediate poset of each T_k slice, the Bruhat poset, the
+    k-absolute length table of each k and the projection maps."""
 
     def __init__(self, ball, table):
         self.ball, self.table = ball, table
-        self._posets = {}  # X -> intermediate poset, for T_k slices
-        self._maps = {}    # (J, kind) -> projection map
-        self._bruhat = None
+        self._built = {}
+
+    def _once(self, key, build):
+        value = self._built.get(key)
+        if value is None:
+            value = self._built[key] = build()
+        return value
 
     def intermediate(self, k):
         X = reflections.t_k_set(self.table, k)
-        poset = self._posets.get(X)
-        if poset is None:
-            poset = self._posets[X] = orders.intermediate_poset(self.ball, X)
-        return poset
+        return self._once(X, lambda: orders.intermediate_poset(self.ball, X))
 
     def bruhat(self):
-        if self._bruhat is None:
-            self._bruhat = orders.bruhat_poset(self.ball, self.table)
-        return self._bruhat
+        return self._once("bruhat", lambda: orders.bruhat_poset(self.ball))
+
+    def absolute_length(self, k):
+        # keyed by k, not by the slice: the table's k goes into the
+        # k-absolute poset's metadata
+        return self._once(("lk", k),
+                          lambda: orders.k_absolute_length_all(self.table, k))
 
     def projection(self, J, kind):
-        key = (frozenset(J), kind)
-        table = self._maps.get(key)
-        if table is None:
-            table = self._maps[key] = projections.projection_map(
-                self.ball, J, kind)
-        return table
+        return self._once((frozenset(J), kind),
+                          lambda: projections.projection_map(self.ball, J, kind))
 
 
 def _ideal_posets(run, mode):
@@ -380,7 +381,8 @@ def _check_monoid(run, args):
     ks = _parse_k_range(args.k, _max_k(ball, run.table))
     gens = [run.projection([s], "P") for s in ball.matrix.generators]
     # the closure does not depend on k; order preservation is decided on
-    # the generators, as in `projection_monoid`
+    # the generators: they are members, and composites of order-preserving
+    # maps preserve order
     rep = projections.projection_monoid(ball, gens)
     rows = []
     ok = True
@@ -400,7 +402,7 @@ def _check_logconcave(run, args):
     ks = _parse_k_range(args.k, _max_k(run.ball, run.table))
     rows = []
     for k in ks:
-        poly = polynomials.gen_poly(orders.k_absolute_length_all(run.table, k))
+        poly = polynomials.gen_poly(run.absolute_length(k))
         rows.append({"k": k, "coeffs": list(poly.coeffs),
                      "log_concave": polynomials.is_log_concave(poly),
                      "unimodal": polynomials.is_unimodal(poly)})
@@ -413,7 +415,7 @@ def _check_shellability(run, args):
     rows = []
     for k in ks:
         inter = run.intermediate(k)
-        absol = orders.k_absolute_poset(orders.k_absolute_length_all(table, k))
+        absol = orders.k_absolute_poset(run.absolute_length(k))
         for flavor, poset in (("intermediate", inter), ("absolute", absol)):
             for c in ball.coxeter_elements():
                 if not poset.leq(ball.identity, c):
@@ -495,19 +497,25 @@ def cmd_check(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--type", help="named Coxeter type, e.g. A3, B4, I2(7)")
-    sub.add_argument("--matrix", help="explicit matrix, e.g. '1 3; 3 1'")
-    sub.add_argument("--radius", help="ball radius, or 'auto' for full finite groups")
-    sub.add_argument("--k", help="slice parameter: single value, 'a..b', or comma list")
+def _add_output(sub):
     sub.add_argument("--out", help="output file (default stdout)")
     sub.add_argument("--format", help="json (every command), dot (order, export), "
                                       "csv (order, export, curvature)")
+    sub.add_argument("--config", help="key=value file supplying flag defaults")
+
+
+def _add_ball(sub, k=True):
+    """The options of the commands that build a ball; `k` adds --k."""
+    _add_output(sub)
+    sub.add_argument("--type", help="named Coxeter type, e.g. A3, B4, I2(7)")
+    sub.add_argument("--matrix", help="explicit matrix, e.g. '1 3; 3 1'")
+    sub.add_argument("--radius", help="ball radius, or 'auto' for full finite groups")
+    if k:
+        sub.add_argument("--k", help="slice parameter: single value, 'a..b', or comma list")
     sub.add_argument("--cap-elements", dest="cap_elements",
                      help="ball element cap (default 2000000)")
     sub.add_argument("--timeout-secs", dest="timeout_secs",
                      help="soft wall-clock budget for check suites")
-    sub.add_argument("--config", help="key=value file supplying flag defaults")
 
 
 def build_parser(defaults=None) -> argparse.ArgumentParser:
@@ -521,32 +529,32 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ball", help="enumerate a ball and emit JSON")
-    _add_common(p)
+    _add_ball(p, k=False)
     p.set_defaults(fn=cmd_ball)
 
     p = subs.add_parser("order", help="build an order on a ball")
-    _add_common(p)
+    _add_ball(p)
     p.add_argument("--kind", default="intermediate",
                    help="weak | intermediate | absolute | bruhat | torder")
     p.set_defaults(fn=cmd_order)
 
     p = subs.add_parser("check", help="run a verification suite")
-    _add_common(p)
+    _add_ball(p)
     p.add_argument("--checks", help="comma list: " + ",".join(ALL_CHECKS))
     p.add_argument("--ideal", default="tk", choices=("tk", "all"),
                    help="quantify ideal checks over T_k slices or all ideals")
     p.set_defaults(fn=cmd_check)
 
     p = subs.add_parser("poly", help="distance generating polynomials")
-    _add_common(p)
+    _add_ball(p)
     p.set_defaults(fn=cmd_poly)
 
     p = subs.add_parser("curvature", help="edge curvature spectrum")
-    _add_common(p)
+    _add_ball(p)
     p.set_defaults(fn=cmd_curvature)
 
     p = subs.add_parser("export", help="convert a saved poset JSON file")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--in", dest="input", required=True, help="input JSON file")
     p.set_defaults(fn=cmd_export)
     if defaults:

@@ -64,24 +64,38 @@ def intermediate_poset(ball: GroupBall, x_set) -> Poset:
                   "boundary_skips": g.boundary_skips})
 
 
-def bruhat_poset(ball: GroupBall, table: ReflectionTable) -> Poset:
-    """Bruhat order on all ball elements, ranked by length.
+def bruhat_poset(ball: GroupBall) -> Poset:
+    """Bruhat order on all ball elements, ranked by length, from its
+    covers.
 
-    On a complete group this is the reachability order of the arc graph
-    over all reflections (Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, 2.1).  A truncated ball can miss the witnessing reflection:
-    in I2(inf) at radius 2, s < st needs sts, of length 3.  There every
-    pair is tested with `bruhat_leq`.
+    For s the smallest left descent of v, the elements covered by v are
+    s v, and s u for each u covered by s v with l(s u) = l(u) + 1.
+    Proof: by the subword property (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, 2.2.2) the covers of v are the one-letter deletions
+    of any fixed reduced word of v that have length l(v) - 1.  Take a
+    word s w with w a reduced word of s v.  Deleting the s gives s v.
+    Deleting a letter of w gives s u with u a deletion of w, of length
+    l(v) - 1 iff l(u) = l(v) - 2 and l(s u) = l(u) + 1; and the
+    deletions u of w with l(u) = l(v) - 2 are exactly the elements
+    covered by s v (2.2.2 again, for the word w).
+
+    Every cover lies in the ball, which is a lower set of Bruhat order,
+    so this holds on truncated balls too.  The ids are visited by
+    length, since a ball read from JSON may number them in any order.
     """
     n = len(ball)
-    if ball.is_complete_group:
-        pairs = [(a, b) for a, b, _t in omega_graph(ball, table.reflections).arcs]
-    else:
-        pairs = [(u, v) for u in range(n) for v in range(n)
-                 if u != v and ball.bruhat_leq(u, v)]
-    return Poset.from_relation(
-        list(range(n)), pairs, rank=[ball.length(w) for w in range(n)],
-        metadata={"kind": "bruhat"})
+    rank = [ball.length(w) for w in range(n)]
+    left = ball.left
+    below = [()] * n  # the elements each id covers
+    pairs = []
+    for v in sorted(range(1, n), key=rank.__getitem__):
+        s = min(ball.left_descents(v))
+        sv = left[v][s]
+        below[v] = [sv] + [left[u][s] for u in below[sv]
+                           if rank[left[u][s]] > rank[u]]
+        pairs += [(u, v) for u in below[v]]
+    return Poset.from_relation(list(range(n)), pairs, rank=rank,
+                               metadata={"kind": "bruhat"})
 
 
 @dataclass
@@ -233,7 +247,7 @@ def refinement_chain_check(table: ReflectionTable, k_max: int,
         intermediate = [intermediate_poset(ball, t_k_set(table, k))
                         for k in range(k_max + 1)]
     if bruhat is None:
-        bruhat = bruhat_poset(ball, table)
+        bruhat = bruhat_poset(ball)
     ups = [p.up for p in intermediate[:k_max + 1]]
     top = bruhat.up
 

@@ -184,22 +184,16 @@ class MonoidReport:
     size: int
     idempotent: bool
     braid_ok: bool
-    order_preserving: bool | None
     elements: list = field(default_factory=list)  # SelfMapTable list
 
 
 def projection_monoid(ball: GroupBall, generators: list[SelfMapTable],
-                      poset: Poset | None = None,
                       cap: int = 1_000_000) -> MonoidReport:
     """Closure of the generator maps under composition, as function
     tables, with the generator sanity checks.
 
     braid_ok: for every pair of single-generator projections, the
     m(s,t)-fold alternating compositions on both sides agree.
-    order_preserving: every generated map preserves the given order
-    (None when no poset is supplied).  The generators decide it: they
-    are members, and a composite of order-preserving maps preserves
-    order.
     """
     if not ball.is_complete_group:
         raise DomainError("monoid closure needs the complete finite group")
@@ -243,8 +237,5 @@ def projection_monoid(ball: GroupBall, generators: list[SelfMapTable],
                 b = (y if i % 2 == 0 else x).compose(b)
             if a.images != b.images:
                 braid_ok = False
-    preserving = None
-    if poset is not None:
-        preserving = all(is_order_preserving(g, poset).ok for g in generators)
     return MonoidReport(size=len(elements), idempotent=idem, braid_ok=braid_ok,
-                        order_preserving=preserving, elements=elements)
+                        elements=elements)

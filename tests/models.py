@@ -5,6 +5,8 @@ word rewriting: permutations for type A, signed permutations for B/C,
 even-signed permutations for D, and an explicit rotation/reflection
 model for dihedral groups.  `model_ball` builds a ball from a model
 alone, as the oracle the engine is compared with edge for edge.
+`longest_first` renumbers a ball through its JSON form, for code that
+must not assume ids in length order.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import re
 
 from coxkit.ball import BOUNDARY, Element, GroupBall
 from coxkit.matrices import CoxeterMatrix
+from coxkit.serialize import ball_from_json_dict, ball_to_json_dict
 
 
 class PermutationModel:
@@ -184,3 +187,18 @@ def model_ball(matrix: CoxeterMatrix, radius: int) -> GroupBall:
         words[w] = bytes([s]) + words[left[w][s]]
     elements = [Element(i, words[i], lengths[i]) for i in range(n)]
     return GroupBall(matrix, radius, elements, right, left, inv, complete)
+
+
+def longest_first(ball: GroupBall) -> GroupBall:
+    """The ball read back from JSON with its ids renumbered so that the
+    longest elements come first.  A ball read from JSON may number its
+    elements in any order that keeps the identity at 0."""
+    n = len(ball)
+    new_id = [0] + list(range(n - 1, 0, -1))
+    data = ball_to_json_dict(ball)
+    data["elements"] = [dict(d, id=new_id[d["id"]]) for d in data["elements"]]
+    cayley = [None] * n
+    for w, row in enumerate(data["cayley"]):
+        cayley[new_id[w]] = [x if x < 0 else new_id[x] for x in row]
+    data["cayley"] = cayley
+    return ball_from_json_dict(data)

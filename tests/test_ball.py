@@ -162,6 +162,22 @@ def test_bruhat_matches_subword_oracle_b3_sample(ball_b3):
         assert ball.bruhat_leq(u, v) == bruhat_subword_leq(ball, u, v)
 
 
+def test_bruhat_leq_deep_in_the_infinite_dihedral_group():
+    # in I2(inf), u < v iff l(u) < l(v); the descent recursion runs
+    # l(v) steps deep, past the interpreter's recursion limit
+    ball = enumerate_ball(named_matrix("I2(inf)"), 1100)
+    by_length = {}
+    for w in range(len(ball)):
+        by_length.setdefault(ball.length(w), []).append(w)
+    tops = by_length[1100]
+    assert ball.bruhat_leq(0, tops[0])
+    for v in tops:
+        for length in (0, 1, 2, 549, 550, 1099, 1100):
+            for u in by_length[length]:
+                assert ball.bruhat_leq(u, v) == (length < 1100 or u == v)
+                assert ball.bruhat_leq(v, u) == (u == v)
+
+
 def test_bruhat_lifting_property(ball_a3):
     # for s a left descent of v: u <= v iff min(u, su) <= sv
     ball = ball_a3

@@ -205,6 +205,22 @@ def test_export_rejects_a_malformed_poset(tmp_path, capsys, poset, message):
         assert (code, out) == (2, "") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "--in", "p.json", "--type", "A3"],
+    ["export", "--in", "p.json", "--radius", "2"],
+    ["export", "--in", "p.json", "--timeout-secs", "5"],
+    ["ball", "--type", "A2", "--k", "1"]],
+    ids=["export-type", "export-radius", "export-timeout", "ball-k"])
+def test_flag_a_command_does_not_read_is_usage_error(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps({"nodes": [0, 1], "covers": [[0, 1]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "coxkit.cfg"
     cfg.write_text("# defaults\ntype = A2\nk = 1\n")

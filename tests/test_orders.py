@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from coxkit import IncompleteSliceError, enumerate_ball, named_matrix
+from coxkit import (IncompleteSliceError, enumerate_ball, named_matrix,
+                    parse_coxeter_matrix)
 from coxkit.matrices import longest_length
 from coxkit.orders import (bruhat_poset, intermediate_poset,
                            k_absolute_length_all, k_absolute_poset,
@@ -13,6 +14,7 @@ from coxkit.posets import check_graded
 from coxkit.projections import phi_k_image_poset
 from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 
+from models import longest_first
 from oracles import (brute_closure, brute_covers, brute_k_absolute_covers,
                      perm_of_word, refinement_by_relation_pairs,
                      t_k_word_metric)
@@ -159,7 +161,7 @@ def test_refinement_chain_matches_relation_pairs(name, radius):
     slices = [intermediate_poset(ball, t_k_set(table, k))
               for k in range((min(ball.radius, max(
                   ball.length(t) for t in table.reflections)) - 1) // 2 + 1)]
-    bruhat = bruhat_poset(ball, table)
+    bruhat = bruhat_poset(ball)
     for k_max in range(len(slices)):
         want = refinement_by_relation_pairs(slices[:k_max + 1], bruhat)
         for rep in (refinement_chain_check(table, k_max),
@@ -250,15 +252,26 @@ def test_poset_covers_match_brute_force(name):
         assert poset.covers == _brute_force_covers(poset)
 
 
-@pytest.mark.parametrize("name,radius", [
-    ("A3", None), ("B3", None), ("H3", None), ("I2(inf)", 2), ("B3", 4)])
-def test_bruhat_poset_matches_bruhat_leq(name, radius):
-    if radius is None:
-        ball, table = _complete(name)
-    else:
-        ball = enumerate_ball(named_matrix(name), radius)
-        table = reflections_in_ball(ball)
-    poset = bruhat_poset(ball, table)
+def _bruhat_case(spec, radius, renumber=False, name=None):
+    tag = f"{name or spec}-{radius}" + ("-longest-first" if renumber else "")
+    return pytest.param(spec, radius, renumber, id=tag)
+
+
+@pytest.mark.parametrize("spec,radius,renumber", [
+    _bruhat_case("A3", None), _bruhat_case("B3", None), _bruhat_case("H3", None),
+    _bruhat_case("I2(inf)", 2), _bruhat_case("B3", 4),
+    # truncated balls with 5-bonds, an affine and a hyperbolic type
+    _bruhat_case("H3", 7), _bruhat_case("I2(5)", 4), _bruhat_case("affC2", 7),
+    _bruhat_case("1 3 inf; 3 1 3; inf 3 1", 6, name="hyperbolic"),
+    # ids out of length order, as a ball read from JSON may have them
+    _bruhat_case("B3", 9, True), _bruhat_case("B3", 4, True)])
+def test_bruhat_poset_matches_bruhat_leq(spec, radius, renumber):
+    matrix = parse_coxeter_matrix(spec)
+    ball = enumerate_ball(matrix, longest_length(matrix) if radius is None
+                          else radius)
+    if renumber:
+        ball = longest_first(ball)
+    poset = bruhat_poset(ball)
     n = len(ball)
     less = {(u, v) for u in range(n) for v in range(n)
             if u != v and ball.bruhat_leq(u, v)}
