@@ -49,13 +49,25 @@ def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
     return OmegaGraph(ball=ball, x_set=xs, arcs=arcs, boundary_skips=skips)
 
 
-def intermediate_poset(ball: GroupBall, x_set) -> Poset:
+def _arc_graph(ball: GroupBall, x_set, graph: OmegaGraph | None) -> OmegaGraph:
+    """`graph`, checked to be the arc graph of x_set on ball, or that
+    graph built now."""
+    if graph is None:
+        return omega_graph(ball, x_set)
+    if graph.ball is not ball or graph.x_set != frozenset(x_set):
+        raise DomainError("graph is not the arc graph of this set on this ball")
+    return graph
+
+
+def intermediate_poset(ball: GroupBall, x_set,
+                       graph: OmegaGraph | None = None) -> Poset:
     """Reachability order of the arc graph, on all ball elements.
 
     Complete for every pair inside the ball: each chain step increases
-    length, so witnessing chains cannot leave the ball.
+    length, so witnessing chains cannot leave the ball.  `graph` is the
+    arc graph of x_set, if it is already built.
     """
-    g = omega_graph(ball, x_set)
+    g = _arc_graph(ball, x_set, graph)
     pairs = [(a, b) for a, b, _t in g.arcs]
     rank = [ball.length(w) for w in range(len(ball))]
     return Poset.from_relation(
@@ -107,11 +119,13 @@ class AbsoluteLengthTable:
     witness_arc: list[int]        # reflection used to enter each node, -1 at source
 
 
-def k_absolute_length_all(table: ReflectionTable, k: int) -> AbsoluteLengthTable:
-    """BFS distances from the identity along the k-sliced arc graph."""
+def k_absolute_length_all(table: ReflectionTable, k: int,
+                          graph: OmegaGraph | None = None) -> AbsoluteLengthTable:
+    """BFS distances from the identity along the k-sliced arc graph
+    (`graph`, if it is already built)."""
     ball = table.ball
     tk = t_k_set(table, k)  # raises when the slice is incomplete
-    g = omega_graph(ball, tk)
+    g = _arc_graph(ball, tk, graph)
     succ = [[] for _ in range(len(ball))]
     for a, b, t in g.arcs:
         succ[a].append((b, t))

@@ -556,51 +556,56 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
                  node_budget: int = 500_000) -> ShellingVerdict:
     """Search for a (possibly nonpure) shelling order: every added facet
     must meet the union of its predecessors in a nonempty pure
-    codimension-1 subcomplex of itself."""
+    codimension-1 subcomplex of itself.
+
+    Facets and sets of facets are int bitmasks.  For facets F and G,
+    miss = F & ~G holds the vertices of F outside G.  F & G is a wall
+    (a codimension-1 face of F) iff miss has one bit, and lies in the
+    wall F minus v iff v is in miss; so F can follow the facets G used
+    so far iff some miss has one bit, none is empty (a duplicate), and
+    every other miss meets the union of the one-bit misses.
+    """
     facets = list(dict.fromkeys(complex.facets))
     m = len(facets)
     if m > facet_cap:
         raise ResourceError(f"facet count {m} exceeds cap {facet_cap}")
     if m <= 1:
         return ShellingVerdict("shellable", order=list(facets))
+    bit = {}
+    masks = [sum(bit.setdefault(v, 1 << len(bit)) for v in f) for f in facets]
 
     def can_add(f, used):
-        ff = facets[f]
-        want = len(ff) - 1
-        walls = []
-        others = []
+        ff = masks[f]
+        walls = 0
+        misses = []
         for g in used:
-            x = ff & facets[g]
-            if len(x) == len(ff):
-                return False  # duplicate facet; filtered above, defensive
-            if len(x) == want:
-                walls.append(x)
+            miss = ff & ~masks[g]
+            if miss & (miss - 1):
+                misses.append(miss)
+            elif miss:
+                walls |= miss
             else:
-                others.append(x)
-        if not walls:
-            return False
-        for x in others:
-            if not any(x <= w for w in walls):
-                return False
-        return True
+                return False  # duplicate facet; filtered above, defensive
+        return bool(walls) and all(miss & walls for miss in misses)
 
-    dead: set[frozenset] = set()
+    dead: set[int] = set()
     nodes = 0
 
     def search(first):
         """Depth-first search for a shelling that starts with first.
         stack[d] is the next facet to try once d + 1 facets are placed;
-        a state whose facet set is in dead is not searched again."""
+        a state whose facet set (bit f for facet f) is in dead is not
+        searched again."""
         nonlocal nodes
-        used, used_set = [first], {first}
+        used, used_set = [first], 1 << first
         stack: list[int] = []
         while True:
             if len(used) == m:
                 return used
-            if frozenset(used_set) in dead:
+            if used_set in dead:
                 if not stack:
                     return None
-                used_set.remove(used.pop())
+                used_set ^= 1 << used.pop()
             else:
                 nodes += 1
                 if nodes > node_budget:
@@ -608,17 +613,17 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
                 stack.append(0)
             while True:  # advance the deepest open state, or backtrack
                 f = next((g for g in range(stack[-1], m)
-                          if g not in used_set and can_add(g, used)), None)
+                          if not used_set >> g & 1 and can_add(g, used)), None)
                 if f is not None:
                     stack[-1] = f + 1
                     used.append(f)
-                    used_set.add(f)
+                    used_set |= 1 << f
                     break
                 stack.pop()
-                dead.add(frozenset(used_set))
+                dead.add(used_set)
                 if not stack:
                     return None
-                used_set.remove(used.pop())
+                used_set ^= 1 << used.pop()
 
     # any facet may start a shelling, so each is tried as a root
     try:
@@ -646,9 +651,24 @@ def _invariants(p: Poset, rounds: int = 2):
     return inv
 
 
+def is_isomorphism(p: Poset, q: Poset, f) -> bool:
+    """Whether f, a mapping from p-labels to q-labels, is an isomorphism
+    of p onto q: a bijection of the nodes that maps the covers of p onto
+    the covers of q.  Each order is the reflexive transitive closure of
+    its covers, so such a map preserves and reflects the order."""
+    try:
+        image = [q.index(f[x]) for x in p.nodes]
+    except KeyError:
+        return False
+    covers = set(q.covers)
+    return (len(set(image)) == q.n == p.n and len(p.covers) == len(covers)
+            and all((image[i], image[j]) in covers for i, j in p.covers))
+
+
 def poset_isomorphic(p: Poset, q: Poset, size_cap: int = 5000):
     """(verdict, bijection) where the bijection maps p-labels to
-    q-labels; backtracking with invariant refinement."""
+    q-labels; backtracking with invariant refinement.  Where a candidate
+    map is at hand, `is_isomorphism` checks it without a search."""
     if p.n != q.n:
         return False, None
     if p.n > size_cap:

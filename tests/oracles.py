@@ -235,6 +235,80 @@ def brute_shellable(facets):
     return any(is_shelling_order(list(p)) for p in permutations(facets))
 
 
+def reference_shellability(facets, node_budget=500_000):
+    """(status, order) of a shelling search on frozensets: the depth-first
+    search over facet orders that `posets.shellability` makes, with the
+    same root order, node count and budget, kept as the reference for
+    its bitmask form.  status is "shellable", "not_shellable" or
+    "inconclusive"; order is a facet list or None."""
+    facets = list(dict.fromkeys(facets))
+    m = len(facets)
+    if m <= 1:
+        return "shellable", facets
+
+    def can_add(f, used):
+        ff = facets[f]
+        want = len(ff) - 1
+        walls = []
+        others = []
+        for g in used:
+            x = ff & facets[g]
+            if len(x) == len(ff):
+                return False
+            if len(x) == want:
+                walls.append(x)
+            else:
+                others.append(x)
+        if not walls:
+            return False
+        return all(any(x <= w for w in walls) for x in others)
+
+    class OutOfBudget(Exception):
+        pass
+
+    dead = set()
+    nodes = 0
+
+    def search(first):
+        nonlocal nodes
+        used, used_set = [first], {first}
+        stack = []
+        while True:
+            if len(used) == m:
+                return used
+            if frozenset(used_set) in dead:
+                if not stack:
+                    return None
+                used_set.remove(used.pop())
+            else:
+                nodes += 1
+                if nodes > node_budget:
+                    raise OutOfBudget
+                stack.append(0)
+            while True:
+                f = next((g for g in range(stack[-1], m)
+                          if g not in used_set and can_add(g, used)), None)
+                if f is not None:
+                    stack[-1] = f + 1
+                    used.append(f)
+                    used_set.add(f)
+                    break
+                stack.pop()
+                dead.add(frozenset(used_set))
+                if not stack:
+                    return None
+                used_set.remove(used.pop())
+
+    try:
+        for first in sorted(range(m), key=lambda f: -len(facets[f])):
+            order = search(first)
+            if order is not None:
+                return "shellable", [facets[i] for i in order]
+    except OutOfBudget:
+        return "inconclusive", None
+    return "not_shellable", None
+
+
 # -- optimal transport --------------------------------------------------------
 
 

@@ -66,6 +66,28 @@ def test_check_phi_b3_expected_negative(capsys):
     assert row["ok"] and not row["graded"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--type", "A3", "--checks", "graded", "--ideal", "all"],
+    ["check", "--type", "A3", "--checks", "phi"],
+    # a truncated ball: x -> x m can leave it
+    ["check", "--type", "affA2", "--radius", "6", "--checks", "graded",
+     "--ideal", "all"],
+])
+def test_failed_candidate_falls_back_to_the_search(capsys, monkeypatch, argv):
+    code, out, _e = _run(capsys, argv)
+    search = cli.posets.poset_isomorphic
+    searches = []
+
+    def counted_search(p, q):
+        searches.append(p.n)
+        return search(p, q)
+
+    monkeypatch.setattr(cli.posets, "is_isomorphism", lambda p, q, f: False)
+    monkeypatch.setattr(cli.posets, "poset_isomorphic", counted_search)
+    assert _run(capsys, argv)[:2] == (code, out)
+    assert searches
+
+
 def test_conjecture_checks_never_fail_exit(capsys):
     code, out, _e = _run(capsys, ["check", "--type", "A2",
                                   "--checks", "logconcave,shellability,curvature"])

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from coxkit import (IncompleteSliceError, enumerate_ball, named_matrix,
-                    parse_coxeter_matrix)
+from coxkit import (DomainError, IncompleteSliceError, enumerate_ball,
+                    named_matrix, parse_coxeter_matrix)
 from coxkit.matrices import longest_length
 from coxkit.orders import (bruhat_poset, intermediate_poset,
                            k_absolute_length_all, k_absolute_poset,
@@ -13,6 +13,7 @@ from coxkit.orders import (bruhat_poset, intermediate_poset,
 from coxkit.posets import check_graded
 from coxkit.projections import phi_k_image_poset
 from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
+from coxkit.serialize import poset_to_json_dict
 
 from models import longest_first
 from oracles import (brute_closure, brute_covers, brute_k_absolute_covers,
@@ -57,6 +58,21 @@ def test_omega_graph_truncated_skips():
     table = reflections_in_ball(ball)
     g = omega_graph(ball, t_k_set(table, 0))
     assert g.boundary_skips > 0
+
+
+def test_a_built_arc_graph_is_shared_only_where_it_fits(ball_b3, table_b3):
+    t1 = t_k_set(table_b3, 1)
+    g = omega_graph(ball_b3, t1)
+    assert (poset_to_json_dict(intermediate_poset(ball_b3, t1, g))
+            == poset_to_json_dict(intermediate_poset(ball_b3, t1)))
+    assert (k_absolute_length_all(table_b3, 1, g).lk
+            == k_absolute_length_all(table_b3, 1).lk)
+    with pytest.raises(DomainError):
+        intermediate_poset(ball_b3, t_k_set(table_b3, 0), g)
+    with pytest.raises(DomainError):
+        k_absolute_length_all(table_b3, 2, g)
+    with pytest.raises(DomainError):
+        intermediate_poset(enumerate_ball(named_matrix("B3"), 9), t1, g)
 
 
 def test_k0_is_left_weak_order(ball_a3, table_a3):

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 
 from coxkit import DomainError, enumerate_ball, named_matrix
 from coxkit.matrices import longest_length
-from coxkit.orders import intermediate_poset
-from coxkit.posets import (Poset, check_graded, is_graded, is_meet_semilattice,
-                           is_order_ideal, max_h_family, max_h_family_value,
-                           nc_lattice, OrderComplex, order_complex,
-                           order_ideals, poset_isomorphic, shellability,
-                           strong_sperner_check)
-from coxkit.reflections import reflections_in_ball, t_k_set
+from coxkit.orders import (intermediate_poset, k_absolute_length_all,
+                           k_absolute_poset)
+from coxkit.posets import (Poset, check_graded, is_graded, is_isomorphism,
+                           is_meet_semilattice, is_order_ideal, max_h_family,
+                           max_h_family_value, nc_lattice, OrderComplex,
+                           order_complex, order_ideals, poset_isomorphic,
+                           shellability, strong_sperner_check)
+from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 
 from oracles import (brute_closure, brute_covers, brute_max_h_family,
-                     brute_shellable, is_shelling_order, is_union_of_h_antichains)
+                     brute_shellable, is_shelling_order, is_union_of_h_antichains,
+                     reference_shellability)
 
 
 def _chain(n):
@@ -319,6 +321,98 @@ def test_shellability_of_a_long_path():
     assert is_shelling_order(verdict.order)
 
 
+def _check_suite_complexes(name):
+    """The order complexes whose shellability `coxkit check` reports on
+    the named finite group: [e, c] for each Coxeter element c, in the
+    intermediate and the k-absolute order of each k."""
+    ball = enumerate_ball(named_matrix(name), longest_length(named_matrix(name)))
+    table = reflections_in_ball(ball)
+    top = (max(ball.length(t) for t in table.reflections) - 1) // 2
+    for k in range(top + 1):
+        for poset in (intermediate_poset(ball, t_k_set(table, k)),
+                      k_absolute_poset(k_absolute_length_all(table, k))):
+            for c in ball.coxeter_elements():
+                if poset.leq(ball.identity, c):
+                    yield order_complex(poset.interval(ball.identity, c))
+
+
+def test_shellability_matches_the_frozenset_search_on_check_suite_intervals():
+    count = 0
+    for name in ("A3", "B3", "A4", "H3"):
+        for complex in _check_suite_complexes(name):
+            verdict = shellability(complex)
+            assert ((verdict.status, verdict.order)
+                    == reference_shellability(complex.facets)), name
+            count += 1
+    assert count == 176
+
+
+_LABELS = st.sampled_from([0, 1, 2, 3, "a", "b", (0, 1), frozenset({5})])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.frozensets(_LABELS, min_size=1, max_size=4), max_size=8),
+       st.integers(min_value=1, max_value=30))
+def test_shellability_matches_the_frozenset_search(facets, budget):
+    # lists may repeat a facet; vertex labels need not be integers
+    complex = OrderComplex(vertices=list(set().union(*facets)), facets=facets)
+    for node_budget in (budget, 500_000):
+        verdict = shellability(complex, node_budget=node_budget)
+        assert ((verdict.status, verdict.order)
+                == reference_shellability(facets, node_budget))
+    if len(set(facets)) <= 6:
+        assert (verdict.status == "shellable") == brute_shellable(facets)
+
+
+def test_shellability_budget_runs_out_at_the_same_node():
+    # two disjoint paths: not shellable, after a search from every root
+    facets = [frozenset((i, i + 1)) for i in (0, 1, 2, 3, 10, 11, 12, 13)]
+    complex = OrderComplex(vertices=list(set().union(*facets)), facets=facets)
+    statuses = set()
+    for budget in range(1, 80):
+        verdict = shellability(complex, node_budget=budget)
+        assert ((verdict.status, verdict.order)
+                == reference_shellability(facets, budget)), budget
+        statuses.add(verdict.status)
+    assert statuses == {"inconclusive", "not_shellable"}
+
+
+def test_is_isomorphism_rejects_what_is_no_isomorphism():
+    chain = _chain(3)
+    assert is_isomorphism(chain, chain, {0: 0, 1: 1, 2: 2})
+    # not injective: two elements of an antichain sent to one
+    assert not is_isomorphism(_antichain(2), _antichain(2), {0: 0, 1: 0})
+    # drops a cover: 1 < 2 goes to two incomparable elements
+    vee = Poset.from_relation([0, 1, 2], [(0, 1), (0, 2)])
+    assert not is_isomorphism(chain, vee, {0: 0, 1: 1, 2: 2})
+    # the image has an extra cover: 0 < 2 is a cover of vee only
+    one_cover = Poset.from_relation([0, 1, 2], [(0, 1)])
+    assert not is_isomorphism(one_cover, vee, {0: 0, 1: 1, 2: 2})
+    # not defined on every element, or onto labels q does not have
+    assert not is_isomorphism(chain, chain, {0: 0, 1: 1})
+    assert not is_isomorphism(chain, chain, {0: 0, 1: 1, 2: 7})
+
+
+@pytest.mark.parametrize("name,pairs", [("A3", 73), ("B3", 161), ("H3", 418)])
+def test_coset_maps_decide_component_isomorphism_as_the_search(name, pairs):
+    # under --ideal all, the graded check tries x -> x m from the
+    # identity's component onto the one whose shortest element is m
+    ball = enumerate_ball(named_matrix(name), longest_length(named_matrix(name)))
+    tpos = t_order_poset(reflections_in_ball(ball))
+    verdicts = []
+    for ideal in order_ideals(tpos):
+        poset = intermediate_poset(ball, {tpos.nodes[i] for i in ideal})
+        comps = poset.components()
+        base = poset.subposet(comps[0])
+        for comp in comps[1:]:
+            m = min(comp, key=ball.length)
+            sub = poset.subposet(comp)
+            verdicts.append((
+                is_isomorphism(base, sub, {x: ball.multiply(x, m) for x in comps[0]}),
+                poset_isomorphic(base, sub)[0]))
+    assert verdicts == [(True, True)] * pairs
+
+
 def test_poset_isomorphic_relabels():
     p = _random_poset(12, 0.3, seed=7)
     rng = random.Random(1)
@@ -328,7 +422,7 @@ def test_poset_isomorphic_relabels():
         [f"n{perm[i]}" for i in range(12)],
         [(i, j) for i in range(12) for j in range(12) if i != j and p.leq(i, j)])
     ok, bij = poset_isomorphic(p, q)
-    assert ok
+    assert ok and is_isomorphism(p, q, bij)
     for i in range(p.n):
         for j in range(p.n):
             assert p.leq(i, j) == q.leq(q.index(bij[p.nodes[i]]),

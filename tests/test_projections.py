@@ -7,7 +7,7 @@ import pytest
 from coxkit import DomainError, enumerate_ball, named_matrix
 from coxkit.matrices import longest_length
 from coxkit.orders import intermediate_poset
-from coxkit.posets import poset_isomorphic
+from coxkit.posets import is_isomorphism, poset_isomorphic
 from coxkit.projections import (is_order_preserving, parabolic_decompose,
                                 phi_k_image_poset, project_PJ, project_QJ,
                                 projection_map, projection_monoid)
@@ -90,12 +90,21 @@ def test_qj_breaks_weak_order_in_a2(ball_a2, table_a2):
 
 
 def test_phi_image_isomorphic_to_bruhat(ball_a2, table_a2, ball_a3, table_a3):
-    for ball, table in ((ball_a2, table_a2), (ball_a3, table_a3)):
+    ball_a4 = enumerate_ball(named_matrix("A4"), 10)
+    for ball, table in ((ball_a2, table_a2), (ball_a3, table_a3),
+                        (ball_a4, reflections_in_ball(ball_a4))):
         bruhat = _bruhat_poset(ball, table)
         image = phi_k_image_poset(ball, bruhat)
         ok, bijection = poset_isomorphic(image, bruhat)
         assert ok
         assert len(bijection) == len(ball)
+        assert is_isomorphism(image, bruhat, bijection)
+        # phi itself, the candidate the check suite tries before searching
+        gens = ball.matrix.generators
+        maps = [projection_map(ball, [s for s in gens if s != i], "P")
+                for i in gens]
+        phi = {w: tuple(m(w) for m in maps) for w in range(len(ball))}
+        assert is_isomorphism(bruhat, image, phi)
 
 
 def test_projection_monoid_a2(ball_a2, table_a2):
