@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import curvature as curvature_mod
 from . import orders, polynomials, posets, projections, reflections, serialize
-from .ball import enumerate_ball
+from .ball import BOUNDARY, enumerate_ball
 from .errors import CoxkitError, DomainError, OutOfBallError, ResourceError
 from .matrices import group_order, longest_length, parse_coxeter_matrix
 
@@ -282,9 +282,9 @@ def _ideal_posets(run, mode):
 
 
 def _check_graded(run, args):
-    ball = run.ball
+    ball, left = run.ball, run.ball.left
     failures = []
-    count = 0
+    count = cut = 0
     for X, poset in _ideal_posets(run, args.ideal):
         count += 1
         J = frozenset(s for s in ball.matrix.generators
@@ -304,14 +304,26 @@ def _check_graded(run, args):
         if len(comps) != minreps:
             failures.append({"X_size": len(X), "components": len(comps),
                              "expected": minreps})
-        elif len(comps) > 1 and not _components_isomorphic(ball, poset, comps):
-            failures.append({"X_size": len(X), "non_isomorphic_component": True})
-    return {"ok": not failures, "ideals_checked": count, "failures": failures}
+        else:
+            whole = comps
+            if not ball.is_complete_group:
+                # a coset the radius cuts off is no copy of W_J; only
+                # whole ones are compared
+                whole = [c for c in comps if not any(
+                    left[w][s] == BOUNDARY for w in c for s in J)]
+                cut += len(comps) - len(whole)
+            if len(whole) > 1 and not _components_isomorphic(ball, poset, whole):
+                failures.append({"X_size": len(X),
+                                 "non_isomorphic_component": True})
+    report = {"ok": not failures, "ideals_checked": count, "failures": failures}
+    if not ball.is_complete_group:
+        report["cut_components"] = cut
+    return report
 
 
 def _components_isomorphic(ball, poset, comps):
-    """Whether every component of an intermediate poset (nodes: the ball
-    ids) is isomorphic to the first, the identity's.
+    """Whether each of the given components of an intermediate poset
+    (nodes: the ball ids) is isomorphic to the first, the identity's.
 
     Component c is first tried with x -> x m, m its element of least
     length.  When X lies in W_J the components are the cosets W_J m, and
@@ -319,13 +331,14 @@ def _components_isomorphic(ball, poset, comps):
     the verdict is the check's, and where the map is no isomorphism, or
     leaves the ball, the search decides.
     """
-    where = [0] * poset.n
+    where = [-1] * poset.n
     for c, comp in enumerate(comps):
         for x in comp:
             where[x] = c
     covers = [[] for _ in comps]
     for i, j in poset.covers:
-        covers[where[i]].append((i, j))
+        if where[i] >= 0:
+            covers[where[i]].append((i, j))
 
     def part(c):
         pos = {x: k for k, x in enumerate(comps[c])}

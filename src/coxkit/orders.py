@@ -9,6 +9,7 @@ still records how many arcs were dropped at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .ball import GroupBall
 from .errors import DomainError, IncompleteSliceError, OutOfBallError
@@ -169,9 +170,11 @@ def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
     rank by 1, so nothing lies strictly inside it.  (For the directed
     Bruhat-graph distance at k = max, see Dyer, Proc. AMS 129, 2001.)
 
-    On a truncated ball, and on a complete group whose lk fails the
-    check, every pair is tested.  Pairs with l(u) + l(v) > radius cannot
-    certify v u^-1 and are counted in metadata["flagged_pairs"].
+    On a truncated ball the definition is tested on each pair with
+    l(u) + l(v) <= radius, the pairs whose v u^-1 the ball certifies;
+    the others are only counted, in metadata["flagged_pairs"].  On a
+    complete group whose lk fails the check, every pair is tested.  Each
+    product v u^-1 is one table lookup (see `_pairs_by_definition`).
     """
     ball = table.ball
     pairs = _unit_steps(ball, table.lk) if ball.is_complete_group else None
@@ -213,25 +216,45 @@ def _unit_steps(ball: GroupBall, lk) -> list | None:
 
 def _pairs_by_definition(ball: GroupBall, lk):
     """Every pair (u, v) with lk(v) = lk(u) + lk(v u^-1) that the ball
-    certifies, and the number of pairs it cannot certify."""
+    certifies, and the number of pairs it cannot certify.
+
+    On a truncated ball the pairs with l(u) + l(v) <= radius are the
+    certifiable ones, and only they are visited: the v are taken in
+    order of length, up to radius - l(u), and the rest of u's pairs are
+    counted from the number of ids of each length.  The products come
+    from one table lookup each: with s the first letter of v's ShortLex
+    word, v u^-1 = s ((s v) u^-1), and s v is one shorter than v, so its
+    product is already known.  It stays in the table, since l((s v) u^-1)
+    <= l(v) - 1 + l(u) < radius.  On a complete group every pair is
+    visited.
+    """
     n = len(ball)
+    length = [ball.length(w) for w in range(n)]
+    order = sorted(range(n), key=length.__getitem__)  # the identity first
+    left, inv, elements = ball.left, ball.inv, ball.elements
+    steps = [(v, left[v][elements[v].word[0]], elements[v].word[0])
+             for v in order[1:]]
+    truncated = not ball.is_complete_group
+    below = list(accumulate(ball.rank_sizes()))  # ids of length <= r
+    # reach[l]: how many of the v are visited for a u of length l
+    reach = [below[min(ball.radius - lu, len(below) - 1)] if truncated else n
+             for lu in range(len(below))]
+    e = ball.identity
+    lke = lk[e]
+    prod = [0] * n  # prod[v] = v u^-1
     pairs = []
     flagged = 0
     for u in range(n):
-        iu = ball.inverse(u)
-        lu = ball.length(u)
-        for v in range(n):
-            if u == v:
-                continue
-            if not ball.is_complete_group and lu + ball.length(v) > ball.radius:
-                flagged += 1
-                continue
-            try:
-                d = ball.multiply(v, iu)
-            except OutOfBallError:
-                flagged += 1
-                continue
-            if lk[v] == lk[u] + lk[d]:
+        m = reach[length[u]]
+        if truncated:  # the pairs left out, u itself not among them
+            flagged += n - m - (2 * length[u] > ball.radius)
+        lku = lk[u]
+        prod[e] = iu = inv[u]
+        if u != e and lke == lku + lk[iu]:
+            pairs.append((u, e))
+        for v, sv, s in steps[:m - 1]:
+            prod[v] = d = left[prod[sv]][s]
+            if lk[v] == lku + lk[d] and v != u:
                 pairs.append((u, v))
     return pairs, flagged
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from coxkit.errors import OutOfBallError
+
 
 # -- words and Bruhat order ---------------------------------------------------
 
@@ -143,6 +145,34 @@ def brute_k_absolute_covers(ball, tk):
     less = {(u, v) for u in range(n) for v in range(n)
             if u != v and lk[v] == lk[u] + lk[ball.multiply(v, ball.inverse(u))]}
     return brute_covers(less)
+
+
+def brute_k_absolute_pairs(ball, lk):
+    """(pairs, flagged) of the k-absolute order on a ball by its
+    definition: every pair u != v with lk(v) = lk(u) + lk(v u^-1), the
+    product taken with `ball.multiply`, and the number of pairs whose
+    product the ball cannot certify (on a truncated ball, those with
+    l(u) + l(v) > radius), tested pair by pair over all n^2 pairs."""
+    n = len(ball)
+    pairs = []
+    flagged = 0
+    for u in range(n):
+        iu = ball.inverse(u)
+        for v in range(n):
+            if u == v:
+                continue
+            if (not ball.is_complete_group
+                    and ball.length(u) + ball.length(v) > ball.radius):
+                flagged += 1
+                continue
+            try:
+                d = ball.multiply(v, iu)
+            except OutOfBallError:
+                flagged += 1
+                continue
+            if lk[v] == lk[u] + lk[d]:
+                pairs.append((u, v))
+    return pairs, flagged
 
 
 def refinement_by_relation_pairs(intermediate, bruhat):

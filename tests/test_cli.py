@@ -88,6 +88,48 @@ def test_failed_candidate_falls_back_to_the_search(capsys, monkeypatch, argv):
     assert searches
 
 
+@pytest.mark.parametrize("name,radius", [("affC2", "7"), ("affA2", "6")])
+def test_graded_compares_only_whole_cosets_on_truncated_balls(capsys, name,
+                                                              radius):
+    # the cosets the radius cuts off are counted, not compared
+    code, out, _e = _run(capsys, ["check", "--type", name, "--radius", radius,
+                                  "--checks", "graded", "--ideal", "all"])
+    assert code == 0
+    graded = json.loads(out)["checks"]["graded"]
+    assert graded["ok"] and graded["failures"] == []
+    assert graded["cut_components"] > 0
+
+
+def test_graded_reports_no_cut_components_on_a_complete_group(capsys):
+    code, out, _e = _run(capsys, ["check", "--type", "A3", "--checks", "graded",
+                                  "--ideal", "all"])
+    assert code == 0
+    assert "cut_components" not in json.loads(out)["checks"]["graded"]
+
+
+def test_graded_still_fails_on_whole_cosets_that_differ(capsys, monkeypatch):
+    # with every isomorphism test failing, each ideal with two or more
+    # whole cosets is reported
+    compared = []
+    isomorphic = cli._components_isomorphic
+
+    def counted(ball, poset, comps):
+        compared.append(len(comps))
+        return isomorphic(ball, poset, comps)
+
+    monkeypatch.setattr(cli, "_components_isomorphic", counted)
+    monkeypatch.setattr(cli.posets, "is_isomorphism", lambda p, q, f: False)
+    monkeypatch.setattr(cli.posets, "poset_isomorphic",
+                        lambda p, q: (False, None))
+    code, out, _e = _run(capsys, ["check", "--type", "affA2", "--radius", "6",
+                                  "--checks", "graded", "--ideal", "all"])
+    assert code == 1
+    failures = json.loads(out)["checks"]["graded"]["failures"]
+    assert compared and min(compared) >= 2
+    assert len(failures) == len(compared)
+    assert all(f["non_isomorphic_component"] for f in failures)
+
+
 def test_conjecture_checks_never_fail_exit(capsys):
     code, out, _e = _run(capsys, ["check", "--type", "A2",
                                   "--checks", "logconcave,shellability,curvature"])

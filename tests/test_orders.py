@@ -7,9 +7,10 @@ import pytest
 from coxkit import (DomainError, IncompleteSliceError, enumerate_ball,
                     named_matrix, parse_coxeter_matrix)
 from coxkit.matrices import longest_length
-from coxkit.orders import (bruhat_poset, intermediate_poset,
-                           k_absolute_length_all, k_absolute_poset,
-                           omega_graph, refinement_chain_check)
+from coxkit.orders import (_pairs_by_definition, bruhat_poset,
+                           intermediate_poset, k_absolute_length_all,
+                           k_absolute_poset, omega_graph,
+                           refinement_chain_check)
 from coxkit.posets import check_graded
 from coxkit.projections import phi_k_image_poset
 from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
@@ -17,8 +18,8 @@ from coxkit.serialize import poset_to_json_dict
 
 from models import longest_first
 from oracles import (brute_closure, brute_covers, brute_k_absolute_covers,
-                     perm_of_word, refinement_by_relation_pairs,
-                     t_k_word_metric)
+                     brute_k_absolute_pairs, perm_of_word,
+                     refinement_by_relation_pairs, t_k_word_metric)
 
 
 def _complete(name):
@@ -201,10 +202,45 @@ def test_incomplete_slice_raises():
 
 
 def test_flagged_pairs_on_truncated_ball():
+    # the pairs u != v with l(u) + l(v) > radius, counted by length
     ball = enumerate_ball(named_matrix("B3"), 4)
     table = reflections_in_ball(ball)
     poset = k_absolute_poset(k_absolute_length_all(table, 0))
-    assert poset.metadata["flagged_pairs"] > 0
+    sizes = ball.rank_sizes()
+    flagged = sum(a * (b - (i == j))
+                  for i, a in enumerate(sizes) for j, b in enumerate(sizes)
+                  if i + j > ball.radius)
+    assert flagged == 408
+    assert poset.metadata["flagged_pairs"] == flagged
+
+
+def _truncated_case(spec, radius, renumber, k, name=None):
+    tag = (f"{name or spec}-{radius}" + ("-longest-first" if renumber else "")
+           + f"-k{k}")
+    return pytest.param(spec, radius, renumber, k, id=tag)
+
+
+@pytest.mark.parametrize("spec,radius,renumber,k", [
+    _truncated_case(spec, radius, renumber, k, name)
+    for spec, radius, name in [
+        ("B3", 4, None), ("H3", 7, None), ("affA3", 8, None),
+        ("affC2", 12, None), ("affG2", 12, None), ("I2(inf)", 30, None),
+        ("1 3 inf; 3 1 3; inf 3 1", 8, "hyperbolic")]
+    for renumber in (False, True) for k in (0, 1)])
+def test_k_absolute_pairs_on_truncated_balls_match_definition(
+        spec, radius, renumber, k):
+    # only the certifiable pairs are visited, one table lookup per
+    # product; the reference walks every pair with `multiply`
+    ball = enumerate_ball(parse_coxeter_matrix(spec), radius)
+    if renumber:
+        ball = longest_first(ball)
+    alt = k_absolute_length_all(reflections_in_ball(ball), k)
+    pairs, flagged = _pairs_by_definition(ball, alt.lk)
+    want, want_flagged = brute_k_absolute_pairs(ball, alt.lk)
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(want)
+    assert flagged == want_flagged > 0
+    assert k_absolute_poset(alt).metadata["flagged_pairs"] == flagged
 
 
 @pytest.mark.parametrize("name,ks", [
@@ -236,13 +272,25 @@ def test_k_absolute_poset_without_a_word_metric(ball_a3, table_a3):
     lk = list(alt.lk)
     lk[max(range(n), key=ball.length)] += 1
     poset = k_absolute_poset(dataclasses.replace(alt, lk=lk))
-    less = {(u, v) for u in range(n) for v in range(n)
-            if u != v and lk[v] == lk[u] + lk[ball.multiply(v, ball.inverse(u))]}
+    less, _flagged = brute_k_absolute_pairs(ball, lk)
     expected = brute_covers(brute_closure(n, less))
     assert set(poset.covers) == expected
     assert expected != set(k_absolute_poset(alt).covers)
     assert poset.rank == lk
     assert poset.metadata["flagged_pairs"] == 0
+
+
+@pytest.mark.parametrize("spec,radius", [("A3", 6), ("B3", 4), ("affC2", 7)])
+def test_pairs_by_definition_for_any_lk(spec, radius):
+    # the pair test is the definition for any function lk, the pairs
+    # (u, e) included: here lk(e) = lk(u) + lk(u^-1) for many u
+    ball = enumerate_ball(named_matrix(spec), radius)
+    lk = [w % 3 for w in range(len(ball))]
+    pairs, flagged = _pairs_by_definition(ball, lk)
+    want, want_flagged = brute_k_absolute_pairs(ball, lk)
+    assert pairs == want
+    assert any(v == ball.identity for _u, v in want)
+    assert flagged == want_flagged
 
 
 def test_interval_poset(ball_a3, table_a3):
