@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .ball import GroupBall
+from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, IncompleteSliceError, OutOfBallError
 from .posets import Poset
 from .reflections import ReflectionTable, t_k_set
@@ -33,18 +33,44 @@ class OmegaGraph:
 
 def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
     """Arcs a -> t*a for t in the set, whenever length strictly
-    increases and both ends are in the ball."""
+    increases and both ends are in the ball.
+
+    Each row t*a is one right-table lookup: with s the last letter of
+    a's ShortLex word, t*a = (t*(a s)) s, and a s is one shorter than a,
+    so the ids are visited by length (a ball read from JSON may number
+    them in any order).  A product t*(a s) at the radius whose s-step
+    leaves the table is beyond the radius; only where t*(a s) has left
+    the table already is t*a walked, by `ball.multiply`.
+    """
     xs = frozenset(x_set)
+    n = len(ball)
+    length = [ball.length(w) for w in range(n)]
+    right, elements = ball.right, ball.elements
+    steps = []
+    for a in sorted(range(n), key=length.__getitem__)[1:]:  # the identity first
+        s = elements[a].word[-1]
+        steps.append((a, right[a][s], s))
+    e = ball.identity
     arcs = []
     skips = 0
+    row = [BOUNDARY] * n  # row[a] = t*a, or BOUNDARY beyond the radius
     for t in sorted(xs):
-        for a in range(len(ball)):
-            try:
-                b = ball.multiply(t, a)
-            except OutOfBallError:
+        row[e] = t
+        if length[t] > 0:
+            arcs.append((e, t, t))
+        for a, a_s, s in steps:
+            x = row[a_s]
+            if x != BOUNDARY:
+                b = right[x][s]
+            else:
+                try:
+                    b = ball.multiply(t, a)
+                except OutOfBallError:
+                    b = BOUNDARY
+            row[a] = b
+            if b == BOUNDARY:
                 skips += 1
-                continue
-            if ball.length(b) > ball.length(a):
+            elif length[b] > length[a]:
                 arcs.append((a, b, t))
     arcs.sort()
     return OmegaGraph(ball=ball, x_set=xs, arcs=arcs, boundary_skips=skips)
@@ -67,14 +93,21 @@ def intermediate_poset(ball: GroupBall, x_set,
     Complete for every pair inside the ball: each chain step increases
     length, so witnessing chains cannot leave the ball.  `graph` is the
     arc graph of x_set, if it is already built.
+
+    When every arc raises length by exactly 1 (as at k = 0, the left
+    weak order), the arcs are the covers and the closure is skipped:
+    nothing lies strictly between two adjacent lengths, and a relation
+    whose steps all raise length has no cycle.
     """
     g = _arc_graph(ball, x_set, graph)
     pairs = [(a, b) for a, b, _t in g.arcs]
     rank = [ball.length(w) for w in range(len(ball))]
-    return Poset.from_relation(
-        list(range(len(ball))), pairs, rank=rank,
-        metadata={"kind": "intermediate-order", "x_size": len(g.x_set),
-                  "boundary_skips": g.boundary_skips})
+    metadata = {"kind": "intermediate-order", "x_size": len(g.x_set),
+                "boundary_skips": g.boundary_skips}
+    nodes = list(range(len(ball)))
+    if all(rank[b] == rank[a] + 1 for a, b in pairs):
+        return Poset(nodes, pairs, rank=rank, metadata=metadata)
+    return Poset.from_relation(nodes, pairs, rank=rank, metadata=metadata)
 
 
 def bruhat_poset(ball: GroupBall) -> Poset:
@@ -95,20 +128,21 @@ def bruhat_poset(ball: GroupBall) -> Poset:
     Every cover lies in the ball, which is a lower set of Bruhat order,
     so this holds on truncated balls too.  The ids are visited by
     length, since a ball read from JSON may number them in any order.
+    The pairs found are the covers, so the poset is built from them
+    with no closure.
     """
     n = len(ball)
     rank = [ball.length(w) for w in range(n)]
     left = ball.left
     below = [()] * n  # the elements each id covers
-    pairs = []
+    covers = []
     for v in sorted(range(1, n), key=rank.__getitem__):
         s = min(ball.left_descents(v))
         sv = left[v][s]
         below[v] = [sv] + [left[u][s] for u in below[sv]
                            if rank[left[u][s]] > rank[u]]
-        pairs += [(u, v) for u in below[v]]
-    return Poset.from_relation(list(range(n)), pairs, rank=rank,
-                               metadata={"kind": "bruhat"})
+        covers += [(u, v) for u in below[v]]
+    return Poset(list(range(n)), covers, rank=rank, metadata={"kind": "bruhat"})
 
 
 @dataclass
@@ -167,8 +201,10 @@ def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
     d(u, v), so every step is a unit step.  Conversely, m unit steps from
     u to v give lk(v) = lk(u) + m, with d(u, v) <= m by the path and
     d(u, v) >= m by the triangle inequality.  A unit step raises the
-    rank by 1, so nothing lies strictly inside it.  (For the directed
-    Bruhat-graph distance at k = max, see Dyer, Proc. AMS 129, 2001.)
+    rank by 1, so nothing lies strictly inside it.  So the unit steps
+    are passed to the poset as its covers, with no closure.  (For the
+    directed Bruhat-graph distance at k = max, see Dyer, Proc. AMS 129,
+    2001.)
 
     On a truncated ball the definition is tested on each pair with
     l(u) + l(v) <= radius, the pairs whose v u^-1 the ball certifies;
@@ -177,14 +213,13 @@ def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
     product v u^-1 is one table lookup (see `_pairs_by_definition`).
     """
     ball = table.ball
-    pairs = _unit_steps(ball, table.lk) if ball.is_complete_group else None
-    flagged = 0
-    if pairs is None:
-        pairs, flagged = _pairs_by_definition(ball, table.lk)
-    return Poset.from_relation(
-        list(range(len(ball))), pairs, rank=table.lk,
-        metadata={"kind": "k-absolute-order", "k": table.k,
-                  "flagged_pairs": flagged})
+    nodes = list(range(len(ball)))
+    metadata = {"kind": "k-absolute-order", "k": table.k, "flagged_pairs": 0}
+    steps = _unit_steps(ball, table.lk) if ball.is_complete_group else None
+    if steps is not None:
+        return Poset(nodes, steps, rank=table.lk, metadata=metadata)
+    pairs, metadata["flagged_pairs"] = _pairs_by_definition(ball, table.lk)
+    return Poset.from_relation(nodes, pairs, rank=table.lk, metadata=metadata)
 
 
 def _unit_steps(ball: GroupBall, lk) -> list | None:

@@ -15,9 +15,10 @@ from .flows import MinCostFlow
 class Poset:
     """Finite poset over hashable node labels.
 
-    Stored as the list of nodes, the Hasse (cover) edges as index
-    pairs, and reflexive reachability bitmasks.  An optional rank list
-    and a metadata dict describe how the poset was built.
+    Stored as the list of nodes and the Hasse (cover) edges as index
+    pairs; the reflexive up-set bitmasks are built from the covers when
+    first read.  An optional rank list and a metadata dict describe how
+    the poset was built.
     """
 
     def __init__(self, nodes, covers, rank=None, metadata=None, _up=None):
@@ -39,41 +40,33 @@ class Poset:
     def from_relation(cls, nodes, leq_pairs, rank=None, metadata=None) -> "Poset":
         """Build from the full (or generating) set of strict index pairs
         (i, j) meaning node i < node j.  Self pairs are ignored and a cycle
-        raises DomainError.  Covers are read from the generating pairs: a
-        cover is a pair that no other successor of i reaches."""
+        raises DomainError."""
         nodes = list(nodes)
-        n = len(nodes)
-        succ = [0] * n
+        succ = [[] for _ in nodes]
         for i, j in leq_pairs:
             if i != j:
-                succ[i] |= 1 << j
-        return cls._from_closed(nodes, _transitive_closure(succ), rank=rank,
-                                metadata=metadata, succ=succ)
+                succ[i].append(j)
+        return cls._from_successors(nodes, succ, rank, metadata)
 
     @classmethod
-    def _from_closed(cls, nodes, up, rank=None, metadata=None, succ=None) -> "Poset":
-        """Build from reflexive, transitively closed up-set bitmasks
-        (bit j of up[i] set iff node i <= node j), which are trusted.
-        `succ` are generating successor masks the covers are read from;
-        by default the strict up-sets."""
-        if succ is None:
-            succ = [m ^ (1 << i) for i, m in enumerate(up)]
-        return cls(nodes, _covers_from_generators(succ, up), rank=rank,
-                   metadata=metadata, _up=up)
+    def _from_closed(cls, nodes, up, rank=None, metadata=None) -> "Poset":
+        """Build from reflexive, transitively closed up-set bitmasks (bit
+        j of up[i] set iff node i <= node j)."""
+        succ = [_bits(m ^ (1 << i)) for i, m in enumerate(up)]
+        return cls._from_successors(nodes, succ, rank, metadata)
+
+    @classmethod
+    def _from_successors(cls, nodes, succ, rank=None, metadata=None) -> "Poset":
+        up, covers = _close(succ)
+        return cls(nodes, covers, rank=rank, metadata=metadata, _up=up)
 
     # -- relation -------------------------------------------------------
 
     @property
     def up(self):
         if self._up is None:
-            self._up = _transitive_closure(self._cover_masks())
+            self._up = _close(self.up_adj())[0]
         return self._up
-
-    def _cover_masks(self):
-        succ = [0] * self.n
-        for i, j in self.covers:
-            succ[i] |= 1 << j
-        return succ
 
     @property
     def down(self):
@@ -193,7 +186,7 @@ class Poset:
         return True
 
     def topological_order(self):
-        return _topo(self._cover_masks(), self.n)
+        return _topological_order(self.up_adj())
 
     def maximal_chains(self):
         """All maximal chains, as lists of indices (cover paths from
@@ -212,68 +205,53 @@ class Poset:
         return out
 
 
-def _transitive_closure(succ):
-    n = len(succ)
-    up = [succ[i] | (1 << i) for i in range(n)]
-    # process in reverse topological order of the successor DAG
-    order = _topo(succ, n)
-    for i in reversed(order):
-        m = succ[i]
-        acc = up[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            acc |= up[j]
-            m &= m - 1
-        up[i] = acc
-    return up
-
-
-def _topo(succ, n):
-    indeg = [0] * n
-    for i in range(n):
-        m = succ[i]
-        while m:
-            j = (m & -m).bit_length() - 1
+def _topological_order(succ):
+    """Kahn's algorithm on successor lists, first in first out from the
+    sources in index order; DomainError on a cycle."""
+    indeg = [0] * len(succ)
+    for s in succ:
+        for j in s:
             indeg[j] += 1
-            m &= m - 1
-    from collections import deque
-    q = deque(i for i in range(n) if indeg[i] == 0)
-    out = []
-    while q:
-        x = q.popleft()
-        out.append(x)
-        m = succ[x]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
+    order = [i for i, d in enumerate(indeg) if d == 0]
+    for x in order:  # the list is the queue: it grows while it is read
+        for j in succ[x]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                q.append(j)
-    if len(out) != n:
+                order.append(j)
+    if len(order) != len(succ):
         raise DomainError("relation has a cycle; not a partial order")
-    return out
+    return order
 
 
-def _covers_from_generators(succ, up):
-    """Transitive reduction (Aho, Garey and Ullman, SIAM J. Comput. 1,
-    1972): i < j is a cover iff j is a successor of i that no other
-    successor k of i reaches, i.e. covers(i) = succ(i) minus the strict
-    up-sets of succ(i).  Every cover is a generating pair, since a
-    longer path from i to j passes through an element between them."""
+def _close(succ):
+    """(up, covers): the reflexive up-set bitmasks and the cover pairs of
+    the order generated by the successor lists (j in succ[i] means
+    i < j), in one pass.
+
+    The nodes are swept in reverse topological order, so the up-sets of
+    a node's successors are known when it is reached.  Its successors
+    are taken in topological order: one that an earlier one reaches is
+    no cover and adds nothing to the up-set, and any other is a cover,
+    since only an earlier successor can reach it.  So the up-set is the
+    node and the union of its covers' up-sets, and the covers are the
+    transitive reduction (Aho, Garey and Ullman, SIAM J. Comput. 1,
+    1972).  Every cover is a generating pair, since a longer path from i
+    to j passes through an element between them.
+    """
+    order = _topological_order(succ)
+    pos = [0] * len(succ)
+    for p, x in enumerate(order):
+        pos[x] = p
+    up = [0] * len(succ)
     covers = []
-    for i, s in enumerate(succ):
-        reached = 0
-        m = s
-        while m:
-            low = m & -m
-            reached |= up[low.bit_length() - 1] ^ low  # up is reflexive
-            m ^= low
-        m = s & ~reached
-        while m:
-            low = m & -m
-            covers.append((i, low.bit_length() - 1))
-            m ^= low
-    return covers
+    for i in reversed(order):
+        acc = 1 << i
+        for j in sorted(succ[i], key=pos.__getitem__):
+            if not acc >> j & 1:
+                covers.append((i, j))
+                acc |= up[j]
+        up[i] = acc
+    return up, covers
 
 
 def _bits(mask):

@@ -175,6 +175,25 @@ def brute_k_absolute_pairs(ball, lk):
     return pairs, flagged
 
 
+def brute_omega_graph(ball, x_set):
+    """(arcs, boundary_skips) of the arc graph by its definition: for
+    every t in the set and every a in the ball, the product t*a taken
+    with `ball.multiply`; an arc (a, t*a, t) when length rises, a skip
+    when the product leaves the ball."""
+    arcs = []
+    skips = 0
+    for t in sorted(x_set):
+        for a in range(len(ball)):
+            try:
+                b = ball.multiply(t, a)
+            except OutOfBallError:
+                skips += 1
+                continue
+            if ball.length(b) > ball.length(a):
+                arcs.append((a, b, t))
+    return sorted(arcs), skips
+
+
 def refinement_by_relation_pairs(intermediate, bruhat):
     """(ok, containments, equals_bruhat_at) of the refinement chain,
     with every order materialized as its set of strict label pairs:

@@ -18,7 +18,7 @@ from coxkit.serialize import poset_to_json_dict
 
 from models import longest_first
 from oracles import (brute_closure, brute_covers, brute_k_absolute_covers,
-                     brute_k_absolute_pairs, perm_of_word,
+                     brute_k_absolute_pairs, brute_omega_graph, perm_of_word,
                      refinement_by_relation_pairs, t_k_word_metric)
 
 
@@ -59,6 +59,37 @@ def test_omega_graph_truncated_skips():
     table = reflections_in_ball(ball)
     g = omega_graph(ball, t_k_set(table, 0))
     assert g.boundary_skips > 0
+
+
+def _ball_case(spec, radius, renumber=False, name=None):
+    tag = f"{name or spec}-{radius}" + ("-longest-first" if renumber else "")
+    return pytest.param(spec, radius, renumber, id=tag)
+
+
+def _ball(spec, radius, renumber):
+    matrix = parse_coxeter_matrix(spec)
+    ball = enumerate_ball(matrix, longest_length(matrix) if radius is None
+                          else radius)
+    return longest_first(ball) if renumber else ball
+
+
+@pytest.mark.parametrize("spec,radius,renumber", [
+    _ball_case("A3", None), _ball_case("B3", None),
+    # truncated balls, where products leave the table
+    _ball_case("B3", 4), _ball_case("affC2", 12),
+    _ball_case("1 3 inf; 3 1 3; inf 3 1", 10, name="hyperbolic"),
+    # ids out of length order, as a ball read from JSON may have them
+    _ball_case("B3", 9, True)])
+def test_omega_graph_matches_multiply_on_every_pair(spec, radius, renumber):
+    # the rows t*a are table lookups; the reference multiplies each pair
+    ball = _ball(spec, radius, renumber)
+    table = reflections_in_ball(ball)
+    for x_set in (t_k_set(table, 0), t_k_set(table, 1), table.reflections):
+        g = omega_graph(ball, x_set)
+        arcs, skips = brute_omega_graph(ball, x_set)
+        assert g.arcs == arcs
+        assert g.boundary_skips == skips
+        assert (skips > 0) == (not ball.is_complete_group)
 
 
 def test_a_built_arc_graph_is_shared_only_where_it_fits(ball_b3, table_b3):
@@ -316,25 +347,16 @@ def test_poset_covers_match_brute_force(name):
         assert poset.covers == _brute_force_covers(poset)
 
 
-def _bruhat_case(spec, radius, renumber=False, name=None):
-    tag = f"{name or spec}-{radius}" + ("-longest-first" if renumber else "")
-    return pytest.param(spec, radius, renumber, id=tag)
-
-
 @pytest.mark.parametrize("spec,radius,renumber", [
-    _bruhat_case("A3", None), _bruhat_case("B3", None), _bruhat_case("H3", None),
-    _bruhat_case("I2(inf)", 2), _bruhat_case("B3", 4),
+    _ball_case("A3", None), _ball_case("B3", None), _ball_case("H3", None),
+    _ball_case("I2(inf)", 2), _ball_case("B3", 4),
     # truncated balls with 5-bonds, an affine and a hyperbolic type
-    _bruhat_case("H3", 7), _bruhat_case("I2(5)", 4), _bruhat_case("affC2", 7),
-    _bruhat_case("1 3 inf; 3 1 3; inf 3 1", 6, name="hyperbolic"),
+    _ball_case("H3", 7), _ball_case("I2(5)", 4), _ball_case("affC2", 7),
+    _ball_case("1 3 inf; 3 1 3; inf 3 1", 6, name="hyperbolic"),
     # ids out of length order, as a ball read from JSON may have them
-    _bruhat_case("B3", 9, True), _bruhat_case("B3", 4, True)])
+    _ball_case("B3", 9, True), _ball_case("B3", 4, True)])
 def test_bruhat_poset_matches_bruhat_leq(spec, radius, renumber):
-    matrix = parse_coxeter_matrix(spec)
-    ball = enumerate_ball(matrix, longest_length(matrix) if radius is None
-                          else radius)
-    if renumber:
-        ball = longest_first(ball)
+    ball = _ball(spec, radius, renumber)
     poset = bruhat_poset(ball)
     n = len(ball)
     less = {(u, v) for u in range(n) for v in range(n)
@@ -344,6 +366,23 @@ def test_bruhat_poset_matches_bruhat_leq(spec, radius, renumber):
     assert poset.covers == sorted(brute_covers(less))
     assert poset.rank == [ball.length(w) for w in range(n)]
     assert poset.metadata == {"kind": "bruhat"}
+
+
+@pytest.mark.parametrize("spec,radius,renumber", [
+    _ball_case("B3", 4), _ball_case("affC2", 7),
+    _ball_case("1 3 inf; 3 1 3; inf 3 1", 6, name="hyperbolic"),
+    _ball_case("B3", 9, True)])
+def test_weak_order_covers_are_its_arcs(spec, radius, renumber):
+    # at k = 0 every arc raises length by 1, so the arcs are taken as
+    # the covers with no closure; the reference closes and reduces them
+    ball = _ball(spec, radius, renumber)
+    x_set = t_k_set(reflections_in_ball(ball), 0)
+    poset = intermediate_poset(ball, x_set)
+    n = len(ball)
+    less = brute_closure(n, [(a, b) for a, b, _t in omega_graph(ball, x_set).arcs])
+    assert poset.covers == sorted(brute_covers(less))
+    assert set(poset.relation_pairs()) == less
+    assert poset.rank == [ball.length(w) for w in range(n)]
 
 
 @pytest.mark.parametrize("name,k,covers", [

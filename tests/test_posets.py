@@ -47,8 +47,10 @@ def _random_poset(n, density, seed):
 
 
 def test_covers_drop_transitive_edges():
-    p = Poset.from_relation([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
-    assert set(p.covers) == {(0, 1), (1, 2)}
+    # self pairs are ignored
+    p = Poset.from_relation([0, 1, 2, 3], [(0, 1), (1, 1), (1, 2), (0, 2), (3, 3)])
+    assert p.covers == [(0, 1), (1, 2)]
+    assert p.up == [0b0111, 0b0110, 0b0100, 0b1000]
     assert p.leq(0, 2) and p.lt(0, 2) and not p.leq(2, 0)
 
 
@@ -112,9 +114,28 @@ def test_subposet_matches_brute_force(dag, rng):
                       for a in range(len(keep))]
 
 
+@settings(max_examples=300, deadline=None)
+@given(_messy_dags())
+def test_up_sets_built_from_covers_match_brute_force(dag):
+    # a poset given only its covers builds its up-sets on first read;
+    # its topological order is a linear extension of the order
+    n, pairs = dag
+    less = brute_closure(n, pairs)
+    p = Poset(list(range(n)), brute_covers(less))
+    assert p._up is None
+    assert p.up == [(1 << i) | sum(1 << j for i2, j in less if i2 == i)
+                    for i in range(n)]
+    order = p.topological_order()
+    assert sorted(order) == list(range(n))
+    at = {x: k for k, x in enumerate(order)}
+    assert all(at[i] < at[j] for i, j in less)
+
+
 def test_from_relation_rejects_cycles():
     with pytest.raises(DomainError):
         Poset.from_relation([0, 1], [(0, 1), (1, 0)])
+    with pytest.raises(DomainError):
+        Poset.from_relation([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (3, 1)])
 
 
 def test_order_ideals_counts_and_validity():
