@@ -37,6 +37,7 @@ as the letters still to come cannot bring it below the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .ball import GroupBall
 from .errors import DomainError, IncompleteSliceError, OutOfBallError
@@ -112,6 +113,7 @@ def _descend(ball: GroupBall, a: int, b: int) -> tuple[int, int]:
         a = c
 
 
+@cache
 def _walk_steps(matrix) -> int:
     """2M for M the largest finite bond, when some finite bond is not 2,
     3, 4 or 6; else 0 (no walk is needed)."""
@@ -136,13 +138,30 @@ def _finite_cycle(ball: GroupBall, a: int, b: int, steps: int):
     return None
 
 
+def _check_reflection(ball: GroupBall, x: int) -> None:
+    """DomainError unless x is a reflection, decided inside the ball: x
+    must be an involution, and conjugating it by a left descent s must
+    shorten it by 2 until a generator is left.  For a reflection t != s
+    with s a left descent, s*t*s != t, so l(sts) = l(t) - 2 (Bjorner and
+    Brenti, Combinatorics of Coxeter Groups, ch. 1); an involution such
+    as a central w0 is left as it is."""
+    y, n = x, ball.length(x)
+    if ball.inverse(x) == x:
+        while n > 1:
+            s = ball.word(y)[0]
+            z = ball.right[ball.left[y][s]][s]
+            if ball.length(z) != n - 2:
+                break
+            y, n = z, n - 2
+    if n != 1:
+        raise DomainError(f"element {x} is not a reflection")
+
+
 def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
     """The reflection subgroup <t, t'> intersected with the ball, with
     its canonical generating pair (exact; see module docstring)."""
-    for x in (t, tp):
-        w = ball.word(x)
-        if ball.multiply(x, x) != ball.identity or len(w) % 2 == 0:
-            raise DomainError(f"element {x} is not a reflection")
+    _check_reflection(ball, t)
+    _check_reflection(ball, tp)
     if t == tp:
         return ReflectionSubgroup(
             ball=ball, member_ids=(ball.identity, t), reflection_ids=(t,),
@@ -212,17 +231,49 @@ def t_order_poset(table: ReflectionTable, restrict_to=None) -> Poset:
     closure of those relations.  The witness subgroup need not be
     <t, t'> itself (that pair can generate a Klein four-group where both
     have internal length 1), so every subgroup generated by a pair of
-    reflections is swept and contributes the comparisons among all of
-    its reflections.
+    reflections contributes the comparisons among all of its reflections.
+
+    Each such subgroup is swept once.  The pairs (t, t') are taken with t
+    before t' in the order by (length, id), and a pair is skipped when a
+    subgroup already swept holds both; a sweep marks every pair of the
+    subgroup's reflections in the ball.
+
+    (a) Every swept pair is the canonical pair of its subgroup, so no
+        subgroup is swept twice.  If (t, t') is not the canonical pair
+        {c, c'} of W'' = <t, t'>, one of t, t' has internal length
+        >= 3, so by the strict monotonicity of the module docstring it
+        is longer than both c and c', and (c, c') comes up before
+        (t, t').  Then (c, c') was swept, or skipped because a swept
+        subgroup holds c and c'; either way a swept subgroup contains
+        W'' and marked (t, t').
+    (b) The relation handed to the closure is the one of sweeping every
+        pair.  A pair (t, t') is skipped only when a swept W' holds
+        both, so W'' = <t, t'> lies in W'.  On the reflections of W'',
+        internal length in W'' is a strictly increasing function of
+        internal length in W' (the Bruhat order of W'' implies that of
+        W'), so the comparisons of W'' are among those of W'.
     """
     ball = table.ball
-    nodes = sorted(restrict_to) if restrict_to is not None else list(table.reflections)
+    if restrict_to is None:
+        nodes = list(table.reflections)
+    else:
+        nodes = sorted(restrict_to)
+        alien = sorted(set(nodes).difference(table.reflections))
+        if alien:
+            raise DomainError(f"ids {alien} are not reflections of the table")
     pos = {t: i for i, t in enumerate(nodes)}
+    order = sorted(table.reflections, key=lambda t: (ball.length(t), t))
+    bit = {t: 1 << i for i, t in enumerate(order)}
+    seen = dict.fromkeys(order, 0)  # bits of the reflections swept with t
     pairs = set()
-    all_refl = list(table.reflections)
-    for i, t in enumerate(all_refl):
-        for tp in all_refl[i + 1:]:
+    for i, t in enumerate(order):
+        for tp in order[i + 1:]:
+            if seen[t] & bit[tp]:
+                continue
             sub = dihedral_subgroup(ball, t, tp)
+            met = sum(bit[r] for r in sub.reflection_ids)
+            for r in sub.reflection_ids:
+                seen[r] |= met
             in_nodes = [r for r in sub.reflection_ids if r in pos]
             for a in in_nodes:
                 la = sub.internal_length[a]

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from coxkit.errors import OutOfBallError
+from coxkit.reflections import dihedral_subgroup
 
 
 # -- words and Bruhat order ---------------------------------------------------
@@ -397,3 +398,22 @@ def brute_w1(p, q, costs):
 
     rec(0, 0)
     return Fraction(best[0], scale)
+
+
+# -- reflection order ---------------------------------------------------------
+
+
+def brute_t_order_pairs(table):
+    """Label pairs (a, b) with a below b in the dihedral reflection
+    subgroup <t, t'> of some pair of reflections, by sweeping every pair:
+    a and b are reflections of it with a internally shorter.  The
+    subgroups come from `dihedral_subgroup`, which is checked on its own
+    against the N-criterion in test_reflections."""
+    ball = table.ball
+    less = set()
+    for t, tp in combinations(table.reflections, 2):
+        sub = dihedral_subgroup(ball, t, tp)
+        il = sub.internal_length
+        less |= {(a, b) for a in sub.reflection_ids for b in sub.reflection_ids
+                 if il[a] < il[b]}
+    return less

@@ -1,16 +1,28 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 
 from coxkit import (DomainError, IncompleteSliceError, OutOfBallError,
-                    enumerate_ball, named_matrix, parse_coxeter_matrix)
+                    enumerate_ball, named_matrix, parse_coxeter_matrix,
+                    reflections)
 from coxkit.matrices import longest_length
-from coxkit.posets import order_ideals
+from coxkit.posets import Poset, order_ideals
 from coxkit.reflections import (dihedral_subgroup, is_order_ideal,
                                 omega_distance_in_dihedral,
                                 reflections_in_ball, t_k_set, t_order_poset)
+
+from models import longest_first
+from oracles import brute_closure, brute_covers, brute_t_order_pairs
+
+
+def _ball(spec, radius, renumber=False):
+    matrix = parse_coxeter_matrix(spec)
+    ball = enumerate_ball(matrix, longest_length(matrix) if radius is None
+                          else radius)
+    return longest_first(ball) if renumber else ball
 
 
 def _words(ball, ids):
@@ -98,6 +110,26 @@ def test_dihedral_subgroup_rejects_non_reflection(ball_a3):
     s = ball_a3.id_of_word((0,))
     with pytest.raises(DomainError):
         dihedral_subgroup(ball_a3, rotation, s)
+
+
+@pytest.mark.parametrize("spec,radius,word", [
+    ("B3", None, None),                     # w0, central, of odd length 9
+    ("1 2 2; 2 1 2; 2 2 1", 3, (0, 1, 2)),  # commuting generators, w0 again
+    ("A3", None, ())],                      # the identity
+    ids=["B3-w0", "A1^3-s1s2s3", "A3-identity"])
+def test_dihedral_subgroup_rejects_involutions_that_are_not_reflections(
+        spec, radius, word):
+    # x = x^-1 is not enough: x must conjugate down to a generator
+    ball = _ball(spec, radius)
+    x = (max(range(len(ball)), key=ball.length) if word is None
+         else ball.id_of_word(word))
+    s = ball.id_of_word((0,))
+    assert ball.inverse(x) == x
+    assert x not in reflections_in_ball(ball).reflections
+    with pytest.raises(DomainError):
+        dihedral_subgroup(ball, x, s)
+    with pytest.raises(DomainError):
+        dihedral_subgroup(ball, s, x)
 
 
 def test_dihedral_subgroup_singleton(ball_a3):
@@ -192,6 +224,86 @@ def test_t_order_a3_matches_known_covers(ball_a3, table_a3):
         ((1,), (1, 2, 1)), ((2,), (1, 2, 1)),
         ((0, 1, 0), (0, 1, 2, 1, 0)), ((1, 2, 1), (0, 1, 2, 1, 0)),
     }
+
+
+def _sweep_case(spec, radius, name=None):
+    tag = name or spec
+    return pytest.param(spec, radius,
+                        id=tag if radius is None else f"{tag}-{radius}")
+
+
+@pytest.mark.parametrize("renumber", [False, True],
+                         ids=["by-length", "longest-first"])
+@pytest.mark.parametrize("spec,radius", [
+    _sweep_case("A3", None), _sweep_case("B3", None), _sweep_case("H3", None),
+    _sweep_case("B4", None), _sweep_case("F4", None),
+    # truncated balls: finite, affine, dihedral and hyperbolic types
+    _sweep_case("B3", 4), _sweep_case("H3", 7), _sweep_case("affA3", 8),
+    _sweep_case("affC2", 12), _sweep_case("affG2", 12),
+    _sweep_case("I2(inf)", 30), _sweep_case("I2(5)", 3),
+    _sweep_case("I2(7)", 5), _sweep_case("I2(8)", 5),
+    _sweep_case("1 3 inf; 3 1 3; inf 3 1", 10, name="hyperbolic"),
+    _sweep_case("1 5 3; 5 1 3; 3 3 1", 7, name="hyp533"),
+    _sweep_case("1 5 2; 5 1 3; 2 3 1", 9, name="hyp523")])
+def test_t_order_relation_matches_the_sweep_of_every_pair(
+        spec, radius, renumber, monkeypatch):
+    # the order sweeps each dihedral subgroup once; the reference sweeps
+    # every pair of reflections.  The relation handed to the closure and
+    # the covers must agree on every T_k slice and a random subset.
+    ball = _ball(spec, radius, renumber)
+    table = reflections_in_ball(ball)
+    less = brute_t_order_pairs(table)
+    handed = []
+    build = Poset.from_relation
+
+    def spy(nodes, pairs, **kwargs):
+        handed.append(set(pairs))
+        return build(nodes, pairs, **kwargs)
+
+    monkeypatch.setattr(Poset, "from_relation", spy)
+    top = max(ball.length(t) for t in table.reflections)
+    subsets = [None] + [t_k_set(table, k) for k in range((top + 1) // 2)]
+    rng = random.Random(len(table.reflections))
+    subsets.append({t for t in table.reflections if rng.random() < 0.5})
+    for subset in subsets:
+        poset = t_order_poset(table, restrict_to=subset)
+        pos = {t: i for i, t in enumerate(poset.nodes)}
+        expected = {(pos[a], pos[b]) for a, b in less if a in pos and b in pos}
+        assert handed[-1] == expected
+        assert poset.covers == sorted(
+            brute_covers(brute_closure(poset.n, expected)))
+
+
+@pytest.mark.parametrize("renumber", [False, True],
+                         ids=["by-length", "longest-first"])
+@pytest.mark.parametrize("spec,radius,calls", [
+    ("I2(inf)", 30, 1), ("H3", None, 31), ("affC2", 12, 70),
+    ("1 3 inf; 3 1 3; inf 3 1", 10, 500)],
+    ids=["I2(inf)-30", "H3", "affC2-12", "hyperbolic-10"])
+def test_t_order_sweeps_only_canonical_pairs(spec, radius, calls, renumber,
+                                             monkeypatch):
+    # a pair that is not the canonical pair of its subgroup lies in a
+    # subgroup swept before it, so it is never swept itself
+    ball = _ball(spec, radius, renumber)
+    inputs = []
+    sweep = reflections.dihedral_subgroup
+
+    def counted(ball, t, tp):
+        sub = sweep(ball, t, tp)
+        inputs.append((sorted((t, tp)), sorted(sub.canonical_generators)))
+        return sub
+
+    monkeypatch.setattr(reflections, "dihedral_subgroup", counted)
+    t_order_poset(reflections_in_ball(ball))
+    assert len(inputs) == calls
+    for given, canonical in inputs:
+        assert given == canonical
+
+
+def test_t_order_rejects_ids_that_are_not_reflections(table_b3):
+    # 0 is the identity, 5 has length 2, 10**6 is not in the ball
+    with pytest.raises(DomainError, match=r"\[0, 5, 1000000\]"):
+        t_order_poset(table_b3, restrict_to={0, 1, 5, 10**6})
 
 
 def test_t_order_embeds_in_bruhat(ball_b3, table_b3):
