@@ -472,10 +472,11 @@ def _check_shellability(run, args):
         absol = orders.k_absolute_poset(run.absolute_length(k))
         for flavor, poset in (("intermediate", inter), ("absolute", absol)):
             for c in ball.coxeter_elements():
-                if not poset.leq(ball.identity, c):
-                    continue
-                interval = poset.interval(ball.identity, c)
-                verdict = posets.shellability(posets.order_complex(interval))
+                try:
+                    open_interval = posets.order_complex(poset, ball.identity, c)
+                except DomainError:
+                    continue  # c is not above e in this order
+                verdict = posets.shellability(open_interval)
                 rows.append({"k": k, "order": flavor,
                              "coxeter_element": list(ball.word(c)),
                              "status": verdict.status})
@@ -487,9 +488,11 @@ def _check_curvature(run, args):
     rows = []
     for k in ks:
         rep = curvature_mod.curvature_spectrum(run.graph(k))
+        lo, hi = rep.kappa_min(), rep.kappa_max()  # None if every edge is skipped
         rows.append({
             "k": k, "edges": len(rep.records), "skipped": len(rep.errors),
-            "kappa_min": str(rep.kappa_min()), "kappa_max": str(rep.kappa_max()),
+            "kappa_min": None if lo is None else str(lo),
+            "kappa_max": None if hi is None else str(hi),
         })
     return {"ok": True, "conjecture": True, "per_k": rows}
 

@@ -37,12 +37,39 @@ __all__ = ["CurvatureRecord", "CurvatureReport", "undirected_adjacency",
            "CONVENTION"]
 
 
-@dataclass
 class CurvatureRecord:
-    x: int
-    y: int
-    kappa: Fraction
-    transport_plan: dict  # (u, v) -> Fraction mass
+    """The curvature kappa of the edge {x, y} and an optimal transport
+    plan, (u, v) -> Fraction mass.
+
+    A record that `_RightTranslation` moves from a solved edge keeps the
+    solved plan and the two maps that move it, and builds its own plan
+    when `transport_plan` is first read: the check and the exports read
+    only kappa."""
+
+    __slots__ = ("x", "y", "kappa", "_plan", "_moves")
+
+    def __init__(self, x: int, y: int, kappa: Fraction, transport_plan: dict):
+        self.x, self.y, self.kappa = x, y, kappa
+        self._plan = transport_plan
+        self._moves = None  # (plan as (t1, t2, mass), t1 -> u, t2 -> v)
+
+    @property
+    def transport_plan(self) -> dict:
+        if self._moves is not None:
+            plan, sx, sy = self._moves
+            self._plan = {(sx[t1], sy[t2]): m for t1, t2, m in plan}
+            self._moves = None
+        return self._plan
+
+    def __eq__(self, other):
+        if not isinstance(other, CurvatureRecord):
+            return NotImplemented
+        return ((self.x, self.y, self.kappa, self.transport_plan)
+                == (other.x, other.y, other.kappa, other.transport_plan))
+
+    def __repr__(self):
+        return (f"CurvatureRecord(x={self.x!r}, y={self.y!r}, "
+                f"kappa={self.kappa!r}, transport_plan={self.transport_plan!r})")
 
 
 @dataclass
@@ -295,10 +322,11 @@ class _RightTranslation:
 
     def record(self, x, y, t) -> CurvatureRecord:
         """The edge {x, y} with y = t x, as the image of {e, t} under
-        right multiplication by x: t1 e -> t1 x and t2 t -> t2 y."""
+        right multiplication by x: t1 e -> t1 x and t2 t -> t2 y.  The
+        moved plan is built when it is first read."""
         if t not in self.base:
             self.base[t] = self._solve(t)
         kappa, plan = self.base[t]
-        sx, sy = self.steps[x], self.steps[y]
-        return CurvatureRecord(x=x, y=y, kappa=kappa, transport_plan={
-            (sx[t1], sy[t2]): m for t1, t2, m in plan})
+        rec = CurvatureRecord(x, y, kappa, None)
+        rec._moves = (plan, self.steps[x], self.steps[y])
+        return rec

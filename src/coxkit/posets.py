@@ -104,12 +104,14 @@ class Poset:
         return frozenset(out)
 
     def minimals(self):
-        down = self.down
-        return [i for i in range(self.n) if down[i] == 1 << i]
+        """The elements no cover enters, in index order."""
+        above = {j for _i, j in self.covers}
+        return [i for i in range(self.n) if i not in above]
 
     def maximals(self):
-        up = self.up
-        return [i for i in range(self.n) if up[i] == 1 << i]
+        """The elements no cover leaves, in index order."""
+        below = {i for i, _j in self.covers}
+        return [i for i in range(self.n) if i not in below]
 
     def up_adj(self):
         adj = [[] for _ in range(self.n)]
@@ -508,20 +510,58 @@ class OrderComplex:
     facets: list  # list of frozensets of vertices (maximal chains)
 
 
-def order_complex(interval_poset: Poset) -> OrderComplex:
-    """Order complex of the OPEN interval: the unique bottom and top are
-    removed and the maximal chains of the remainder become facets."""
-    mins = interval_poset.minimals()
-    maxs = interval_poset.maximals()
-    if len(mins) != 1 or len(maxs) != 1:
+def order_complex(poset: Poset, bottom=None, top=None) -> OrderComplex:
+    """Order complex of the OPEN interval (bottom, top), read off the
+    covers: no up-set is built.
+
+    bottom and top are labels; each defaults to the unique minimal or
+    maximal element, and DomainError is raised if there is none, or if
+    bottom is not below top.  The members are the elements that bottom
+    reaches and that reach top along covers; the vertices are those
+    strictly between, in index order, and the facets are the cover
+    paths from bottom to top without their endpoints, found by a
+    depth-first search that takes the last path on its stack first and
+    pushes successors by increasing index.
+    """
+    b = _only(poset.minimals()) if bottom is None else poset.index(bottom)
+    t = _only(poset.maximals()) if top is None else poset.index(top)
+    succ = poset.up_adj()
+    below_top = _reach(poset.down_adj(), t)
+    if b not in below_top:
+        raise DomainError(f"{poset.nodes[b]!r} and {poset.nodes[t]!r} are "
+                          "not comparable in this order")
+    inside = _reach(succ, b, below_top) - {b, t}
+    nodes = poset.nodes
+    facets = []
+    stack = [[a] for a in succ[b] if a in inside]
+    while stack:
+        chain = stack.pop()
+        ups = [y for y in succ[chain[-1]] if y in inside]
+        if ups:
+            stack.extend(chain + [y] for y in ups)
+        else:  # top covers the end of the chain
+            facets.append(frozenset(nodes[i] for i in chain))
+    return OrderComplex(vertices=[nodes[i] for i in sorted(inside)],
+                        facets=facets)
+
+
+def _only(extremes):
+    if len(extremes) != 1:
         raise DomainError("order_complex expects a bounded interval poset")
-    keep = [i for i in range(interval_poset.n) if i not in (mins[0], maxs[0])]
-    if not keep:
-        return OrderComplex(vertices=[], facets=[])
-    open_poset = interval_poset.subposet(keep)
-    facets = [frozenset(open_poset.nodes[i] for i in ch)
-              for ch in open_poset.maximal_chains()]
-    return OrderComplex(vertices=list(open_poset.nodes), facets=facets)
+    return extremes[0]
+
+
+def _reach(adj, start, within=None):
+    """The set of nodes reached from start along adj, staying inside
+    within (a set) when it is given."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen and (within is None or y in within):
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 @dataclass

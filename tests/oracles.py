@@ -276,6 +276,21 @@ def is_shelling_order(facets):
     return True
 
 
+def reference_order_complex(poset, u, v):
+    """(vertices, facets) of the order complex of the open interval
+    (u, v), by the route `posets.order_complex` took before it read the
+    interval off the covers: the closed interval [u, v] as an induced
+    subposet (from up- and down-set bitmasks; DomainError unless u <= v),
+    its bottom and top removed, and the facets as the maximal chains of
+    the rest."""
+    interval = poset.interval(u, v)
+    up, down = interval.up, interval.down
+    inner = interval.subposet([i for i in range(interval.n)
+                               if up[i] != 1 << i and down[i] != 1 << i])
+    return inner.nodes, [frozenset(inner.nodes[i] for i in chain)
+                         for chain in inner.maximal_chains()]
+
+
 def brute_shellable(facets):
     """Exhaustive search over all facet orderings (use only for <= 8
     facets)."""

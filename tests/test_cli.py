@@ -171,6 +171,22 @@ def test_check_sperner_and_curvature_rows_pinned(capsys, name):
         for k, (edges, lo, hi) in enumerate(curvature)]}
 
 
+def test_curvature_slice_with_every_edge_skipped_reports_null(capsys):
+    # near the boundary of a truncated ball every edge of the k >= 1
+    # slices is skipped: no kappa, so JSON null rather than "None"
+    code, out, _e = _run(capsys, ["check", "--type", "affC2", "--radius", "7",
+                                  "--checks", "curvature"])
+    assert code == 0
+    rows = json.loads(out)["checks"]["curvature"]["per_k"]
+    assert rows[0]["edges"] > 0 and rows[0]["kappa_min"] == "-2/3"
+    empty = [row for row in rows if row["edges"] == 0]
+    assert empty and rows[1] in empty
+    for row in empty:
+        assert row["skipped"] > 0
+        assert row["kappa_min"] is None and row["kappa_max"] is None
+    assert '"None"' not in out
+
+
 def test_theorem_failure_gives_exit_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._CHECK_FNS, "graded",
                         lambda run, args: {"ok": False, "failures": ["x"]})

@@ -8,11 +8,13 @@ import pytest
 
 from coxkit import DomainError, OutOfBallError, enumerate_ball, named_matrix
 from coxkit.matrices import longest_length
+from coxkit import curvature
 from coxkit.curvature import (CONVENTION, curvature_spectrum,
                               ollivier_ricci_edge, undirected_adjacency,
                               wasserstein_1)
 from coxkit.orders import omega_graph
 from coxkit.reflections import reflections_in_ball, t_k_set
+from coxkit.serialize import curvature_to_csv, curvature_to_json_dict
 
 from oracles import brute_w1
 
@@ -215,6 +217,17 @@ def test_right_translation_matches_each_edge_alone(name):
         edges = sorted({(min(a, b), max(a, b)) for a, b, _t in graph.arcs})
         assert not report.errors
         assert [(r.x, r.y) for r in report.records] == edges
+        # the eager move: mass from t1 e to t2 t goes from t1 x to t2 y,
+        # that is from u x to v x for the plan (u, v) of the edge {e, t}
+        labels = {(min(a, b), max(a, b)): t for a, b, t in graph.arcs}
+        assert ball.identity == 0
+        base = {labels[r.x, r.y]: r.transport_plan
+                for r in report.records if r.x == ball.identity}
+        for rec in report.records:
+            x = rec.x
+            assert rec.transport_plan == {
+                (ball.multiply(u, x), ball.multiply(v, x)): m
+                for (u, v), m in base[labels[rec.x, rec.y]].items()}
         for rec in report.records:
             alone = ollivier_ricci_edge(graph, rec.x, rec.y, adj=adj)
             assert rec.kappa == alone.kappa, (name, k, rec.x, rec.y)
@@ -278,3 +291,29 @@ def test_explicit_edges_on_a_complete_group(ball_a3, table_a3):
             undirected_adjacency(graph)[rec.x])
     assert [(x, y) for x, y, _m in report.errors] == [(a, a)]
     assert "is not an edge" in report.errors[0][2]
+
+
+def test_moved_plans_are_built_only_when_read(monkeypatch, ball_a3, table_a3):
+    # the maps t -> t x that move a solved plan are wrapped to count
+    # their lookups: the spectrum and both exports make none, reading a
+    # plan makes two per entry, once
+    lookups = []
+
+    class Row(dict):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+    left_steps = curvature._left_steps
+    monkeypatch.setattr(curvature, "_left_steps",
+                        lambda graph: [Row(r) for r in left_steps(graph)])
+    graph = omega_graph(ball_a3, t_k_set(table_a3, 1))
+    report = curvature_spectrum(graph)
+    json_dict = curvature_to_json_dict(report)
+    csv_text = curvature_to_csv(report)
+    assert not lookups
+    assert len(json_dict["edges"]) == len(report.records) == csv_text.count("\n") - 1
+    rec = report.records[-1]
+    plan = rec.transport_plan
+    assert plan and len(lookups) == 2 * len(plan)
+    assert rec.transport_plan is plan and len(lookups) == 2 * len(plan)

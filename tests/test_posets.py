@@ -21,7 +21,7 @@ from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 
 from oracles import (brute_closure, brute_covers, brute_max_h_family,
                      brute_shellable, is_shelling_order, is_union_of_h_antichains,
-                     reference_shellability)
+                     reference_order_complex, reference_shellability)
 
 
 def _chain(n):
@@ -298,6 +298,46 @@ def test_order_complex_trivial_interval():
     complex = order_complex(_chain(2))
     assert complex.facets == [] and complex.vertices == []
     assert shellability(complex).status == "shellable"
+    # one element is its own bottom and top
+    assert order_complex(_chain(1)) == OrderComplex(vertices=[], facets=[])
+    assert order_complex(_chain(3), 1, 1) == OrderComplex(vertices=[], facets=[])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_messy_dags())
+def test_order_complex_matches_the_interval_route(dag):
+    # every comparable pair gives the vertices and facets, in order, of
+    # the route through the closed interval as a subposet; an
+    # incomparable pair is refused
+    n, pairs = dag
+    less = brute_closure(n, pairs)
+    labels = [f"v{i}" for i in range(n)]
+    p = Poset.from_relation(labels, pairs)
+    for i in range(n):
+        for j in range(n):
+            u, v = labels[i], labels[j]
+            if i == j or (i, j) in less:
+                vertices, facets = reference_order_complex(p, u, v)
+                complex = order_complex(p, u, v)
+                assert complex.vertices == vertices and complex.facets == facets
+                # the interval as a poset of its own, with default bounds
+                assert order_complex(p.interval(u, v)) == complex
+            else:
+                with pytest.raises(DomainError):
+                    order_complex(p, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_messy_dags())
+def test_extremes_are_read_off_the_covers(dag):
+    n, pairs = dag
+    less = brute_closure(n, pairs)
+    p = Poset(list(range(n)), brute_covers(less))
+    assert p.minimals() == [i for i in range(n)
+                            if not any(b == i for _a, b in less)]
+    assert p.maximals() == [i for i in range(n)
+                            if not any(a == i for a, _b in less)]
+    assert p._up is None  # no up-set was built
 
 
 @pytest.mark.parametrize("facets,expected", [
@@ -353,8 +393,15 @@ def _check_suite_complexes(name):
         for poset in (intermediate_poset(ball, t_k_set(table, k)),
                       k_absolute_poset(k_absolute_length_all(table, k))):
             for c in ball.coxeter_elements():
-                if poset.leq(ball.identity, c):
-                    yield order_complex(poset.interval(ball.identity, c))
+                # the check's own path: a c not above e is refused
+                try:
+                    complex = order_complex(poset, ball.identity, c)
+                except DomainError:
+                    assert not poset.leq(ball.identity, c)
+                    continue
+                assert (complex.vertices, complex.facets) == (
+                    reference_order_complex(poset, ball.identity, c))
+                yield complex
 
 
 def test_shellability_matches_the_frozenset_search_on_check_suite_intervals():
