@@ -2,8 +2,9 @@
 
 Commands: ball, order, check, poly, curvature, export.  Exit status:
 0 on success (conjecture outcomes never change it), 2 on usage errors,
-3 when a resource cap or timeout produced only a partial report, 1 when
-a theorem-backed check fails.
+3 when a resource cap, a timeout or a check the ball cannot take (phi
+and monoid on a truncated ball) produced only a partial report, 1 when a
+theorem-backed check fails.
 """
 from __future__ import annotations
 
@@ -490,7 +491,7 @@ def _check_curvature(run, args):
         rep = curvature_mod.curvature_spectrum(run.graph(k))
         lo, hi = rep.kappa_min(), rep.kappa_max()  # None if every edge is skipped
         rows.append({
-            "k": k, "edges": len(rep.records), "skipped": len(rep.errors),
+            "k": k, "edges": rep.edge_count(), "skipped": len(rep.errors),
             "kappa_min": None if lo is None else str(lo),
             "kappa_max": None if hi is None else str(hi),
         })
@@ -535,7 +536,9 @@ def cmd_check(args) -> int:
             continue
         try:
             result = _CHECK_FNS[name](run, args)
-        except ResourceError as exc:
+        except (ResourceError, DomainError) as exc:
+            # a cap hit, or a check this ball cannot take (phi and monoid
+            # need the complete group): the other checks still report
             report["checks"][name] = {"ok": None, "skipped": str(exc)}
             partial = True
             continue

@@ -16,9 +16,10 @@ one transport problem per reflection in X gives every edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
+from operator import lt
 
 from .ball import GroupBall
 from .errors import DomainError, OutOfBallError
@@ -72,22 +73,50 @@ class CurvatureRecord:
                 f"kappa={self.kappa!r}, transport_plan={self.transport_plan!r})")
 
 
-@dataclass
 class CurvatureReport:
-    records: list
-    errors: list          # (x, y, message)
-    convention: dict = field(default_factory=lambda: dict(CONVENTION))
+    """Curvature of a batch of edges: a `CurvatureRecord` for each edge
+    solved, (x, y, message) in `errors` for each edge refused, and the
+    convention.
+
+    On a complete group whose arc graph is the Cayley graph of X (see
+    `curvature_spectrum`), `classes` lists (t, kappa, multiplicity) for
+    each t in X: the multiplicity edges {x, t x} all take kappa(e, t).
+    The edge count, the extremes and the histogram read the classes, and
+    `records` is built on first read, from the classes' solved plans.
+    Elsewhere `classes` is None and everything reads the records.
+    """
+
+    def __init__(self, records, errors, convention=None, classes=None):
+        self._records = records  # a list, or a function that builds it
+        self.errors = errors
+        self.convention = dict(CONVENTION) if convention is None else convention
+        self.classes = classes
+
+    @property
+    def records(self) -> list:
+        if callable(self._records):
+            self._records = self._records()
+        return self._records
+
+    def _weighted(self):
+        """(kappa, number of edges) pairs covering every solved edge."""
+        if self.classes is not None:
+            return [(kappa, m) for _t, kappa, m in self.classes]
+        return [(r.kappa, 1) for r in self.records]
+
+    def edge_count(self) -> int:
+        return sum(m for _kappa, m in self._weighted())
 
     def kappa_min(self):
-        return min((r.kappa for r in self.records), default=None)
+        return min((kappa for kappa, _m in self._weighted()), default=None)
 
     def kappa_max(self):
-        return max((r.kappa for r in self.records), default=None)
+        return max((kappa for kappa, _m in self._weighted()), default=None)
 
     def histogram(self):
         out: dict[Fraction, int] = {}
-        for r in self.records:
-            out[r.kappa] = out.get(r.kappa, 0) + 1
+        for kappa, m in self._weighted():
+            out[kappa] = out.get(kappa, 0) + m
         return dict(sorted(out.items()))
 
 
@@ -251,19 +280,30 @@ def curvature_spectrum(graph, edges=None) -> CurvatureReport:
 
     On a complete group the arc graph is the Cayley graph of left
     multiplication by X, and right multiplication by x is an automorphism
-    of it that maps the edge {e, t} to {x, t x}.  So each t in X gets one
-    transport problem, on {e, t}, and every edge {x, t x} takes its
-    curvature and its plan moved by x.  A truncated ball is not closed
-    under right multiplication, so there every edge is solved on its own,
-    with the margin rule of `ollivier_ricci_edge`; so is every edge of a
-    graph whose arcs are not exactly the edges {a, t a}.
+    of it that maps the edge {e, t} to {x, t x}; Ollivier's curvature is
+    defined by the graph metric alone (J. Funct. Anal. 256, 2009), so
+    automorphisms keep it.  So each t in X gets one transport problem, on
+    {e, t}, and every edge {x, t x} takes its curvature and its plan
+    moved by x.  For all edges, the report then carries one class per t
+    and builds its records only when they are read.  A truncated ball is
+    not closed under right multiplication, so there every edge is solved
+    on its own, with the margin rule of `ollivier_ricci_edge`; so is
+    every edge of a graph whose arcs are not exactly the arcs a -> t a
+    (see `_cayley_rows`).
     """
+    rows = _cayley_rows(graph)
+    if rows is not None and edges is None:
+        cache = _GraphCache(graph, _RowAdjacency(rows))
+        translate = _RightTranslation(graph, cache, rows)
+        half = len(graph.ball) // 2  # the edges {x, t x} of one t
+        classes = [(t, translate.solve(t)[0], half) for t in sorted(rows)]
+        return CurvatureReport(records=translate.all_records, errors=[],
+                               classes=classes)
     cache = _GraphCache(graph, undirected_adjacency(graph))
     labels = {(min(a, b), max(a, b)): t for a, b, t in graph.arcs}
     if edges is None:
         edges = sorted(labels)
-    steps = _left_steps(graph)
-    translate = None if steps is None else _RightTranslation(graph, cache, steps)
+    translate = None if rows is None else _RightTranslation(graph, cache, rows)
     records = []
     errors = []
     for x, y in edges:
@@ -278,55 +318,126 @@ def curvature_spectrum(graph, edges=None) -> CurvatureReport:
     return CurvatureReport(records=records, errors=errors)
 
 
-def _left_steps(graph):
-    """steps[a] = {t: t a for t in X} for every a of a complete group, if
-    the arcs of the graph are exactly the edges {a, t a}, each once;
-    otherwise None.  No `multiply`: for a = a' s with l(a') < l(a),
-    t a = (t a') s, and the ids are taken in order of length."""
+def _left_rows(ball: GroupBall, xs) -> dict[int, tuple]:
+    """rows[t][a] = t a, for each t in xs and every a of a complete group.
+
+    Left multiplication by a generator s is column s of the left table.
+    For t with first letter s, t = s (s t), one column after the row of
+    s t; and when s t s is two shorter than t, as it is for a reflection
+    t != s, t = s (s t s) s, two columns around the row of s t s.  Each
+    row is built once, from the shorter one it needs, so a reflection
+    costs two passes over the group.
+    """
+    left, right = ball.left, ball.right
+    cols = [tuple(row[s] for row in left) for s in ball.matrix.generators]
+    known = {ball.identity: tuple(range(len(ball)))}
+
+    def row(t):
+        r = known.get(t)
+        if r is None:
+            s = ball.word(t)[0]
+            c = cols[s]
+            st = left[t][s]
+            sts = right[st][s]
+            if ball.length(sts) == ball.length(t) - 2:
+                r = tuple(map(c.__getitem__, map(row(sts).__getitem__, c)))
+            else:
+                r = tuple(map(c.__getitem__, row(st)))
+            known[t] = r
+        return r
+
+    return {t: row(t) for t in xs}
+
+
+def _cayley_rows(graph):
+    """`_left_rows` of X, if the ball is a complete group, every t in X
+    is an involution and the arcs of the graph are exactly the arcs
+    a -> t a with l(t a) > l(a), each once and in sorted order (as
+    `omega_graph` lists them); otherwise None.
+
+    Each involution t pairs a with t a, and one of the two is longer, so
+    it has |W|/2 such arcs.  Sorted distinct arcs, each of this form,
+    |X| |W|/2 of them, are therefore all of them.
+    """
     ball = graph.ball
     if not (isinstance(ball, GroupBall) and ball.is_complete_group):
         return None
-    right = ball.right
-    steps = [None] * len(ball)
-    steps[ball.identity] = {t: t for t in sorted(graph.x_set)}
-    for a in sorted(range(len(ball)), key=ball.length):
-        if steps[a] is None:
-            s = ball.word(a)[-1]
-            steps[a] = {t: right[b][s] for t, b in steps[right[a][s]].items()}
-    edges = {(min(a, b), max(a, b), t)
-             for a, row in enumerate(steps) for t, b in row.items()}
-    arcs = [(min(a, b), max(a, b), t) for a, b, t in graph.arcs]
-    if len(arcs) != len(edges) or set(arcs) != edges:
+    arcs = graph.arcs
+    if 2 * len(arcs) != len(graph.x_set) * len(ball):
         return None
-    return steps
+    if not all(map(lt, arcs, islice(arcs, 1, None))):
+        return None
+    rows = _left_rows(ball, sorted(graph.x_set))
+    if any(row[t] != ball.identity for t, row in rows.items()):
+        return None
+    length = [e.length for e in ball.elements]
+    for a, b, t in arcs:
+        row = rows.get(t)
+        if row is None or row[a] != b or length[b] <= length[a]:
+            return None
+    return rows
+
+
+def _left_steps(graph):
+    """steps[a] = {t: t a for t in X} for every a of a complete group."""
+    xs = sorted(graph.x_set)
+    rows = _left_rows(graph.ball, xs)
+    return [dict(zip(xs, col)) for col in zip(*(rows[t] for t in xs))]
+
+
+class _RowAdjacency:
+    """The neighbour sets {t a : t in X} of the Cayley graph, each built
+    from the rows when first asked for: a transport problem on {e, t}
+    reads only the vertices near e and t."""
+
+    def __init__(self, rows):
+        self.rows = list(rows.values())
+        self.known: dict[int, set[int]] = {}
+
+    def get(self, a, _default=None):
+        nb = self.known.get(a)
+        if nb is None:
+            nb = self.known[a] = {row[a] for row in self.rows}
+        return nb
+
+    __getitem__ = get
 
 
 class _RightTranslation:
     """The edges {x, t x} of an arc graph on a complete group, from the
-    solved edge {e, t}.  steps[a][t] = t a, from `_left_steps`."""
+    solved edge {e, t}.  rows[t][a] = t a, from `_cayley_rows`."""
 
-    def __init__(self, graph, cache, steps):
-        self.graph, self.cache, self.steps = graph, cache, steps
+    def __init__(self, graph, cache, rows):
+        self.graph, self.cache, self.rows = graph, cache, rows
         self.identity = graph.ball.identity
         self.base: dict[int, tuple[Fraction, list]] = {}
+        self._steps = None
 
-    def _solve(self, t):
+    def solve(self, t):
         """kappa(e, t) and its plan as (t1, t2, mass): mass moves from
         t1 e to t2 t."""
-        e = self.identity
-        rec = ollivier_ricci_edge(self.graph, e, t, cache=self.cache)
-        at_e = {b: s for s, b in self.steps[e].items()}
-        at_t = {b: s for s, b in self.steps[t].items()}
-        return rec.kappa, [(at_e[u], at_t[v], m)
-                           for (u, v), m in rec.transport_plan.items()]
+        if t not in self.base:
+            e = self.identity
+            rec = ollivier_ricci_edge(self.graph, e, t, cache=self.cache)
+            at_e = {row[e]: s for s, row in self.rows.items()}
+            at_t = {row[t]: s for s, row in self.rows.items()}
+            plan = rec.transport_plan.items()
+            self.base[t] = rec.kappa, [(at_e[u], at_t[v], m)
+                                       for (u, v), m in plan]
+        return self.base[t]
 
     def record(self, x, y, t) -> CurvatureRecord:
         """The edge {x, y} with y = t x, as the image of {e, t} under
         right multiplication by x: t1 e -> t1 x and t2 t -> t2 y.  The
         moved plan is built when it is first read."""
-        if t not in self.base:
-            self.base[t] = self._solve(t)
-        kappa, plan = self.base[t]
+        if self._steps is None:
+            self._steps = _left_steps(self.graph)
+        kappa, plan = self.solve(t)
         rec = CurvatureRecord(x, y, kappa, None)
-        rec._moves = (plan, self.steps[x], self.steps[y])
+        rec._moves = (plan, self._steps[x], self._steps[y])
         return rec
+
+    def all_records(self) -> list:
+        """A record for every edge, in the order of the sorted edges."""
+        return [self.record(x, y, t) for x, y, t in
+                sorted((min(a, b), max(a, b), t) for a, b, t in self.graph.arcs)]

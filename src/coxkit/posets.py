@@ -51,9 +51,28 @@ class Poset:
     @classmethod
     def _from_closed(cls, nodes, up, rank=None, metadata=None) -> "Poset":
         """Build from reflexive, transitively closed up-set bitmasks (bit
-        j of up[i] set iff node i <= node j)."""
-        succ = [_bits(m ^ (1 << i)) for i, m in enumerate(up)]
-        return cls._from_successors(nodes, succ, rank, metadata)
+        j of up[i] set iff node i <= node j).
+
+        When the ids are a linear extension (bit i is the lowest bit of
+        up[i], for every i), the covers of i are peeled off its up-set.
+        The lowest bit j left is minimal in what is left, and what was
+        cleared lies above a cover found before, so not below j: i < j is
+        a cover.  Then the bits of up[j] are cleared, and so on.  A cover
+        is never cleared before it is taken, as no other cover lies below
+        it.  That is one big-int operation per cover, and the up-sets are
+        kept.  Other ids go through `_close`.
+        """
+        if any(m & -m != 1 << i for i, m in enumerate(up)):
+            succ = [_bits(m ^ (1 << i)) for i, m in enumerate(up)]
+            return cls._from_successors(nodes, succ, rank, metadata)
+        covers = []
+        for i, m in enumerate(up):
+            m ^= 1 << i
+            while m:
+                j = (m & -m).bit_length() - 1
+                covers.append((i, j))
+                m &= ~up[j]
+        return cls(nodes, covers, rank=rank, metadata=metadata, _up=up)
 
     @classmethod
     def _from_successors(cls, nodes, succ, rank=None, metadata=None) -> "Poset":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 from operator import or_
 
 from .ball import BOUNDARY, GroupBall
@@ -46,7 +47,7 @@ class SelfMapTable:
         """self after other: w -> self(other(w))."""
         return SelfMapTable(
             descriptor=f"{self.descriptor}*{other.descriptor}",
-            images=tuple(self.images[x] for x in other.images))
+            images=_compose(self.images, other.images))
 
 
 def parabolic_decompose(ball: GroupBall, w: int, J, side: str = "right") -> ParabolicDecomposition:
@@ -184,58 +185,92 @@ class MonoidReport:
     size: int
     idempotent: bool
     braid_ok: bool
-    elements: list = field(default_factory=list)  # SelfMapTable list
+
+
+def _single_projections(ball: GroupBall) -> dict:
+    """{images of P^{s}: s} for each generator s of a complete group:
+    P^{s} sends w to w s when s is a right descent of w, and fixes w
+    otherwise."""
+    length = [e.length for e in ball.elements]
+    out = {}
+    for s in ball.matrix.generators:
+        column = (row[s] for row in ball.right)
+        out[tuple(x if length[x] < length[w] else w
+                  for w, x in enumerate(column))] = s
+    return out
+
+
+def _compose(f: tuple, g: tuple) -> tuple:
+    """f after g, as image tuples."""
+    return tuple(map(f.__getitem__, g))
+
+
+def _braid_holds(f: tuple, g: tuple, m: int) -> bool:
+    """Whether f g f ... = g f g ..., m factors each (0: infinite m, no
+    relation)."""
+    a = b = tuple(range(len(f)))
+    for i in range(m):
+        a = _compose(f if i % 2 == 0 else g, a)
+        b = _compose(g if i % 2 == 0 else f, b)
+    return a == b
 
 
 def projection_monoid(ball: GroupBall, generators: list[SelfMapTable],
                       cap: int = 1_000_000) -> MonoidReport:
-    """Closure of the generator maps under composition, as function
-    tables, with the generator sanity checks.
+    """The size of the monoid the generator maps generate under
+    composition, with the generator sanity checks.
 
-    braid_ok: for every pair of single-generator projections, the
-    m(s,t)-fold alternating compositions on both sides agree.
+    A map whose table is that of a single projection P^{s} is labelled
+    by s.  idempotent: g g = g for every generator map.  braid_ok: every
+    s has a single projection among the maps, and for every pair s, t
+    with m(s, t) finite the m(s, t)-fold alternating compositions
+    starting with P^{s} and with P^{t} agree.
+
+    When the maps are exactly one P^{s} for each s, are idempotent and
+    satisfy the braid relations, they satisfy the defining relations of
+    the 0-Hecke monoid of W, so they generate a quotient of it; that
+    monoid has |W| elements, since the words of one element of W are
+    linked by braid moves (Matsumoto, C. R. Acad. Sci. Paris 258, 1964;
+    Norton, J. Austral. Math. Soc. A 27, 1979).  And f -> f(w0) maps the
+    monoid onto the orbit of w0.  So when one search from w0 reaches all
+    of W, the size is |W|.  Otherwise the maps are closed under
+    composition as tables, up to `cap` elements.
     """
     if not ball.is_complete_group:
         raise DomainError("monoid closure needs the complete finite group")
-    ident = SelfMapTable("id", tuple(range(len(ball))))
-    seen = {ident.images: ident}
+    n = len(ball)
+    label = _single_projections(ball)
+    tables = [g.images for g in generators]
+    singles = {label[f]: f for f in tables if f in label}
+    idem = all(_compose(f, f) == f for f in tables)
+    gens = ball.matrix.generators
+    braid_ok = len(singles) == len(gens) and all(
+        _braid_holds(singles[s], singles[t], ball.matrix.m(s, t))
+        for s, t in combinations(gens, 2))
+    # with braid_ok, as many maps as generators means one P^{s} for each s
+    if idem and braid_ok and len(tables) == len(gens):
+        w0 = max(range(n), key=ball.length)
+        reached = bytearray(n)
+        reached[w0] = 1
+        orbit = [w0]
+        for w in orbit:  # the list is the queue: it grows while it is read
+            for f in tables:
+                x = f[w]
+                if not reached[x]:
+                    reached[x] = 1
+                    orbit.append(x)
+        if len(orbit) == n:
+            return MonoidReport(size=n, idempotent=True, braid_ok=True)
+    ident = tuple(range(n))
+    seen = {ident}
     work = [ident]
     while work:
         f = work.pop()
-        for g in generators:
-            h = g.compose(f)
-            if h.images not in seen:
+        for g in tables:
+            h = _compose(g, f)
+            if h not in seen:
                 if len(seen) >= cap:
                     raise ResourceError(f"monoid closure cap {cap} exceeded")
-                seen[h.images] = h
+                seen.add(h)
                 work.append(h)
-    elements = list(seen.values())
-    idem = all(g.compose(g).images == g.images for g in generators)
-    braid_ok = True
-    singles = {}
-    for g in generators:
-        moved = [w for w in range(len(ball)) if g(w) != w]
-        # a single-generator projection moves w exactly by stripping s
-        cand = {next(iter(ball.right_descents(w) & set(ball.matrix.generators)
-                          & {s for s in ball.matrix.generators
-                             if ball.right[w][s] == g(w)}), None)
-                for w in moved}
-        cand.discard(None)
-        if len(cand) == 1:
-            singles[next(iter(cand))] = g
-    for s in singles:
-        for t in singles:
-            if s >= t:
-                continue
-            m = ball.matrix.m(s, t)
-            if m == 0:
-                continue
-            a = b = ident
-            x, y = singles[s], singles[t]
-            for i in range(m):
-                a = (x if i % 2 == 0 else y).compose(a)
-                b = (y if i % 2 == 0 else x).compose(b)
-            if a.images != b.images:
-                braid_ok = False
-    return MonoidReport(size=len(elements), idempotent=idem, braid_ok=braid_ok,
-                        elements=elements)
+    return MonoidReport(size=len(seen), idempotent=idem, braid_ok=braid_ok)

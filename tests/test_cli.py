@@ -204,6 +204,24 @@ def test_timeout_gives_partial(capsys):
     assert report["checks"]["sperner"]["skipped"] == "timeout"
 
 
+@pytest.mark.parametrize("refused,message", [
+    ("monoid", "monoid closure needs the complete finite group"),
+    ("phi", "image poset needs the complete finite group")])
+def test_check_the_ball_cannot_take_is_skipped(capsys, refused, message):
+    # phi and monoid need the complete group: on a truncated ball they
+    # are recorded as skipped, the finished checks keep their results,
+    # and the run is partial
+    code, out, _e = _run(capsys, ["check", "--type", "affA2", "--radius", "6",
+                                  "--checks", f"graded,{refused},logconcave"])
+    assert code == 3
+    report = json.loads(out)
+    assert report["status"] == "partial"
+    checks = report["checks"]
+    assert checks["graded"]["ok"] is True and checks["graded"]["ideals_checked"] == 3
+    assert checks["logconcave"]["per_k"]
+    assert checks[refused] == {"ok": None, "skipped": message}
+
+
 def test_element_cap_gives_partial(capsys):
     code, _o, err = _run(capsys, ["ball", "--type", "B3",
                                   "--cap-elements", "5"])

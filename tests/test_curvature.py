@@ -250,9 +250,9 @@ def _edited(graph, arcs):
 
 def test_edited_arc_list_is_solved_edge_by_edge(ball_a3, table_a3):
     # arcs dropped or rewired leave a graph on which right multiplication
-    # is no automorphism, and a repeated arc is not the Cayley graph's arc
-    # list either: each edge must get the kappa it has when solved alone
-    # on that graph
+    # is no automorphism, and a repeated arc or one turned round is not
+    # the Cayley graph's arc list either: no classes, and each edge must
+    # get the kappa it has when solved alone on that graph
     graph = omega_graph(ball_a3, t_k_set(table_a3, 1))
     arcs = graph.arcs
     (a, b, t), = arcs[:1]
@@ -263,20 +263,23 @@ def test_edited_arc_list_is_solved_edge_by_edge(ball_a3, table_a3):
         [(a, d, t) if arc == (a, b, t) else (c, b, t) if arc == (c, d, t)
          else arc for arc in arcs],
         arcs + arcs[:1],
+        sorted(arcs[1:] + [(b, a, t)]),  # one arc turned round
+        sorted(arcs[1:] + arcs[1:2]),    # one arc twice, one missing
     ]
     whole = {(r.x, r.y): r.kappa for r in curvature_spectrum(graph).records}
     for i, edited in enumerate(_edited(graph, arcs) for arcs in variants):
         report = curvature_spectrum(edited)
         adj = undirected_adjacency(edited)
-        assert not report.errors
+        assert not report.errors and report.classes is None
+        assert report.edge_count() == len(report.records)
         assert [(r.x, r.y) for r in report.records] == sorted(
             {(min(x, y), max(x, y)) for x, y, _t in edited.arcs})
         for rec in report.records:
             alone = ollivier_ricci_edge(edited, rec.x, rec.y, adj=adj)
             assert rec.kappa == alone.kappa, (rec.x, rec.y)
         # the edits that change the undirected graph change some kappa
-        assert (i == 2) != any(whole.get((r.x, r.y)) != r.kappa
-                               for r in report.records)
+        assert (i in (2, 3)) != any(whole.get((r.x, r.y)) != r.kappa
+                                    for r in report.records)
 
 
 def test_explicit_edges_on_a_complete_group(ball_a3, table_a3):
@@ -317,3 +320,67 @@ def test_moved_plans_are_built_only_when_read(monkeypatch, ball_a3, table_a3):
     plan = rec.transport_plan
     assert plan and len(lookups) == 2 * len(plan)
     assert rec.transport_plan is plan and len(lookups) == 2 * len(plan)
+
+
+def _complete_slices(name):
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    table = reflections_in_ball(ball)
+    top = max(ball.length(t) for t in table.reflections)
+    for k in range((top - 1) // 2 + 1):
+        yield k, omega_graph(ball, t_k_set(table, k))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "I2(7)"])
+def test_classes_match_the_edge_records(name):
+    # the class report (one kappa per t in X) and the report over the
+    # same edges given one by one agree on every summary; its records,
+    # built when read, equal the eager ones, plans included
+    for k, graph in _complete_slices(name):
+        report = curvature_spectrum(graph)
+        edges = sorted({(min(a, b), max(a, b)) for a, b, _t in graph.arcs})
+        eager = curvature_spectrum(graph, edges=edges)
+        assert eager.classes is None and not eager.errors
+        assert [t for t, _kappa, _m in report.classes] == sorted(graph.x_set)
+        n = len(graph.ball)
+        assert all(m == n // 2 for _t, _kappa, m in report.classes)
+        for rep in (report, eager):
+            assert rep.edge_count() == len(edges) == len(graph.arcs)
+        assert report.kappa_min() == eager.kappa_min()
+        assert report.kappa_max() == eager.kappa_max()
+        assert report.histogram() == eager.histogram()
+        assert sum(report.histogram().values()) == len(edges)
+        assert report.records == eager.records, (name, k)
+        assert report.edge_count() == len(report.records)
+
+
+def test_a_set_with_no_involution_takes_the_edge_path(ball_a3):
+    # left multiplication by the Coxeter element c = s0 s1 s2 raises the
+    # length of half of S4, as a reflection does, but c is no involution:
+    # its arcs are no Cayley graph of right translations
+    c = ball_a3.id_of_word([0, 1, 2])
+    graph = omega_graph(ball_a3, {c})
+    assert 2 * len(graph.arcs) == len(ball_a3)
+    report = curvature_spectrum(graph)
+    adj = undirected_adjacency(graph)
+    assert report.classes is None and not report.errors
+    assert report.edge_count() == len(graph.arcs)
+    for rec in report.records:
+        assert rec.kappa == ollivier_ricci_edge(graph, rec.x, rec.y, adj=adj).kappa
+
+
+def test_reading_records_solves_nothing_again(monkeypatch, ball_a3, table_a3):
+    # the records of a class report come from the solved plans: reading
+    # them calls neither the public spectrum nor the edge solver
+    graph = omega_graph(ball_a3, t_k_set(table_a3, 2))
+    calls = []
+    for name in ("curvature_spectrum", "ollivier_ricci_edge", "wasserstein_1"):
+        fn = getattr(curvature, name)
+        monkeypatch.setattr(curvature, name,
+                            lambda *a, fn=fn, name=name, **kw:
+                            calls.append(name) or fn(*a, **kw))
+    report = curvature.curvature_spectrum(graph)
+    solved = len(calls)
+    assert calls.count("ollivier_ricci_edge") == len(graph.x_set)
+    assert len(report.records) == report.edge_count() == len(graph.arcs)
+    assert len(calls) == solved

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit import DomainError, enumerate_ball, named_matrix
+from coxkit import posets as posets_mod
 from coxkit.matrices import longest_length
 from coxkit.orders import (intermediate_poset, k_absolute_length_all,
                            k_absolute_poset)
@@ -17,6 +18,7 @@ from coxkit.posets import (Poset, check_graded, is_graded, is_isomorphism,
                            max_h_family_value, nc_lattice, OrderComplex,
                            order_complex, order_ideals, poset_isomorphic,
                            shellability, strong_sperner_check)
+from coxkit.projections import phi_k_image_poset
 from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 
 from oracles import (brute_closure, brute_covers, brute_max_h_family,
@@ -129,6 +131,80 @@ def test_up_sets_built_from_covers_match_brute_force(dag):
     assert sorted(order) == list(range(n))
     at = {x: k for k, x in enumerate(order)}
     assert all(at[i] < at[j] for i, j in less)
+
+
+@st.composite
+def _closed_dags(draw):
+    """Reflexive closed up-set bitmasks of a random DAG whose ids are a
+    linear extension, and a permutation of the ids: (n, up, perm)."""
+    n = draw(st.integers(0, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if draw(st.integers(0, 3)) == 0]
+    less = brute_closure(n, pairs)
+    up = [(1 << i) | sum(1 << j for i2, j in less if i2 == i) for i in range(n)]
+    return n, up, draw(st.permutations(range(n)))
+
+
+def _counting_close(monkeypatch):
+    calls = []
+    close = posets_mod._close
+
+    def counted(succ):
+        calls.append(len(succ))
+        return close(succ)
+
+    monkeypatch.setattr(posets_mod, "_close", counted)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closed_dags())
+def test_from_closed_peels_in_id_order_and_closes_otherwise(dag):
+    # in id order the covers are peeled off the up-sets with no call of
+    # _close; renumbered against the order, the closure pass runs; both
+    # give what _close gives on the same successor lists
+    n, up, perm = dag
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_close(mp)
+        for ids in (list(range(n)), perm):
+            moved = [0] * n
+            for i, m in enumerate(up):
+                moved[ids[i]] = sum(1 << ids[j] for j in range(n) if m >> j & 1)
+            succ = [[j for j in range(n) if j != i and m >> j & 1]
+                    for i, m in enumerate(moved)]
+            want_up, want_covers = posets_mod._close(succ)
+            calls.clear()
+            p = Poset._from_closed([f"v{i}" for i in range(n)], moved,
+                                   rank=list(range(n)), metadata={"m": 1})
+            against = any(moved[i] >> j & 1 for i in range(n) for j in range(i))
+            assert calls == ([n] if against else [])
+            assert p.covers == sorted(want_covers)
+            assert p.up == want_up == moved
+            assert p.rank == list(range(n)) and p.metadata == {"m": 1}
+
+
+def test_from_closed_rejects_a_cycle():
+    with pytest.raises(DomainError):
+        Poset._from_closed([0, 1], [0b11, 0b11])
+
+
+@pytest.mark.parametrize("name", ["A3", "H3"])
+def test_phi_image_posets_are_peeled(monkeypatch, name):
+    # the image tuples are sorted and each strictly greater tuple is
+    # lexicographically later, so no image poset goes through _close
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    table = reflections_in_ball(ball)
+    top = max(ball.length(t) for t in table.reflections)
+    orders = [intermediate_poset(ball, t_k_set(table, k))
+              for k in range((top - 1) // 2 + 1)]
+    for order in orders:
+        assert order.up  # the orders' own up-sets, built here
+    calls = _counting_close(monkeypatch)
+    for order in orders:
+        image = phi_k_image_poset(ball, order)
+        assert image.n and image.covers
+    assert calls == []
 
 
 def test_from_relation_rejects_cycles():

@@ -4,13 +4,14 @@ from itertools import chain, combinations
 
 import pytest
 
-from coxkit import DomainError, enumerate_ball, named_matrix
+from coxkit import DomainError, ResourceError, enumerate_ball, named_matrix
 from coxkit.matrices import longest_length
 from coxkit.orders import intermediate_poset
 from coxkit.posets import is_isomorphism, poset_isomorphic
-from coxkit.projections import (is_order_preserving, parabolic_decompose,
-                                phi_k_image_poset, project_PJ, project_QJ,
-                                projection_map, projection_monoid)
+from coxkit.projections import (SelfMapTable, is_order_preserving,
+                                parabolic_decompose, phi_k_image_poset,
+                                project_PJ, project_QJ, projection_map,
+                                projection_monoid)
 from coxkit.reflections import reflections_in_ball, t_k_set
 
 from models import longest_first
@@ -125,6 +126,64 @@ def test_projection_monoid_a3(ball_a3, table_a3):
     assert report.idempotent and report.braid_ok
     # 0-Hecke monoid of S4: one idempotent-generated map per element
     assert report.size == 24
+
+
+def test_braid_ok_needs_a_single_projection_for_every_generator(ball_a3):
+    # maps that are not single projections are not attributed to any s,
+    # and an s without its P^{s} leaves its braid relations unchecked
+    ball = ball_a3
+    P = lambda J: projection_map(ball, J, "P")
+    report = projection_monoid(ball, [P([0, 1]), P([2])])
+    assert (report.size, report.idempotent, report.braid_ok) == (7, True, False)
+    report = projection_monoid(ball, [P([0]), P([0]).compose(P([2])), P([2])])
+    assert (report.size, report.idempotent, report.braid_ok) == (4, True, False)
+    report = projection_monoid(ball, [P([0]), P([1]), P([2]), P([0, 1])])
+    assert (report.size, report.idempotent, report.braid_ok) == (24, True, True)
+
+
+def _closure_size(gens):
+    """Every composite of the maps, by brute force."""
+    n = len(gens[0].images)
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [h for h in {tuple(g.images[x] for x in f)
+                                for f in frontier for g in gens} if h not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "B4", "F4"])
+def test_monoid_size_certificate_matches_the_closure(name):
+    # one P^{s} per s: the size is read off the orbit of w0, past any
+    # cap; with one map twice the certificate does not apply, and the
+    # closure runs under its cap
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    gens = [projection_map(ball, [s], "P") for s in matrix.generators]
+    report = projection_monoid(ball, gens, cap=1)
+    assert (report.size, report.idempotent, report.braid_ok) == (len(ball), True, True)
+    assert projection_monoid(ball, gens + gens[:1]).size == len(ball)
+    with pytest.raises(ResourceError):
+        projection_monoid(ball, gens + gens[:1], cap=len(ball) - 1)
+    if len(ball) <= 384:
+        assert _closure_size(gens) == len(ball)
+
+
+def test_mutated_generator_takes_the_closure(ball_b3):
+    # P^{0} with one moved element fixed instead is still idempotent but
+    # no single projection: braid_ok is false and the closure decides
+    ball = ball_b3
+    gens = [projection_map(ball, [s], "P") for s in ball.matrix.generators]
+    images = list(gens[0].images)
+    w = next(w for w in range(len(ball)) if images[w] != w)
+    images[w] = w
+    gens[0] = SelfMapTable("mutated", tuple(images))
+    report = projection_monoid(ball, gens)
+    assert report.idempotent and not report.braid_ok
+    assert report.size == _closure_size(gens) != len(ball)
+    with pytest.raises(ResourceError):
+        projection_monoid(ball, gens, cap=len(ball) - 1)
 
 
 def test_errors(ball_a2):
