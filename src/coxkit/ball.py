@@ -109,16 +109,38 @@ class GroupBall:
 
     def multiply(self, u: int, v: int) -> int:
         """The element u*v, or OutOfBallError if its length exceeds the
-        radius."""
-        x = v
-        for letter in reversed(self.elements[u].word):
-            x = self.left[x][letter]
-            if x == BOUNDARY:
-                x = self._walk(u, self.elements[v].word, self.radius)
-                if x is None:
-                    raise OutOfBallError(f"product of elements {u}, {v} has length "
-                                         f"> radius {self.radius}; enlarge the ball")
-                return x
+        radius.
+
+        The shorter word is walked: for l(u) <= l(v), u's letters down the
+        left table from v, and a walk that leaves the table starts again
+        with `_walk` from u (only right products are followed beyond the
+        radius).  Otherwise v's letters go down the right table from u,
+        and a walk that leaves it goes on with `_walk` from the partial
+        product: u*v = (u v_1 ... v_i) v_(i+1) ... v_m."""
+        eu, ev = self.elements[u], self.elements[v]
+        if eu.length <= ev.length:
+            left = self.left
+            x = v
+            for letter in reversed(eu.word):
+                x = left[x][letter]
+                if x == BOUNDARY:
+                    return self._walk_or_raise(u, ev.word, u, v)
+            return x
+        right = self.right
+        x = u
+        letters = iter(ev.word)
+        for letter in letters:
+            y = right[x][letter]
+            if y == BOUNDARY:  # walk this letter and the ones still to come
+                return self._walk_or_raise(x, bytes((letter, *letters)), u, v)
+            x = y
+        return x
+
+    def _walk_or_raise(self, x: int, letters, u: int, v: int) -> int:
+        x = self._walk(x, letters, self.radius)
+        if x is None:
+            raise OutOfBallError(f"product of elements {u}, {v} has length "
+                                 f"> radius {self.radius}; enlarge the ball")
         return x
 
     # -- beyond the radius ----------------------------------------------------
@@ -126,13 +148,44 @@ class GroupBall:
     def _walk(self, x: int, letters, limit: int):
         """x times the letters, through elements beyond the radius where
         needed; None as soon as the letters still to come cannot bring the
-        product down to length <= limit."""
+        product down to length <= limit.
+
+        With `todo` letters still to come after s, l(x s) - todo is the
+        least length the product can end with, and it never falls: a
+        descent lowers l by 1 and todo by 1, an ascent raises it by 2.  So
+        the walk stops as soon as it passes the limit, and it stops before
+        it creates: an ascent s with l(x) - todo >= limit would end past
+        the limit, which the descent mask tells without a `_times` step,
+        so no element beyond the radius is built only to be dropped.
+        The verdict is the one of walking to the end, l(x * letters) >
+        limit."""
+        n = len(self.elements)
+        right, elements = self.right, self.elements
+        rows, descents = self._rows, self._descents
         todo = len(letters)
-        for letter in letters:
-            x = self._times(x, letter)
+        lx = self._length(x)
+        if todo and lx - todo > limit:
+            return None
+        for s in letters:
             todo -= 1
-            if self._length(x) - todo > limit:
+            if x < n:
+                y = right[x][s]
+                if y != BOUNDARY:
+                    ly = elements[y].length
+                    if ly > lx and lx - todo >= limit:
+                        return None
+                    x, lx = y, ly
+                    continue
+            elif descents[x - n] >> s & 1:
+                x = rows[x - n][s]
+                lx -= 1
+                continue
+            # s is an ascent of x, and x*s lies beyond the radius
+            if lx - todo >= limit:
                 return None
+            y = rows[x - n][s] if x >= n else None
+            x = self._times(x, s) if y is None else y
+            lx += 1
         return x
 
     def _length(self, x: int) -> int:

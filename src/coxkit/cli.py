@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from itertools import combinations
 
 from . import curvature as curvature_mod
@@ -627,10 +628,16 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _default_parser() -> argparse.ArgumentParser:
+    """The parser with the built-in defaults, built once per process: a
+    parse does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _default_parser().parse_args(argv)
         if getattr(args, "config", None):
             args = build_parser(_load_config(args.config)).parse_args(argv)
         return args.fn(args)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .ball import BOUNDARY, GroupBall
-from .errors import DomainError, IncompleteSliceError, OutOfBallError
+from .errors import DomainError, IncompleteSliceError
 from .posets import Poset
 from .reflections import ReflectionTable, t_k_set
 
@@ -35,43 +35,55 @@ def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
     """Arcs a -> t*a for t in the set, whenever length strictly
     increases and both ends are in the ball.
 
-    Each row t*a is one right-table lookup: with s the last letter of
-    a's ShortLex word, t*a = (t*(a s)) s, and a s is one shorter than a,
-    so the ids are visited by length (a ball read from JSON may number
-    them in any order).  A product t*(a s) at the radius whose s-step
-    leaves the table is beyond the radius; only where t*(a s) has left
-    the table already is t*a walked, by `ball.multiply`.
+    Each row t*a is one step from an earlier one: with s the last letter
+    of a's ShortLex word, t*a = (t*(a s)) s, and a s is one shorter than
+    a, so the ids are visited by length (a ball read from JSON may number
+    them in any order).  The step is a right-table lookup, or
+    `GroupBall._times` where t*(a s) or t*a lies beyond the radius, so
+    the row holds ids beyond the radius too and no product is walked.
+    An entry becomes BOUNDARY once l(t*a) + l(a) > 2 radius: an
+    extension a' = a s_1 ... s_j in the ball has j <= radius - l(a), so
+    l(t*a') >= l(t*a) - j > radius, and the entries of every extension
+    are BOUNDARY in turn.  Each entry outside the ball is one boundary
+    skip.
     """
     xs = frozenset(x_set)
     n = len(ball)
     length = [ball.length(w) for w in range(n)]
     right, elements = ball.right, ball.elements
+    times, beyond = ball._times, ball._lengths  # beyond[x - n] = l(x)
     steps = []
     for a in sorted(range(n), key=length.__getitem__)[1:]:  # the identity first
         s = elements[a].word[-1]
-        steps.append((a, right[a][s], s))
+        steps.append((a, right[a][s], s, 2 * ball.radius - length[a]))
     e = ball.identity
     arcs = []
     skips = 0
-    row = [BOUNDARY] * n  # row[a] = t*a, or BOUNDARY beyond the radius
+    row = [BOUNDARY] * n  # row[a] = t*a, or BOUNDARY once it cannot return
     for t in sorted(xs):
         row[e] = t
         if length[t] > 0:
             arcs.append((e, t, t))
-        for a, a_s, s in steps:
+        for a, a_s, s, reach in steps:
             x = row[a_s]
-            if x != BOUNDARY:
-                b = right[x][s]
+            if x >= n:
+                b = times(x, s)
+            elif x == BOUNDARY:
+                skips += 1
+                row[a] = BOUNDARY
+                continue
             else:
-                try:
-                    b = ball.multiply(t, a)
-                except OutOfBallError:
+                b = right[x][s]
+                if b == BOUNDARY:
+                    b = times(x, s)
+            if b < n:
+                if length[b] > length[a]:
+                    arcs.append((a, b, t))
+            else:
+                skips += 1
+                if beyond[b - n] > reach:
                     b = BOUNDARY
             row[a] = b
-            if b == BOUNDARY:
-                skips += 1
-            elif length[b] > length[a]:
-                arcs.append((a, b, t))
     arcs.sort()
     return OmegaGraph(ball=ball, x_set=xs, arcs=arcs, boundary_skips=skips)
 

@@ -10,9 +10,7 @@ never increases length and therefore never leaves the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations
-from operator import or_
 
 from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, ResourceError
@@ -158,16 +156,25 @@ def phi_k_image_poset(ball: GroupBall, order_poset: Poset,
     tuples = sorted({tuple(m(w) for m in maps) for w in range(len(ball))})
     # above[c][x]: bitmask of the tuples whose c-th entry is >= x, for
     # each x that occurs as a c-th entry; the tuples >= a are then the
-    # AND over c of above[c][a[c]].
-    up, index = order_poset.up, order_poset.index
+    # AND over c of above[c][a[c]].  It is the OR of at[j] over the bits
+    # j of up[x] that occur, each bit read once.
+    up, index, nodes = order_poset.up, order_poset.index, order_poset.nodes
     above = []
     for c in range(len(maps)):
-        at = {}  # x -> bitmask of the tuples whose c-th entry is x
+        at = {}  # index of x -> bitmask of the tuples whose c-th entry is x
         for i, a in enumerate(tuples):
-            at[a[c]] = at.get(a[c], 0) | 1 << i
-        above.append({x: reduce(or_, (mask for y, mask in at.items()
-                                  if up[index(x)] >> index(y) & 1), 0)
-                      for x in at})
+            j = index(a[c])
+            at[j] = at.get(j, 0) | 1 << i
+        occurs = sum(1 << j for j in at)
+        column = {}
+        for j in at:
+            mask, bits = 0, up[j] & occurs
+            while bits:
+                low = bits & -bits
+                mask |= at[low.bit_length() - 1]
+                bits ^= low
+            column[nodes[j]] = mask
+        above.append(column)
     ups = []
     everything = (1 << len(tuples)) - 1
     for a in tuples:

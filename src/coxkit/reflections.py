@@ -32,7 +32,10 @@ internal length.  `dihedral_subgroup` finds W' in three steps:
 
 Products in steps 1 and 2 are followed past the radius with
 `GroupBall._walk` and `GroupBall._times`; a conjugate is dropped as soon
-as the letters still to come cannot bring it below the bound.
+as the letters still to come cannot bring it below the bound.  When
+every finite bond is 2, 3, 4 or 6, step 3 runs first on the given pair,
+and steps 1 and 2 only when its internal length 3 shows that step 1
+would move (see `dihedral_subgroup`).
 """
 from __future__ import annotations
 
@@ -145,12 +148,13 @@ def _check_reflection(ball: GroupBall, x: int) -> None:
     with s a left descent, s*t*s != t, so l(sts) = l(t) - 2 (Bjorner and
     Brenti, Combinatorics of Coxeter Groups, ch. 1); an involution such
     as a central w0 is left as it is."""
-    y, n = x, ball.length(x)
+    elements, left, right = ball.elements, ball.left, ball.right
+    y, n = x, elements[x].length
     if ball.inverse(x) == x:
         while n > 1:
-            s = ball.word(y)[0]
-            z = ball.right[ball.left[y][s]][s]
-            if ball.length(z) != n - 2:
+            s = elements[y].word[0]
+            z = right[left[y][s]][s]
+            if elements[z].length != n - 2:
                 break
             y, n = z, n - 2
     if n != 1:
@@ -159,7 +163,16 @@ def _check_reflection(ball: GroupBall, x: int) -> None:
 
 def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
     """The reflection subgroup <t, t'> intersected with the ball, with
-    its canonical generating pair (exact; see module docstring)."""
+    its canonical generating pair (exact; see module docstring).
+
+    When every finite bond is 2, 3, 4 or 6 (`_walk_steps` is 0), the BFS
+    of step 3 runs first on the given pair x, y, with l(x) <= l(y).  If
+    no member of internal length 3 (x y x or y x y) is shorter than y,
+    step 1 would not move: it needs l(xyx) < l(y) or l(yxy) < l(x) <=
+    l(y), and a member beyond the radius is longer than y.  The pair is
+    then canonical and that BFS is the answer, with no conjugate walked.
+    Otherwise, and for other bonds, the three steps run in turn.
+    """
     _check_reflection(ball, t)
     _check_reflection(ball, tp)
     if t == tp:
@@ -167,19 +180,41 @@ def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
             ball=ball, member_ids=(ball.identity, t), reflection_ids=(t,),
             canonical_generators=(t,), is_dihedral=False, escaped=False,
             internal_length={ball.identity: 0, t: 1})
+    steps = _walk_steps(ball.matrix)
+    if not steps:
+        x, y = _by_length(ball, (t, tp))
+        sub = _internal_lengths(ball, x, y)
+        ly = ball.length(y)
+        if all(ball.length(w) >= ly
+               for w, i in sub.internal_length.items() if i == 3):
+            return sub
     pair = _descend(ball, t, tp)
-    cycle = _finite_cycle(ball, *pair, _walk_steps(ball.matrix))
+    cycle = _finite_cycle(ball, *pair, steps)
     if cycle is not None:  # its reflections are a, aba, ababa, ...
         pair = cycle[::2]
+    return _internal_lengths(ball, *_by_length(ball, pair))
+
+
+def _by_length(ball: GroupBall, pair) -> tuple[int, int]:
+    """The two shortest of the reflections, by (length, id)."""
     x, y = sorted(pair, key=lambda r: (ball._length(r), r))[:2]
-    # internal length: BFS over right multiplication by the canonical pair
-    internal = {ball.identity: 0}
-    frontier = [ball.identity]
+    return x, y
+
+
+def _internal_lengths(ball: GroupBall, x: int, y: int) -> ReflectionSubgroup:
+    """Step 3: the members of <x, y> in the ball by a BFS over right
+    multiplication by x and y, with their internal lengths for that
+    pair, from the level of x and y.  A member w entered as w' g is not
+    multiplied by g again, since w g = w' is already known."""
+    internal = {ball.identity: 0, x: 1, y: 1}
+    frontier = [(x, x), (y, y)]
     escaped = False
     while frontier:
         nxt = []
-        for w in frontier:
+        for w, entered in frontier:
             for g in (x, y):
+                if g == entered:
+                    continue
                 try:
                     z = ball.multiply(w, g)
                 except OutOfBallError:
@@ -187,7 +222,7 @@ def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
                     continue
                 if z not in internal:
                     internal[z] = internal[w] + 1
-                    nxt.append(z)
+                    nxt.append((z, g))
         frontier = nxt
     members = tuple(sorted(internal))
     return ReflectionSubgroup(

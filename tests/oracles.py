@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from coxkit.ball import BOUNDARY
 from coxkit.errors import OutOfBallError
 from coxkit.reflections import dihedral_subgroup
 
@@ -432,3 +433,81 @@ def brute_t_order_pairs(table):
         less |= {(a, b) for a in sub.reflection_ids for b in sub.reflection_ids
                  if il[a] < il[b]}
     return less
+
+
+# -- products beyond the radius -----------------------------------------------
+
+
+def reference_walk(ball, x, letters, limit):
+    """x times the letters by the first loop of `GroupBall._walk`: each
+    letter is one `_times` step, and the walk stops after a step that
+    leaves the letters still to come unable to bring the product down to
+    length <= limit; None then."""
+    todo = len(letters)
+    for letter in letters:
+        x = ball._times(x, letter)
+        todo -= 1
+        if ball._length(x) - todo > limit:
+            return None
+    return x
+
+
+def reference_multiply(ball, u, v):
+    """u*v by the left walk of u's letters from v; where it leaves the
+    table, `reference_walk` from u over v's letters.  None beyond the
+    radius."""
+    x = v
+    for letter in reversed(ball.word(u)):
+        x = ball.left[x][letter]
+        if x == BOUNDARY:
+            return reference_walk(ball, u, ball.word(v), ball.radius)
+    return x
+
+
+def reference_dihedral_subgroup(ball, t, tp):
+    """(members, internal lengths, canonical pair, escaped) of <t, t'>
+    for two distinct reflections, descent first: conjugate b to aba, or
+    a to bab, while that shortens it (each conjugate walked by
+    `reference_walk`); on a matrix with a finite bond outside {2, 3, 4,
+    6}, walk a, b, a, ... for 2M steps and take the two shortest
+    reflections of a cycle back to e; then the BFS over right
+    multiplication by that pair, with `reference_multiply`."""
+    a, b = t, tp
+    while True:
+        c = reference_walk(ball, a, ball.word(b) + ball.word(a), ball.length(b) - 1)
+        if c is not None:
+            b = c
+            continue
+        c = reference_walk(ball, b, ball.word(a) + ball.word(b), ball.length(a) - 1)
+        if c is None:
+            break
+        a = c
+    matrix = ball.matrix
+    bonds = {matrix.m(s, r) for s, r in combinations(matrix.generators, 2)
+             if matrix.is_finite_bond(s, r)}
+    pair = (a, b)
+    if bonds - {2, 3, 4, 6}:
+        x, cycle = ball.identity, []
+        for i in range(2 * max(bonds)):
+            for s in ball.word(pair[i % 2]):
+                x = ball._times(x, s)
+            if x == ball.identity:
+                pair = cycle[::2]
+                break
+            cycle.append(x)
+    x, y = sorted(pair, key=lambda r: (ball._length(r), r))[:2]
+    internal = {ball.identity: 0}
+    frontier = [ball.identity]
+    escaped = False
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in (x, y):
+                z = reference_multiply(ball, w, g)
+                if z is None:
+                    escaped = True
+                elif z not in internal:
+                    internal[z] = internal[w] + 1
+                    nxt.append(z)
+        frontier = nxt
+    return sorted(internal), internal, (x, y), escaped

@@ -9,7 +9,8 @@ from coxkit import (OutOfBallError, ResourceError, enumerate_ball,
 from coxkit.ball import BOUNDARY
 
 from models import model_ball, model_for
-from oracles import braid_normal_form, bruhat_subword_leq, perm_of_word
+from oracles import (braid_normal_form, bruhat_subword_leq, perm_of_word,
+                     reference_walk)
 
 
 def _ball_signature(ball):
@@ -301,3 +302,40 @@ def test_multiply_across_the_boundary_matches_word_kernel(spec, radius):
                     ball.multiply(u, v)
             else:
                 assert ball.multiply(u, v) == want
+
+
+def _reduced_word(ball, x):
+    """A reduced word of x, in the ball or beyond it: its smallest right
+    descent peeled off until the identity (a descent step creates
+    nothing)."""
+    out = []
+    while x != ball.identity:
+        s = next(s for s in ball.matrix.generators if ball._is_descent(x, s))
+        out.append(s)
+        x = ball._times(x, s)
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("B3", 4), ("affC2", 10), ("I2(inf)", 20),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, id="hyperbolic-8")])
+def test_walk_stops_before_it_creates(spec, radius):
+    # the walk that checks the descent mask before an ascent gives the
+    # verdicts and products of the loop that steps first, on its own
+    # copy of the ball, and never holds more elements beyond the radius
+    matrix = parse_coxeter_matrix(spec)
+    ball, ref = enumerate_ball(matrix, radius), enumerate_ball(matrix, radius)
+    rng = random.Random(radius)
+    stopped = 0
+    for _ in range(1500):
+        x = rng.randrange(len(ball))
+        letters = bytes(rng.randrange(matrix.rank) for _ in range(rng.randrange(2 * radius)))
+        limit = rng.randrange(radius + 1)
+        got, want = ball._walk(x, letters, limit), reference_walk(ref, x, letters, limit)
+        assert (got is None) == (want is None), (x, letters, limit)
+        if got is not None:
+            assert _reduced_word(ball, got) == _reduced_word(ref, want)
+        stopped += got is None
+        assert len(ball._rows) <= len(ref._rows)
+    assert stopped
+    assert len(ball._rows) < len(ref._rows)

@@ -349,6 +349,19 @@ def test_config_does_not_override_explicit_flags(tmp_path, capsys):
     assert json.loads(weak)["metadata"] != json.loads(inter)["metadata"]
 
 
+def test_a_config_run_leaves_the_shared_parser_alone(tmp_path, capsys):
+    # the parser with the built-in defaults is built once; a --config run
+    # builds its own, so a later run without one reads the built-in k = 0
+    cfg = tmp_path / "k1.cfg"
+    cfg.write_text("k = 1\n")
+    order = ["order", "--type", "A3", "--kind", "intermediate"]
+    _code, before, _e = _run(capsys, order)
+    _code, k1, _e = _run(capsys, order + ["--config", str(cfg)])
+    _code, after, _e = _run(capsys, order)
+    assert before == after != k1
+    assert cli._default_parser() is cli._default_parser()
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     for line in ("fn = x", "no_such_option = 1", "help = 1"):
         cfg = tmp_path / "bad.cfg"

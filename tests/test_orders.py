@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from coxkit import (DomainError, IncompleteSliceError, enumerate_ball,
                     named_matrix, parse_coxeter_matrix)
+from coxkit.ball import GroupBall
 from coxkit.matrices import longest_length
 from coxkit.orders import (_pairs_by_definition, bruhat_poset,
                            intermediate_poset, k_absolute_length_all,
@@ -90,6 +92,33 @@ def test_omega_graph_matches_multiply_on_every_pair(spec, radius, renumber):
         assert g.arcs == arcs
         assert g.boundary_skips == skips
         assert (skips > 0) == (not ball.is_complete_group)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("B3", 4), ("affC2", 12),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10")])
+def test_omega_graph_follows_rows_past_the_radius(spec, radius, monkeypatch):
+    # rows beyond the radius are one `_times` step each: no product is
+    # multiplied or walked, and the graph is still the one of the pairs,
+    # also for a set with elements of even length
+    ball = _ball(spec, radius, False)
+    table = reflections_in_ball(ball)
+    some = random.Random(radius).sample(range(len(ball)), min(40, len(ball)))
+    slices = (t_k_set(table, 0), t_k_set(table, 1), table.reflections, some)
+    expected = [brute_omega_graph(ball, x_set) for x_set in slices]
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(GroupBall, "multiply", counted(GroupBall.multiply))
+    monkeypatch.setattr(GroupBall, "_walk", counted(GroupBall._walk))
+    graphs = [omega_graph(ball, x_set) for x_set in slices]
+    assert calls == []
+    assert [(g.arcs, g.boundary_skips) for g in graphs] == expected
 
 
 def test_a_built_arc_graph_is_shared_only_where_it_fits(ball_b3, table_b3):

@@ -15,7 +15,8 @@ from coxkit.reflections import (dihedral_subgroup, is_order_ideal,
                                 reflections_in_ball, t_k_set, t_order_poset)
 
 from models import longest_first
-from oracles import brute_closure, brute_covers, brute_t_order_pairs
+from oracles import (brute_closure, brute_covers, brute_t_order_pairs,
+                     reference_dihedral_subgroup)
 
 
 def _ball(spec, radius, renumber=False):
@@ -298,6 +299,61 @@ def test_t_order_sweeps_only_canonical_pairs(spec, radius, calls, renumber,
     assert len(inputs) == calls
     for given, canonical in inputs:
         assert given == canonical
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("B3", 4), ("affC2", 10), ("I2(inf)", 20),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, id="hyperbolic-8")])
+def test_dihedral_subgroup_matches_the_descent_first_reference(spec, radius):
+    # on every pair of reflections, canonical or not, the BFS-first
+    # subgroup is the one the descent-first reference finds on its own
+    # copy of the ball, which never holds fewer elements beyond the radius
+    matrix = parse_coxeter_matrix(spec)
+    ball, ref = enumerate_ball(matrix, radius), enumerate_ball(matrix, radius)
+    for t, tp in combinations(reflections_in_ball(ball).reflections, 2):
+        for a, b in ((t, tp), (tp, t)):
+            sub = dihedral_subgroup(ball, a, b)
+            members, internal, pair, escaped = reference_dihedral_subgroup(ref, a, b)
+            assert sub.member_ids == tuple(members)
+            assert sub.internal_length == internal
+            assert sub.canonical_generators == pair
+            assert sub.escaped == escaped
+            assert len(ball._rows) <= len(ref._rows)
+
+
+def _calls(monkeypatch, owner, name):
+    """A list that gets one entry per call of owner.name from now on."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("B3", 4), ("affC2", 12),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10")])
+def test_t_order_reads_canonical_pairs_off_their_bfs(spec, radius, monkeypatch):
+    # every finite bond is 2, 3, 4 or 6 and every swept pair is canonical,
+    # so no conjugate is walked
+    table = reflections_in_ball(_ball(spec, radius))
+    descents = _calls(monkeypatch, reflections, "_descend")
+    cycles = _calls(monkeypatch, reflections, "_finite_cycle")
+    t_order_poset(table)
+    assert descents == cycles == []
+
+
+def test_t_order_on_h3_still_descends(monkeypatch):
+    # a 5-bond: each of the 31 sweeps descends and walks the cycle
+    table = reflections_in_ball(_ball("H3", None))
+    descents = _calls(monkeypatch, reflections, "_descend")
+    cycles = _calls(monkeypatch, reflections, "_finite_cycle")
+    t_order_poset(table)
+    assert len(descents) == len(cycles) == 31
 
 
 def test_t_order_rejects_ids_that_are_not_reflections(table_b3):
