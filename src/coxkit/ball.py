@@ -40,7 +40,6 @@ class GroupBall:
         self.left = left    # left[w][s]  = id of s*w, or BOUNDARY
         self.inv = inv
         self.is_complete_group = is_complete_group
-        self.index = {e.word: e.id for e in elements}
         # elements beyond the radius met by lookups, with ids from
         # len(elements) on: their right rows (None = not yet known),
         # lengths and right-descent masks; `_rim` holds w*s for the top

@@ -394,7 +394,7 @@ def _check_sperner(run, args):
     ok = True
     for k in ks:
         poset = run.intermediate(k)
-        rep = posets.strong_sperner_check(poset, rank_fn=lambda w: ball.length(w))
+        rep = posets.strong_sperner_check(poset)
         ok = ok and rep.ok
         rows.append({"k": k, "ok": rep.ok,
                      "rows": [[r.h, r.flow_value, r.top_rank_sum, r.ok]

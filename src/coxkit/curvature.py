@@ -11,15 +11,14 @@ oracles.
 The edges of one `curvature_spectrum` call share a `_GraphCache`: each
 vertex's distance ball and boundary verdict is computed once per graph,
 and each transport problem, up to the order of its rows and columns, is
-solved once.  On a complete group the graph is vertex-transitive, and
-one transport problem per reflection in X gives every edge.
+solved once.  On a complete group whose X holds only involutions of odd
+length, the graph is vertex-transitive, and one transport problem per t
+in X gives every edge.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import lcm
-from operator import lt
 
 from .ball import GroupBall
 from .errors import DomainError, OutOfBallError
@@ -122,8 +121,12 @@ class CurvatureReport:
 
 def undirected_adjacency(graph) -> dict[int, set[int]]:
     """Neighbor sets of the arc graph with orientation forgotten."""
+    return _adjacency(graph.arcs)
+
+
+def _adjacency(arcs) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {}
-    for a, b, _t in graph.arcs:
+    for a, b, _t in arcs:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     return adj
@@ -288,19 +291,20 @@ def curvature_spectrum(graph, edges=None) -> CurvatureReport:
     and builds its records only when they are read.  A truncated ball is
     not closed under right multiplication, so there every edge is solved
     on its own, with the margin rule of `ollivier_ricci_edge`; so is
-    every edge of a graph whose arcs are not exactly the arcs a -> t a
-    (see `_cayley_rows`).
+    every edge of a graph that is not such a Cayley graph (see
+    `_cayley_rows`).
     """
     rows = _cayley_rows(graph)
     if rows is not None and edges is None:
         cache = _GraphCache(graph, _RowAdjacency(rows))
         translate = _RightTranslation(graph, cache, rows)
         half = len(graph.ball) // 2  # the edges {x, t x} of one t
-        classes = [(t, translate.solve(t)[0], half) for t in sorted(rows)]
+        classes = [(t, translate.solve(t)[0], half) for t in rows]
         return CurvatureReport(records=translate.all_records, errors=[],
                                classes=classes)
-    cache = _GraphCache(graph, undirected_adjacency(graph))
-    labels = {(min(a, b), max(a, b)): t for a, b, t in graph.arcs}
+    arcs = graph.arcs
+    cache = _GraphCache(graph, _adjacency(arcs))
+    labels = {(min(a, b), max(a, b)): t for a, b, t in arcs}
     if edges is None:
         edges = sorted(labels)
     translate = None if rows is None else _RightTranslation(graph, cache, rows)
@@ -318,71 +322,36 @@ def curvature_spectrum(graph, edges=None) -> CurvatureReport:
     return CurvatureReport(records=records, errors=errors)
 
 
-def _left_rows(ball: GroupBall, xs) -> dict[int, tuple]:
-    """rows[t][a] = t a, for each t in xs and every a of a complete group.
-
-    Left multiplication by a generator s is column s of the left table.
-    For t with first letter s, t = s (s t), one column after the row of
-    s t; and when s t s is two shorter than t, as it is for a reflection
-    t != s, t = s (s t s) s, two columns around the row of s t s.  Each
-    row is built once, from the shorter one it needs, so a reflection
-    costs two passes over the group.
-    """
-    left, right = ball.left, ball.right
-    cols = [tuple(row[s] for row in left) for s in ball.matrix.generators]
-    known = {ball.identity: tuple(range(len(ball)))}
-
-    def row(t):
-        r = known.get(t)
-        if r is None:
-            s = ball.word(t)[0]
-            c = cols[s]
-            st = left[t][s]
-            sts = right[st][s]
-            if ball.length(sts) == ball.length(t) - 2:
-                r = tuple(map(c.__getitem__, map(row(sts).__getitem__, c)))
-            else:
-                r = tuple(map(c.__getitem__, row(st)))
-            known[t] = r
-        return r
-
-    return {t: row(t) for t in xs}
-
-
 def _cayley_rows(graph):
-    """`_left_rows` of X, if the ball is a complete group, every t in X
-    is an involution and the arcs of the graph are exactly the arcs
-    a -> t a with l(t a) > l(a), each once and in sorted order (as
-    `omega_graph` lists them); otherwise None.
+    """The rows of the graph, rows[t][a] = t a, if its ball is a complete
+    group and every t in X is an involution of odd length; otherwise None.
 
-    Each involution t pairs a with t a, and one of the two is longer, so
-    it has |W|/2 such arcs.  Sorted distinct arcs, each of this form,
-    |X| |W|/2 of them, are therefore all of them.
+    Then the undirected arc graph is the Cayley graph of left
+    multiplication by X, and right multiplication by any x is an
+    automorphism of it.  Proof: the sign of W is a homomorphism, so
+    l(t a) = l(t) + l(a) mod 2, and l(t) odd gives l(t a) != l(a): of
+    the pair {a, t a}, one is the longer, so the pair is exactly one
+    arc.  As t t = e, the pair of t a is the same pair.  So the edges
+    are the pairs {a, t a} for t in X and a in W, |W|/2 for each t, and
+    right multiplication by x maps the edge {a, t a} to the edge
+    {a x, t a x}, bijectively.  Both conditions are needed: the
+    involution s0 s2 of A3 (even length) has arcs only on the pairs
+    whose lengths differ, and so does t = e (none).
     """
     ball = graph.ball
     if not (isinstance(ball, GroupBall) and ball.is_complete_group):
         return None
-    arcs = graph.arcs
-    if 2 * len(arcs) != len(graph.x_set) * len(ball):
-        return None
-    if not all(map(lt, arcs, islice(arcs, 1, None))):
-        return None
-    rows = _left_rows(ball, sorted(graph.x_set))
-    if any(row[t] != ball.identity for t, row in rows.items()):
-        return None
-    length = [e.length for e in ball.elements]
-    for a, b, t in arcs:
-        row = rows.get(t)
-        if row is None or row[a] != b or length[b] <= length[a]:
-            return None
-    return rows
+    e = ball.identity
+    if all(row[t] == e and ball.length(t) % 2 for t, row in graph.rows.items()):
+        return graph.rows
+    return None
 
 
 def _left_steps(graph):
-    """steps[a] = {t: t a for t in X} for every a of a complete group."""
-    xs = sorted(graph.x_set)
-    rows = _left_rows(graph.ball, xs)
-    return [dict(zip(xs, col)) for col in zip(*(rows[t] for t in xs))]
+    """steps[a] = {t: t a for t in X} for every a of a complete group:
+    the rows, transposed."""
+    xs = list(graph.rows)
+    return [dict(zip(xs, col)) for col in zip(*graph.rows.values())]
 
 
 class _RowAdjacency:
@@ -438,6 +407,8 @@ class _RightTranslation:
         return rec
 
     def all_records(self) -> list:
-        """A record for every edge, in the order of the sorted edges."""
+        """A record for every edge, in the order of the sorted edges: each
+        edge {a, t a} is read once, at its end with the smaller id."""
         return [self.record(x, y, t) for x, y, t in
-                sorted((min(a, b), max(a, b), t) for a, b, t in self.graph.arcs)]
+                sorted((a, b, t) for t, row in self.rows.items()
+                       for a, b in enumerate(row) if a < b)]

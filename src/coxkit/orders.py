@@ -25,15 +25,26 @@ __all__ = [
 
 @dataclass
 class OmegaGraph:
+    """The arc graph of a set X on a ball, stored as its rows: rows[t][a]
+    is the id of t*a for t in X (in increasing order), or BOUNDARY where
+    t*a lies outside the ball.  The arcs are a -> t*a where l(t*a) > l(a)."""
     ball: GroupBall
     x_set: frozenset[int]
-    arcs: list            # (a, b, t) with b = t*a and l(b) > l(a)
+    rows: dict[int, list[int]]
     boundary_skips: int   # products t*a that left the ball
+
+    @property
+    def arcs(self) -> list:
+        """The sorted (a, b, t) with b = t*a in the ball and l(b) > l(a),
+        derived from the rows on each read."""
+        length = [e.length for e in self.ball.elements]
+        return sorted((a, b, t) for t, row in self.rows.items()
+                      for a, b in enumerate(row)
+                      if b >= 0 and length[b] > length[a])
 
 
 def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
-    """Arcs a -> t*a for t in the set, whenever length strictly
-    increases and both ends are in the ball.
+    """The rows t*a for t in the set, every a in the ball.
 
     Each row t*a is one step from an earlier one: with s the last letter
     of a's ShortLex word, t*a = (t*(a s)) s, and a s is one shorter than
@@ -44,8 +55,9 @@ def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
     An entry becomes BOUNDARY once l(t*a) + l(a) > 2 radius: an
     extension a' = a s_1 ... s_j in the ball has j <= radius - l(a), so
     l(t*a') >= l(t*a) - j > radius, and the entries of every extension
-    are BOUNDARY in turn.  Each entry outside the ball is one boundary
-    skip.
+    are BOUNDARY in turn.  When the row is done, the ids beyond the
+    radius become BOUNDARY too.  Each entry outside the ball is one
+    boundary skip.
     """
     xs = frozenset(x_set)
     n = len(ball)
@@ -56,36 +68,31 @@ def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
     for a in sorted(range(n), key=length.__getitem__)[1:]:  # the identity first
         s = elements[a].word[-1]
         steps.append((a, right[a][s], s, 2 * ball.radius - length[a]))
-    e = ball.identity
-    arcs = []
+    rows = {}
     skips = 0
-    row = [BOUNDARY] * n  # row[a] = t*a, or BOUNDARY once it cannot return
     for t in sorted(xs):
-        row[e] = t
-        if length[t] > 0:
-            arcs.append((e, t, t))
+        row = [BOUNDARY] * n  # row[a] = t*a, or BOUNDARY once it cannot return
+        row[ball.identity] = t
         for a, a_s, s, reach in steps:
             x = row[a_s]
             if x >= n:
                 b = times(x, s)
             elif x == BOUNDARY:
                 skips += 1
-                row[a] = BOUNDARY
                 continue
             else:
                 b = right[x][s]
                 if b == BOUNDARY:
                     b = times(x, s)
-            if b < n:
-                if length[b] > length[a]:
-                    arcs.append((a, b, t))
-            else:
+            if b >= n:
                 skips += 1
                 if beyond[b - n] > reach:
                     b = BOUNDARY
             row[a] = b
-    arcs.sort()
-    return OmegaGraph(ball=ball, x_set=xs, arcs=arcs, boundary_skips=skips)
+        if not ball.is_complete_group:
+            row = [BOUNDARY if b >= n else b for b in row]
+        rows[t] = row
+    return OmegaGraph(ball=ball, x_set=xs, rows=rows, boundary_skips=skips)
 
 
 def _arc_graph(ball: GroupBall, x_set, graph: OmegaGraph | None) -> OmegaGraph:
@@ -112,8 +119,9 @@ def intermediate_poset(ball: GroupBall, x_set,
     whose steps all raise length has no cycle.
     """
     g = _arc_graph(ball, x_set, graph)
-    pairs = [(a, b) for a, b, _t in g.arcs]
     rank = [ball.length(w) for w in range(len(ball))]
+    pairs = [(a, b) for row in g.rows.values() for a, b in enumerate(row)
+             if b >= 0 and rank[b] > rank[a]]
     metadata = {"kind": "intermediate-order", "x_size": len(g.x_set),
                 "boundary_skips": g.boundary_skips}
     nodes = list(range(len(ball)))
@@ -169,14 +177,14 @@ class AbsoluteLengthTable:
 def k_absolute_length_all(table: ReflectionTable, k: int,
                           graph: OmegaGraph | None = None) -> AbsoluteLengthTable:
     """BFS distances from the identity along the k-sliced arc graph
-    (`graph`, if it is already built)."""
+    (`graph`, if it is already built), read off its rows.  Of the
+    frontier, the smallest id is taken first, and it enters each new
+    node b by its one arc, t = b a^-1."""
     ball = table.ball
     tk = t_k_set(table, k)  # raises when the slice is incomplete
-    g = _arc_graph(ball, tk, graph)
-    succ = [[] for _ in range(len(ball))]
-    for a, b, t in g.arcs:
-        succ[a].append((b, t))
+    rows = list(_arc_graph(ball, tk, graph).rows.items())
     n = len(ball)
+    length = [ball.length(w) for w in range(n)]
     dist = [-1] * n
     pred = [-1] * n
     arc = [-1] * n
@@ -185,8 +193,9 @@ def k_absolute_length_all(table: ReflectionTable, k: int,
     while frontier:
         nxt = []
         for a in sorted(frontier):
-            for b, t in succ[a]:
-                if dist[b] == -1:
+            for t, row in rows:
+                b = row[a]
+                if b >= 0 and dist[b] == -1 and length[b] > length[a]:
                     dist[b] = dist[a] + 1
                     pred[b] = a
                     arc[b] = t

@@ -152,11 +152,12 @@ def omega_to_json_dict(graph) -> dict:
 def omega_to_dot(graph, label_fn=None) -> str:
     ball = graph.ball
     lab = label_fn or (lambda w: "".join(str(c) for c in ball.word(w)) or "e")
-    used = sorted({a for a, _b, _t in graph.arcs} | {b for _a, b, _t in graph.arcs})
+    arcs = graph.arcs
+    used = sorted({a for a, _b, _t in arcs} | {b for _a, b, _t in arcs})
     lines = ["digraph omega {", "  rankdir=BT;"]
     for w in used:
         lines.append(f"  n{w} [label={_dot_quote(lab(w))}];")
-    for a, b, t in graph.arcs:
+    for a, b, t in arcs:
         lines.append(f"  n{a} -> n{b} [label={_dot_quote(lab(t))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -243,43 +243,36 @@ def test_right_translation_matches_each_edge_alone(name):
                        in rec.transport_plan.items()) == 1 - rec.kappa
 
 
-def _edited(graph, arcs):
-    return type(graph)(ball=graph.ball, x_set=graph.x_set, arcs=arcs,
-                       boundary_skips=graph.boundary_skips)
+@pytest.mark.parametrize("word,edges", [pytest.param((), 0, id="e"),
+                                        pytest.param((0, 2), 6, id="s0s2")])
+def test_even_involutions_take_the_edge_path(ball_a3, word, edges):
+    # t = e and t = s0 s2 are involutions of even length: the pairs
+    # {a, t a} of equal length carry no arc, so the graph is no Cayley
+    # graph of left multiplication by t, and every edge is solved alone
+    graph = omega_graph(ball_a3, {ball_a3.id_of_word(word)})
+    report = curvature_spectrum(graph)
+    adj = undirected_adjacency(graph)
+    assert report.classes is None and not report.errors
+    assert report.edge_count() == len(report.records) == edges
+    for rec in report.records:
+        assert rec.kappa == ollivier_ricci_edge(graph, rec.x, rec.y, adj=adj).kappa
 
 
-def test_edited_arc_list_is_solved_edge_by_edge(ball_a3, table_a3):
-    # arcs dropped or rewired leave a graph on which right multiplication
-    # is no automorphism, and a repeated arc or one turned round is not
-    # the Cayley graph's arc list either: no classes, and each edge must
-    # get the kappa it has when solved alone on that graph
-    graph = omega_graph(ball_a3, t_k_set(table_a3, 1))
-    arcs = graph.arcs
-    (a, b, t), = arcs[:1]
-    c, d, _t = next(arc for arc in arcs[1:] if arc[2] == t
-                    and not {a, b} & set(arc[:2]))
-    variants = [
-        arcs[1:],
-        [(a, d, t) if arc == (a, b, t) else (c, b, t) if arc == (c, d, t)
-         else arc for arc in arcs],
-        arcs + arcs[:1],
-        sorted(arcs[1:] + [(b, a, t)]),  # one arc turned round
-        sorted(arcs[1:] + arcs[1:2]),    # one arc twice, one missing
-    ]
-    whole = {(r.x, r.y): r.kappa for r in curvature_spectrum(graph).records}
-    for i, edited in enumerate(_edited(graph, arcs) for arcs in variants):
-        report = curvature_spectrum(edited)
-        adj = undirected_adjacency(edited)
-        assert not report.errors and report.classes is None
-        assert report.edge_count() == len(report.records)
-        assert [(r.x, r.y) for r in report.records] == sorted(
-            {(min(x, y), max(x, y)) for x, y, _t in edited.arcs})
-        for rec in report.records:
-            alone = ollivier_ricci_edge(edited, rec.x, rec.y, adj=adj)
-            assert rec.kappa == alone.kappa, (rec.x, rec.y)
-        # the edits that change the undirected graph change some kappa
-        assert (i in (2, 3)) != any(whole.get((r.x, r.y)) != r.kappa
-                                    for r in report.records)
+def test_an_odd_involution_that_is_no_reflection_takes_the_class_path(ball_b3,
+                                                                      table_b3):
+    # w0 of B3 is central, of length 9 and no reflection: odd length is
+    # what makes each pair {a, w0 a} one arc, so the graph is the Cayley
+    # graph of left multiplication by w0, and one solve gives every edge
+    w0 = max(range(len(ball_b3)), key=ball_b3.length)
+    assert ball_b3.length(w0) == 9 and w0 not in table_b3.reflections
+    graph = omega_graph(ball_b3, {w0})
+    report = curvature_spectrum(graph)
+    adj = undirected_adjacency(graph)
+    assert [(t, m) for t, _kappa, m in report.classes] == [(w0, 24)]
+    assert not report.errors and len(report.records) == 24
+    for rec in report.records:
+        alone = ollivier_ricci_edge(graph, rec.x, rec.y, adj=adj)
+        assert rec.kappa == alone.kappa == report.classes[0][1]
 
 
 def test_explicit_edges_on_a_complete_group(ball_a3, table_a3):

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from coxkit import (DomainError, IncompleteSliceError, enumerate_ball,
-                    named_matrix, parse_coxeter_matrix)
-from coxkit.ball import GroupBall
+from coxkit import (DomainError, IncompleteSliceError, OutOfBallError,
+                    enumerate_ball, named_matrix, parse_coxeter_matrix)
+from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.matrices import longest_length
 from coxkit.orders import (_pairs_by_definition, bruhat_poset,
                            intermediate_poset, k_absolute_length_all,
@@ -81,13 +81,28 @@ def _ball(spec, radius, renumber):
     _ball_case("B3", 4), _ball_case("affC2", 12),
     _ball_case("1 3 inf; 3 1 3; inf 3 1", 10, name="hyperbolic"),
     # ids out of length order, as a ball read from JSON may have them
-    _ball_case("B3", 9, True)])
+    _ball_case("B3", 9, True), _ball_case("A3", None, True),
+    _ball_case("B3", 4, True), _ball_case("affC2", 12, True),
+    _ball_case("1 3 inf; 3 1 3; inf 3 1", 10, True, name="hyperbolic")])
 def test_omega_graph_matches_multiply_on_every_pair(spec, radius, renumber):
-    # the rows t*a are table lookups; the reference multiplies each pair
+    # the rows t*a are table lookups; the reference multiplies each pair.
+    # The rows are the graph's only stored form: rows[t][a] = t*a where
+    # the product stays in the ball, BOUNDARY where it leaves; the arcs
+    # read off them are the arcs of the definition
     ball = _ball(spec, radius, renumber)
     table = reflections_in_ball(ball)
+
+    def product(t, a):
+        try:
+            return ball.multiply(t, a)
+        except OutOfBallError:
+            return BOUNDARY
+
     for x_set in (t_k_set(table, 0), t_k_set(table, 1), table.reflections):
         g = omega_graph(ball, x_set)
+        assert list(g.rows) == sorted(x_set)
+        for t, row in g.rows.items():
+            assert row == [product(t, a) for a in range(len(ball))], t
         arcs, skips = brute_omega_graph(ball, x_set)
         assert g.arcs == arcs
         assert g.boundary_skips == skips
