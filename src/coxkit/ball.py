@@ -25,10 +25,6 @@ class Element:
     word: bytes  # ShortLex-least reduced word
     length: int
 
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return tuple(self.word)
-
 
 class GroupBall:
     def __init__(self, matrix: CoxeterMatrix, radius: int, elements, right, left,

@@ -17,6 +17,7 @@ in X gives every edge.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -37,39 +38,15 @@ __all__ = ["CurvatureRecord", "CurvatureReport", "undirected_adjacency",
            "CONVENTION"]
 
 
+@dataclass
 class CurvatureRecord:
     """The curvature kappa of the edge {x, y} and an optimal transport
-    plan, (u, v) -> Fraction mass.
+    plan, (u, v) -> Fraction mass."""
 
-    A record that `_RightTranslation` moves from a solved edge keeps the
-    solved plan and the two maps that move it, and builds its own plan
-    when `transport_plan` is first read: the check and the exports read
-    only kappa."""
-
-    __slots__ = ("x", "y", "kappa", "_plan", "_moves")
-
-    def __init__(self, x: int, y: int, kappa: Fraction, transport_plan: dict):
-        self.x, self.y, self.kappa = x, y, kappa
-        self._plan = transport_plan
-        self._moves = None  # (plan as (t1, t2, mass), t1 -> u, t2 -> v)
-
-    @property
-    def transport_plan(self) -> dict:
-        if self._moves is not None:
-            plan, sx, sy = self._moves
-            self._plan = {(sx[t1], sy[t2]): m for t1, t2, m in plan}
-            self._moves = None
-        return self._plan
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvatureRecord):
-            return NotImplemented
-        return ((self.x, self.y, self.kappa, self.transport_plan)
-                == (other.x, other.y, other.kappa, other.transport_plan))
-
-    def __repr__(self):
-        return (f"CurvatureRecord(x={self.x!r}, y={self.y!r}, "
-                f"kappa={self.kappa!r}, transport_plan={self.transport_plan!r})")
+    x: int
+    y: int
+    kappa: Fraction
+    transport_plan: dict
 
 
 class CurvatureReport:
@@ -80,22 +57,31 @@ class CurvatureReport:
     On a complete group whose arc graph is the Cayley graph of X (see
     `curvature_spectrum`), `classes` lists (t, kappa, multiplicity) for
     each t in X: the multiplicity edges {x, t x} all take kappa(e, t).
-    The edge count, the extremes and the histogram read the classes, and
-    `records` is built on first read, from the classes' solved plans.
-    Elsewhere `classes` is None and everything reads the records.
+    The edge count, the extremes and the histogram read the classes,
+    `kappas` reads them with the rows, and `records` is built on first
+    read, from the classes' solved plans.  Elsewhere `classes` is None
+    and everything reads the records.
     """
 
-    def __init__(self, records, errors, convention=None, classes=None):
+    def __init__(self, records, errors, classes=None, rows=None):
         self._records = records  # a list, or a function that builds it
         self.errors = errors
-        self.convention = dict(CONVENTION) if convention is None else convention
+        self.convention = dict(CONVENTION)
         self.classes = classes
+        self._rows = rows
 
     @property
     def records(self) -> list:
         if callable(self._records):
             self._records = self._records()
         return self._records
+
+    def kappas(self) -> list:
+        """(x, y, kappa) for each solved edge, in the order of `records`."""
+        if self.classes is None:
+            return [(r.x, r.y, r.kappa) for r in self.records]
+        kappa = {t: k for t, k, _m in self.classes}
+        return [(x, y, kappa[t]) for x, y, t in _cayley_edges(self._rows)]
 
     def _weighted(self):
         """(kappa, number of edges) pairs covering every solved edge."""
@@ -121,12 +107,8 @@ class CurvatureReport:
 
 def undirected_adjacency(graph) -> dict[int, set[int]]:
     """Neighbor sets of the arc graph with orientation forgotten."""
-    return _adjacency(graph.arcs)
-
-
-def _adjacency(arcs) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {}
-    for a, b, _t in arcs:
+    for a, b, _t in graph.arcs:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     return adj
@@ -276,10 +258,10 @@ def ollivier_ricci_edge(graph, x: int, y: int,
     return CurvatureRecord(x=x, y=y, kappa=1 - w1, transport_plan=plan)
 
 
-def curvature_spectrum(graph, edges=None) -> CurvatureReport:
-    """Curvature of a batch of edges (default: all undirected edges of
-    the graph); per-edge failures are collected, not raised.  The edges
-    share one `_GraphCache`, which lives as long as this call.
+def curvature_spectrum(graph) -> CurvatureReport:
+    """Curvature of every undirected edge of the graph; per-edge failures
+    are collected, not raised.  The edges share one `_GraphCache`, which
+    lives as long as this call.
 
     On a complete group the arc graph is the Cayley graph of left
     multiplication by X, and right multiplication by x is an automorphism
@@ -287,36 +269,25 @@ def curvature_spectrum(graph, edges=None) -> CurvatureReport:
     defined by the graph metric alone (J. Funct. Anal. 256, 2009), so
     automorphisms keep it.  So each t in X gets one transport problem, on
     {e, t}, and every edge {x, t x} takes its curvature and its plan
-    moved by x.  For all edges, the report then carries one class per t
-    and builds its records only when they are read.  A truncated ball is
-    not closed under right multiplication, so there every edge is solved
-    on its own, with the margin rule of `ollivier_ricci_edge`; so is
-    every edge of a graph that is not such a Cayley graph (see
-    `_cayley_rows`).
+    moved by x.  The report then carries one class per t and builds its
+    records only when they are read.  A truncated ball is not closed
+    under right multiplication, so there every edge is solved on its
+    own, with the margin rule of `ollivier_ricci_edge`; so is every edge
+    of a graph that is not such a Cayley graph (see `_cayley_rows`).
     """
     rows = _cayley_rows(graph)
-    if rows is not None and edges is None:
+    if rows is not None:
         cache = _GraphCache(graph, _RowAdjacency(rows))
         translate = _RightTranslation(graph, cache, rows)
         half = len(graph.ball) // 2  # the edges {x, t x} of one t
         classes = [(t, translate.solve(t)[0], half) for t in rows]
         return CurvatureReport(records=translate.all_records, errors=[],
-                               classes=classes)
-    arcs = graph.arcs
-    cache = _GraphCache(graph, _adjacency(arcs))
-    labels = {(min(a, b), max(a, b)): t for a, b, t in arcs}
-    if edges is None:
-        edges = sorted(labels)
-    translate = None if rows is None else _RightTranslation(graph, cache, rows)
-    records = []
-    errors = []
-    for x, y in edges:
-        t = labels.get((min(x, y), max(x, y)))
+                               classes=classes, rows=rows)
+    cache = _GraphCache(graph, undirected_adjacency(graph))
+    records, errors = [], []
+    for x, y in sorted((x, y) for x, nb in cache.adj.items() for y in nb if x < y):
         try:
-            if translate is None or t is None:
-                records.append(ollivier_ricci_edge(graph, x, y, cache=cache))
-            else:
-                records.append(translate.record(x, y, t))
+            records.append(ollivier_ricci_edge(graph, x, y, cache=cache))
         except (DomainError, OutOfBallError) as exc:
             errors.append((x, y, str(exc)))
     return CurvatureReport(records=records, errors=errors)
@@ -347,11 +318,12 @@ def _cayley_rows(graph):
     return None
 
 
-def _left_steps(graph):
-    """steps[a] = {t: t a for t in X} for every a of a complete group:
-    the rows, transposed."""
-    xs = list(graph.rows)
-    return [dict(zip(xs, col)) for col in zip(*graph.rows.values())]
+def _cayley_edges(rows):
+    """(x, y, t) for each edge {x, y = t x} of the Cayley graph of the
+    rows, sorted: each edge is read once, at its end with the smaller
+    id."""
+    return sorted((a, b, t) for t, row in rows.items()
+                  for a, b in enumerate(row) if a < b)
 
 
 class _RowAdjacency:
@@ -380,7 +352,6 @@ class _RightTranslation:
         self.graph, self.cache, self.rows = graph, cache, rows
         self.identity = graph.ball.identity
         self.base: dict[int, tuple[Fraction, list]] = {}
-        self._steps = None
 
     def solve(self, t):
         """kappa(e, t) and its plan as (t1, t2, mass): mass moves from
@@ -395,20 +366,14 @@ class _RightTranslation:
                                        for (u, v), m in plan]
         return self.base[t]
 
-    def record(self, x, y, t) -> CurvatureRecord:
-        """The edge {x, y} with y = t x, as the image of {e, t} under
-        right multiplication by x: t1 e -> t1 x and t2 t -> t2 y.  The
-        moved plan is built when it is first read."""
-        if self._steps is None:
-            self._steps = _left_steps(self.graph)
-        kappa, plan = self.solve(t)
-        rec = CurvatureRecord(x, y, kappa, None)
-        rec._moves = (plan, self._steps[x], self._steps[y])
-        return rec
-
     def all_records(self) -> list:
-        """A record for every edge, in the order of the sorted edges: each
-        edge {a, t a} is read once, at its end with the smaller id."""
-        return [self.record(x, y, t) for x, y, t in
-                sorted((a, b, t) for t, row in self.rows.items()
-                       for a, b in enumerate(row) if a < b)]
+        """A record for every edge, in the order of `_cayley_edges`: the
+        edge {x, y} with y = t x is the image of {e, t} under right
+        multiplication by x, so t1 e -> t1 x and t2 t -> t2 y."""
+        rows = self.rows
+        out = []
+        for x, y, t in _cayley_edges(rows):
+            kappa, plan = self.solve(t)
+            out.append(CurvatureRecord(x, y, kappa, {
+                (rows[t1][x], rows[t2][y]): m for t1, t2, m in plan}))
+        return out

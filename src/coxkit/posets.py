@@ -814,25 +814,48 @@ def nc_lattice(n: int) -> NCLattice:
 
 
 def is_meet_semilattice(poset: Poset) -> bool:
-    """Whether every pair of nodes has a greatest lower bound."""
+    """Whether every pair of nodes has a greatest lower bound, read off
+    the pairs of upper covers of a common node.
+
+    Proof.  A finite P with n >= 2 is a meet semilattice iff it has a
+    bottom and every two elements with a common upper bound have a join
+    (the meet of x and y is the join of their lower bounds, and the join
+    of x and y is the meet of their upper bounds).  That is, P with a top
+    1 adjoined is a lattice.  A finite bounded poset is a lattice iff
+    every two elements covering a common element have a join (Bjorner,
+    Edelman and Ziegler, Discrete Comput. Geom. 5, 1990, Lemma 2.1).
+    The adjoined 1 covers only maximal elements, which have no other
+    cover, so the pairs to test are the upper covers x, y of a node of
+    P.  Their join is 1 when U = up[x] & up[y] is empty; otherwise it is
+    the least element of U, if there is one.  A least element lies
+    strictly below every other element of U, so it has the least height
+    (the longest cover chain from below); so U has a least element iff
+    the up-set of any one element of least height contains U.
+    """
     n = poset.n
-    up, down = poset.up, poset.down
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = down[i] & down[j]
-            if not common:
-                return False
-            # the meet must be the unique maximal element of the common
-            # lower set
-            top = None
-            m = common
-            while m:
-                x = (m & -m).bit_length() - 1
-                m &= m - 1
-                if up[x] & common == 1 << x:
-                    if top is not None:
-                        return False
-                    top = x
-            if top is None:
-                return False
+    if n <= 1:
+        return True
+    if len(poset.minimals()) != 1:
+        return False
+    up, succ = poset.up, poset.up_adj()
+    height = [0] * n
+    for i in poset.topological_order():
+        for j in succ[i]:
+            height[j] = max(height[j], height[i] + 1)
+    layers = [0] * (max(height) + 1)
+    for i, h in enumerate(height):
+        layers[h] |= 1 << i
+    for covers in succ:
+        for a, x in enumerate(covers):
+            for y in covers[a + 1:]:
+                common = up[x] & up[y]
+                if not common:
+                    continue
+                # x and y are incomparable: U lies above both
+                for layer in layers[max(height[x], height[y]) + 1:]:
+                    low = common & layer
+                    if low:
+                        break
+                if common & ~up[low.bit_length() - 1]:
+                    return False
     return True

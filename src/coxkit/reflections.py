@@ -49,7 +49,7 @@ from .posets import Poset
 __all__ = [
     "ReflectionTable", "ReflectionSubgroup", "reflections_in_ball",
     "t_k_set", "dihedral_subgroup", "t_order_poset",
-    "omega_distance_in_dihedral", "is_order_ideal",
+    "omega_distance_in_dihedral",
 ]
 
 
@@ -318,9 +318,3 @@ def t_order_poset(table: ReflectionTable, restrict_to=None) -> Poset:
     return Poset.from_relation(
         nodes, sorted(pairs), rank=None,
         metadata={"kind": "reflection-order", "radius": ball.radius})
-
-
-def is_order_ideal(poset: Poset, labels) -> bool:
-    """Whether the label set is downward closed in the poset."""
-    from .posets import is_order_ideal as _ideal
-    return _ideal(poset, [poset.index(x) for x in labels])

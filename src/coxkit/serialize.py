@@ -181,8 +181,8 @@ def lk_table_to_csv(table) -> str:
 
 
 def curvature_to_csv(report) -> str:
-    rows = [(r.x, r.y, r.kappa.numerator, r.kappa.denominator)
-            for r in report.records]
+    rows = [(x, y, kappa.numerator, kappa.denominator)
+            for x, y, kappa in report.kappas()]
     return _csv(rows, ("x", "y", "kappa_num", "kappa_den"))
 
 
@@ -190,9 +190,9 @@ def curvature_to_json_dict(report) -> dict:
     return {
         "schema": 1,
         "convention": report.convention,
-        "edges": [{"x": r.x, "y": r.y,
-                   "kappa": [r.kappa.numerator, r.kappa.denominator]}
-                  for r in report.records],
+        "edges": [{"x": x, "y": y,
+                   "kappa": [kappa.numerator, kappa.denominator]}
+                  for x, y, kappa in report.kappas()],
         "errors": [{"x": x, "y": y, "message": m} for x, y, m in report.errors],
     }
 

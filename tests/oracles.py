@@ -210,6 +210,30 @@ def refinement_by_relation_pairs(intermediate, bruhat):
     return all(holds for _a, _b, holds in rows), rows, equals_at
 
 
+def brute_is_meet_semilattice(poset):
+    """Whether every pair of nodes has a greatest lower bound: for each
+    pair, the common lower set must have exactly one maximal element."""
+    n = poset.n
+    up, down = poset.up, poset.down
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = down[i] & down[j]
+            if not common:
+                return False
+            top = None
+            m = common
+            while m:
+                x = (m & -m).bit_length() - 1
+                m &= m - 1
+                if up[x] & common == 1 << x:
+                    if top is not None:
+                        return False
+                    top = x
+            if top is None:
+                return False
+    return True
+
+
 def brute_max_h_family(poset, h):
     """Largest union of h antichains = largest subset with no chain of
     h+1 elements, by include/exclude search with a simple bound."""

@@ -275,44 +275,23 @@ def test_an_odd_involution_that_is_no_reflection_takes_the_class_path(ball_b3,
         assert rec.kappa == alone.kappa == report.classes[0][1]
 
 
-def test_explicit_edges_on_a_complete_group(ball_a3, table_a3):
-    # a batch of chosen edges, in either orientation, and a non-edge
-    graph = omega_graph(ball_a3, t_k_set(table_a3, 1))
-    a, b, _t = graph.arcs[7]
-    report = curvature_spectrum(graph, edges=[(b, a), (a, b), (a, a)])
-    assert [(r.x, r.y) for r in report.records] == [(b, a), (a, b)]
-    for rec in report.records:
-        assert rec.kappa == ollivier_ricci_edge(graph, rec.x, rec.y).kappa
-        assert {u for u, _v in rec.transport_plan} <= set(
-            undirected_adjacency(graph)[rec.x])
-    assert [(x, y) for x, y, _m in report.errors] == [(a, a)]
-    assert "is not an edge" in report.errors[0][2]
-
-
-def test_moved_plans_are_built_only_when_read(monkeypatch, ball_a3, table_a3):
-    # the maps t -> t x that move a solved plan are wrapped to count
-    # their lookups: the spectrum and both exports make none, reading a
-    # plan makes two per entry, once
-    lookups = []
-
-    class Row(dict):
-        def __getitem__(self, key):
-            lookups.append(key)
-            return super().__getitem__(key)
-
-    left_steps = curvature._left_steps
-    monkeypatch.setattr(curvature, "_left_steps",
-                        lambda graph: [Row(r) for r in left_steps(graph)])
+def test_exports_build_no_record(monkeypatch, ball_a3, table_a3):
+    # the spectrum and both exports read the classes and the rows; only
+    # reading `records` builds them, once
+    built = []
+    all_records = curvature._RightTranslation.all_records
+    monkeypatch.setattr(curvature._RightTranslation, "all_records",
+                        lambda self: built.append(1) or all_records(self))
     graph = omega_graph(ball_a3, t_k_set(table_a3, 1))
     report = curvature_spectrum(graph)
     json_dict = curvature_to_json_dict(report)
     csv_text = curvature_to_csv(report)
-    assert not lookups
-    assert len(json_dict["edges"]) == len(report.records) == csv_text.count("\n") - 1
-    rec = report.records[-1]
-    plan = rec.transport_plan
-    assert plan and len(lookups) == 2 * len(plan)
-    assert rec.transport_plan is plan and len(lookups) == 2 * len(plan)
+    assert not built
+    assert len(json_dict["edges"]) == csv_text.count("\n") - 1 == len(graph.arcs)
+    records = report.records
+    assert len(built) == 1 and report.records is records
+    assert report.kappas() == [(r.x, r.y, r.kappa) for r in records]
+    assert len(built) == 1
 
 
 def _complete_slices(name):
@@ -326,25 +305,26 @@ def _complete_slices(name):
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "I2(7)"])
 def test_classes_match_the_edge_records(name):
-    # the class report (one kappa per t in X) and the report over the
-    # same edges given one by one agree on every summary; its records,
-    # built when read, equal the eager ones, plans included
+    # the class report (one kappa per t in X) agrees on every summary
+    # with the edges solved one by one, as the edge path solves them, and
+    # its kappas, read off the classes, are those of its records
     for k, graph in _complete_slices(name):
         report = curvature_spectrum(graph)
         edges = sorted({(min(a, b), max(a, b)) for a, b, _t in graph.arcs})
-        eager = curvature_spectrum(graph, edges=edges)
-        assert eager.classes is None and not eager.errors
+        cache = curvature._GraphCache(graph, undirected_adjacency(graph))
+        alone = [(x, y, ollivier_ricci_edge(graph, x, y, cache=cache).kappa)
+                 for x, y in edges]
         assert [t for t, _kappa, _m in report.classes] == sorted(graph.x_set)
         n = len(graph.ball)
         assert all(m == n // 2 for _t, _kappa, m in report.classes)
-        for rep in (report, eager):
-            assert rep.edge_count() == len(edges) == len(graph.arcs)
-        assert report.kappa_min() == eager.kappa_min()
-        assert report.kappa_max() == eager.kappa_max()
-        assert report.histogram() == eager.histogram()
-        assert sum(report.histogram().values()) == len(edges)
-        assert report.records == eager.records, (name, k)
-        assert report.edge_count() == len(report.records)
+        assert report.edge_count() == len(edges) == len(graph.arcs)
+        assert report.kappas() == alone, (name, k)
+        kappas = [kappa for _x, _y, kappa in alone]
+        assert report.kappa_min() == min(kappas)
+        assert report.kappa_max() == max(kappas)
+        assert report.histogram() == {
+            kappa: kappas.count(kappa) for kappa in sorted(set(kappas))}
+        assert [(r.x, r.y, r.kappa) for r in report.records] == alone
 
 
 def test_a_set_with_no_involution_takes_the_edge_path(ball_a3):

@@ -21,9 +21,10 @@ from coxkit.posets import (Poset, check_graded, is_graded, is_isomorphism,
 from coxkit.projections import phi_k_image_poset
 from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 
-from oracles import (brute_closure, brute_covers, brute_max_h_family,
-                     brute_shellable, is_shelling_order, is_union_of_h_antichains,
-                     reference_order_complex, reference_shellability)
+from oracles import (brute_closure, brute_covers, brute_is_meet_semilattice,
+                     brute_max_h_family, brute_shellable, is_shelling_order,
+                     is_union_of_h_antichains, reference_order_complex,
+                     reference_shellability)
 
 
 def _chain(n):
@@ -621,3 +622,41 @@ def test_is_meet_semilattice():
     bowtie = Poset.from_relation(
         [0, 1, 2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert not is_meet_semilattice(bowtie)
+    # a bottom under the bowtie: 2 and 3 have two maximal lower bounds
+    bowtie = Poset.from_relation(
+        [0, 1, 2, 3, 4], [(4, 0), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert not is_meet_semilattice(bowtie)
+    assert is_meet_semilattice(_antichain(1)) and is_meet_semilattice(_antichain(0))
+
+
+@st.composite
+def _orders_with_or_without_bottom(draw):
+    """A random order on shuffled ids, given as generating pairs, with a
+    bottom under every other node or not: (n, pairs)."""
+    n = draw(st.integers(0, 10))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if rank[i] < rank[j] and draw(st.integers(0, 2)) == 0]
+    if n and draw(st.booleans()):
+        bottom = rank.index(0)
+        pairs += [(bottom, j) for j in range(n) if j != bottom]
+    return n, pairs
+
+
+@settings(max_examples=500, deadline=None)
+@given(_orders_with_or_without_bottom())
+def test_meet_semilattice_matches_every_pair(order):
+    # the cover-pair test against the meet of every pair
+    n, pairs = order
+    p = Poset.from_relation(list(range(n)), pairs)
+    assert is_meet_semilattice(p) == brute_is_meet_semilattice(p)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "B4", "D4"])
+def test_meet_semilattice_on_k_absolute_orders(name):
+    matrix = named_matrix(name)
+    table = reflections_in_ball(enumerate_ball(matrix, longest_length(matrix)))
+    top = max(table.ball.length(t) for t in table.reflections)
+    for k in range((top - 1) // 2 + 1):
+        poset = k_absolute_poset(k_absolute_length_all(table, k))
+        assert is_meet_semilattice(poset) == brute_is_meet_semilattice(poset), k
