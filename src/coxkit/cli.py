@@ -86,14 +86,33 @@ def _build_ball(args):
     return ball
 
 
-def _parse_k_range(raw, default_hi):
+def _parse_k(raw):
+    """The k values named by --k: a single value, 'a..b' or a comma list
+    of integers >= 0; None when --k is absent."""
     if raw is None:
-        return list(range(default_hi + 1))
+        return None
     raw = str(raw)
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in raw.split(",")]
+    try:
+        if ".." in raw:
+            lo, hi = raw.split("..", 1)
+            ks = list(range(int(lo), int(hi) + 1))
+        else:
+            ks = [int(x) for x in raw.split(",")]
+    except ValueError:
+        raise UsageError(f"--k takes integers, got {raw!r}") from None
+    if not ks:
+        raise UsageError(f"--k range {raw!r} is empty")
+    if min(ks) < 0:
+        raise UsageError(f"--k must be >= 0, got {raw!r}")
+    return ks
+
+
+def _single_k(args):
+    """The one k of a command that builds a single slice (0 by default)."""
+    ks = _parse_k(args.k) or [0]
+    if len(ks) != 1:
+        raise UsageError(f"{args.command} takes a single --k, got {args.k!r}")
+    return ks[0]
 
 
 def _max_k(ball, table):
@@ -137,14 +156,13 @@ def cmd_ball(args) -> int:
     return EXIT_OK
 
 
-def _order_poset(args, ball):
+def _order_poset(args, ball, k):
     kind = args.kind
     if kind == "bruhat":
         return orders.bruhat_poset(ball)
     table = reflections.reflections_in_ball(ball)
     if kind == "torder":
         return reflections.t_order_poset(table)
-    k = int(args.k or 0)
     if kind in ("weak", "intermediate"):
         kk = 0 if kind == "weak" else k
         return orders.intermediate_poset(ball, reflections.t_k_set(table, kk))
@@ -164,8 +182,9 @@ def _emit_covers_csv(args, poset):
 
 def cmd_order(args) -> int:
     fmt = _format(args, ("json", "dot", "csv"))
+    k = _single_k(args)
     ball = _build_ball(args)
-    poset = _order_poset(args, ball)
+    poset = _order_poset(args, ball, k)
     if fmt == "json":
         _emit_json(args, serialize.poset_to_json_dict(poset))
     elif fmt == "dot":
@@ -178,9 +197,10 @@ def cmd_order(args) -> int:
 
 def cmd_poly(args) -> int:
     _format(args, ("json",))
+    ks = _parse_k(args.k)
     ball = _build_ball(args)
     table = reflections.reflections_in_ball(ball)
-    ks = _parse_k_range(args.k, _max_k(ball, table))
+    ks = ks or range(_max_k(ball, table) + 1)
     rows = []
     for k in ks:
         poly = polynomials.gen_poly(orders.k_absolute_length_all(table, k))
@@ -198,9 +218,9 @@ def cmd_poly(args) -> int:
 
 def cmd_curvature(args) -> int:
     fmt = _format(args, ("json", "csv"))
+    k = _single_k(args)
     ball = _build_ball(args)
     table = reflections.reflections_in_ball(ball)
-    k = int(args.k or 0)
     graph = orders.omega_graph(ball, reflections.t_k_set(table, k))
     report = curvature_mod.curvature_spectrum(graph)
     if fmt == "csv":
@@ -230,13 +250,15 @@ def cmd_export(args) -> int:
 
 
 class _Run:
-    """What the checks of one `cmd_check` run share, each built on first
-    use: the arc graph and the intermediate poset of each T_k slice, the
-    Bruhat poset, the k-absolute length table of each k and the
-    projection maps."""
+    """What the checks of one `cmd_check` run share: the k values of
+    --k (every slice's by default) and, each built on first use, the arc
+    graph and the intermediate poset of each T_k slice, the Bruhat
+    poset, the k-absolute length table of each k and the projection
+    maps."""
 
-    def __init__(self, ball, table):
+    def __init__(self, ball, table, ks=None):
         self.ball, self.table = ball, table
+        self.ks = ks or range(_max_k(ball, table) + 1)
         self._built = {}
 
     def _once(self, key, build):
@@ -377,7 +399,7 @@ def _check_projections(run, args):
 
 
 def _check_refinement(run, args):
-    k_max = max(_parse_k_range(args.k, _max_k(run.ball, run.table)))
+    k_max = max(run.ks)
     rep = orders.refinement_chain_check(
         run.table, k_max,
         intermediate=[run.intermediate(k) for k in range(k_max + 1)],
@@ -388,29 +410,27 @@ def _check_refinement(run, args):
 
 
 def _check_sperner(run, args):
-    ball = run.ball
-    ks = _parse_k_range(args.k, _max_k(ball, run.table))
     rows = []
-    ok = True
-    for k in ks:
+    weaker = None  # the first slice the flows found strongly Sperner
+    for k in run.ks:
         poset = run.intermediate(k)
-        rep = posets.strong_sperner_check(poset)
-        ok = ok and rep.ok
+        rep = posets.strong_sperner_check(poset, weaker=weaker)
+        if rep.ok and weaker is None:
+            weaker = poset
         rows.append({"k": k, "ok": rep.ok,
                      "rows": [[r.h, r.flow_value, r.top_rank_sum, r.ok]
                               for r in rep.rows]})
-    return {"ok": ok, "per_k": rows}
+    return {"ok": all(row["ok"] for row in rows), "per_k": rows}
 
 
 def _check_phi(run, args):
     ball = run.ball
     name = ball.matrix.name or ""
-    ks = _parse_k_range(args.k, _max_k(ball, run.table))
     gens = list(ball.matrix.generators)
     maps = [run.projection([s for s in gens if s != i], "P") for i in gens]
     rows = []
     ok = True
-    for k in ks:
+    for k in run.ks:
         image = projections.phi_k_image_poset(ball, run.intermediate(k), maps)
         graded = posets.is_graded(image)
         row = {"k": k, "image_size": image.n, "graded": graded}
@@ -434,7 +454,6 @@ def _check_phi(run, args):
 
 def _check_monoid(run, args):
     ball = run.ball
-    ks = _parse_k_range(args.k, _max_k(ball, run.table))
     gens = [run.projection([s], "P") for s in ball.matrix.generators]
     # the closure does not depend on k; order preservation is decided on
     # the generators: they are members, and composites of order-preserving
@@ -442,7 +461,7 @@ def _check_monoid(run, args):
     rep = projections.projection_monoid(ball, gens)
     rows = []
     ok = True
-    for k in ks:
+    for k in run.ks:
         pk = run.intermediate(k)
         preserving = all(projections.is_order_preserving(g, pk).ok for g in gens)
         good = (rep.size == len(ball) and rep.idempotent and rep.braid_ok
@@ -455,9 +474,8 @@ def _check_monoid(run, args):
 
 
 def _check_logconcave(run, args):
-    ks = _parse_k_range(args.k, _max_k(run.ball, run.table))
     rows = []
-    for k in ks:
+    for k in run.ks:
         poly = polynomials.gen_poly(run.absolute_length(k))
         rows.append({"k": k, "coeffs": list(poly.coeffs),
                      "log_concave": polynomials.is_log_concave(poly),
@@ -466,10 +484,9 @@ def _check_logconcave(run, args):
 
 
 def _check_shellability(run, args):
-    ball, table = run.ball, run.table
-    ks = _parse_k_range(args.k, _max_k(ball, table))
+    ball = run.ball
     rows = []
-    for k in ks:
+    for k in run.ks:
         inter = run.intermediate(k)
         absol = orders.k_absolute_poset(run.absolute_length(k))
         for flavor, poset in (("intermediate", inter), ("absolute", absol)):
@@ -486,9 +503,8 @@ def _check_shellability(run, args):
 
 
 def _check_curvature(run, args):
-    ks = _parse_k_range(args.k, _max_k(run.ball, run.table))
     rows = []
-    for k in ks:
+    for k in run.ks:
         rep = curvature_mod.curvature_spectrum(run.graph(k))
         lo, hi = rep.kappa_min(), rep.kappa_max()  # None if every edge is skipped
         rows.append({
@@ -521,8 +537,9 @@ def cmd_check(args) -> int:
         if name not in _CHECK_FNS:
             raise UsageError(f"unknown check {name!r} "
                              f"(available: {', '.join(ALL_CHECKS)})")
+    ks = _parse_k(args.k)
     ball = _build_ball(args)
-    run = _Run(ball, reflections.reflections_in_ball(ball))
+    run = _Run(ball, reflections.reflections_in_ball(ball), ks)
     deadline = None
     if args.timeout_secs:
         deadline = time.monotonic() + float(args.timeout_secs)
@@ -564,14 +581,19 @@ def _add_output(sub):
     sub.add_argument("--config", help="key=value file supplying flag defaults")
 
 
-def _add_ball(sub, k=True):
-    """The options of the commands that build a ball; `k` adds --k."""
+_K_LIST = "slice parameter: single value, 'a..b', or comma list (default: every slice)"
+_K_SINGLE = "slice parameter: a single value (default 0)"
+
+
+def _add_ball(sub, k=None):
+    """The options of the commands that build a ball; `k`, the help of
+    --k, adds --k."""
     _add_output(sub)
     sub.add_argument("--type", help="named Coxeter type, e.g. A3, B4, I2(7)")
     sub.add_argument("--matrix", help="explicit matrix, e.g. '1 3; 3 1'")
     sub.add_argument("--radius", help="ball radius, or 'auto' for full finite groups")
     if k:
-        sub.add_argument("--k", help="slice parameter: single value, 'a..b', or comma list")
+        sub.add_argument("--k", help=k)
     sub.add_argument("--cap-elements", dest="cap_elements",
                      help="ball element cap (default 2000000)")
     sub.add_argument("--timeout-secs", dest="timeout_secs",
@@ -589,28 +611,28 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ball", help="enumerate a ball and emit JSON")
-    _add_ball(p, k=False)
+    _add_ball(p)
     p.set_defaults(fn=cmd_ball)
 
     p = subs.add_parser("order", help="build an order on a ball")
-    _add_ball(p)
+    _add_ball(p, _K_SINGLE)
     p.add_argument("--kind", default="intermediate",
                    help="weak | intermediate | absolute | bruhat | torder")
     p.set_defaults(fn=cmd_order)
 
     p = subs.add_parser("check", help="run a verification suite")
-    _add_ball(p)
+    _add_ball(p, _K_LIST)
     p.add_argument("--checks", help="comma list: " + ",".join(ALL_CHECKS))
     p.add_argument("--ideal", default="tk", choices=("tk", "all"),
                    help="quantify ideal checks over T_k slices or all ideals")
     p.set_defaults(fn=cmd_check)
 
     p = subs.add_parser("poly", help="distance generating polynomials")
-    _add_ball(p)
+    _add_ball(p, _K_LIST)
     p.set_defaults(fn=cmd_poly)
 
     p = subs.add_parser("curvature", help="edge curvature spectrum")
-    _add_ball(p)
+    _add_ball(p, _K_SINGLE)
     p.set_defaults(fn=cmd_curvature)
 
     p = subs.add_parser("export", help="convert a saved poset JSON file")

@@ -5,7 +5,9 @@ distance of the curvature module.
 The poset layer runs it on one chain network per poset, built on the
 Hasse diagram: unit augmentations give the chain gains, from which
 every Greene-Kleitman number follows, and the potentials of one more
-run give an h-family witness.  The curvature layer runs it once per
+run give an h-family witness.  The strong Sperner check runs the flows
+only on the posets that no contained, strongly Sperner poset on the
+same nodes certifies.  The curvature layer runs it once per
 distinct transport problem of a graph.
 
 All capacities and costs are integers, so optima are exact.

@@ -142,7 +142,8 @@ def test_conjecture_checks_never_fail_exit(capsys):
 # per-h network with an arc per comparable pair and the per-edge BFS
 # gave them.  Every slice of these weak-order refinements is strongly
 # Sperner, so each row's flow value is the top rank sum: the running
-# sums of the sorted rank sizes.
+# sums of the sorted rank sizes.  The flows now decide only the k = 0
+# slice; each later slice contains it, and the rows are certified.
 _PINNED = {
     "B3": ([8, 16, 23, 30, 35, 40, 43, 46, 47, 48], [
         (72, "-2/3", "0"), (144, "-1/3", "0"), (192, "0", "0"),
@@ -244,6 +245,44 @@ def test_poly_k_ranges(capsys):
     assert [r["k"] for r in json.loads(out)["polynomials"]] == [0, 2]
     code, out, _e = _run(capsys, ["poly", "--type", "A3"])  # default: all k
     assert [r["k"] for r in json.loads(out)["polynomials"]] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--checks", "sperner", "--k", "3..1"], "--k range '3..1' is empty"),
+    (["check", "--checks", "refinement", "--k", "3..1"], "--k range '3..1' is empty"),
+    (["poly", "--k", "3..1"], "--k range '3..1' is empty"),
+    (["check", "--checks", "sperner", "--k", "-1"], "--k must be >= 0, got '-1'"),
+    (["poly", "--k", "0..x"], "--k takes integers, got '0..x'"),
+    (["order", "--k", "1.5"], "--k takes integers, got '1.5'"),
+    (["order", "--k", "0,1"], "order takes a single --k, got '0,1'"),
+    (["curvature", "--k", "0..1"], "curvature takes a single --k, got '0..1'"),
+    (["curvature", "--k", "-2"], "--k must be >= 0, got '-2'")],
+    ids=["check-empty", "refinement-empty", "poly-empty", "check-negative",
+         "poly-not-integer", "order-not-integer", "order-list",
+         "curvature-range", "curvature-negative"])
+def test_bad_k_is_usage_error(capsys, argv, message):
+    code, out, err = _run(capsys, argv + ["--type", "A3"])
+    assert (code, out) == (2, "")
+    assert f"usage error: {message}" in err
+
+
+def test_sperner_flows_run_on_the_first_slice_only(capsys, monkeypatch):
+    # a slice's chain gains are computed when the flows decide it; every
+    # later slice that contains a strongly Sperner one is certified by it
+    computed = []
+    real = cli.posets._chain_gains
+    monkeypatch.setattr(cli.posets, "_chain_gains", lambda p: (
+        computed.append(p) if p._gains is None else None) or real(p))
+    code, out, _e = _run(capsys, ["check", "--type", "A4", "--checks", "sperner"])
+    assert code == 0 and len(computed) == 1
+    assert [row["k"] for row in json.loads(out)["checks"]["sperner"]["per_k"]] == [
+        0, 1, 2, 3]
+    # the k = 2 slice does not lie in the k = 0 slice, so both take the flows
+    computed.clear()
+    code, out, _e = _run(capsys, ["check", "--type", "A4", "--checks", "sperner",
+                                  "--k", "2,0"])
+    assert code == 0 and len(computed) == 2
+    assert json.loads(out)["checks"]["sperner"]["ok"] is True
 
 
 def test_order_torder_dot(capsys):

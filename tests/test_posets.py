@@ -356,6 +356,64 @@ def test_strong_sperner_requires_graded():
         strong_sperner_check(p)
 
 
+@pytest.mark.parametrize("name,radius", [
+    ("A3", None), ("B3", None), ("A4", None), ("H3", None), ("B4", None),
+    ("D4", None), ("affA2", 8), ("affC2", 10)])
+def test_certified_rows_equal_the_flows_on_every_slice(name, radius):
+    matrix = named_matrix(name)
+    ball = enumerate_ball(matrix, radius or longest_length(matrix))
+    table = reflections_in_ball(ball)
+    k_max = (max(map(ball.length, table.reflections)) - 1) // 2
+    slices = [intermediate_poset(ball, t_k_set(table, k))
+              for k in range(k_max + 1)]
+    weaker = slices[0]
+    assert strong_sperner_check(weaker).ok
+    for k, poset in enumerate(slices[1:], 1):
+        certified = strong_sperner_check(poset, weaker=weaker)
+        assert poset._gains is None, k  # no flow ran
+        assert certified == strong_sperner_check(poset), k
+        if poset.n <= 24:
+            for row in certified.rows:
+                assert row.flow_value == brute_max_h_family(poset, row.h), k
+
+
+def _levels_1_3_2(extra=()):
+    # rank levels 1, 3, 2; without the extra covers b2, b3, c and d are
+    # four mutually incomparable nodes
+    return Poset.from_relation(
+        ["a", "b1", "b2", "b3", "c", "d"],
+        [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), *extra],
+        rank=[0, 1, 1, 1, 2, 2])
+
+
+def test_a_weaker_poset_that_is_not_contained_takes_the_flows():
+    sperner = _levels_1_3_2([(2, 4), (3, 5)])
+    assert strong_sperner_check(sperner).ok
+    # the strongly Sperner poset holds covers the other one lacks, so it
+    # proves nothing about it
+    rep = strong_sperner_check(_levels_1_3_2(), weaker=sperner)
+    assert not rep.ok
+    assert rep.rows[0].flow_value == 4 and rep.rows[0].top_rank_sum == 3
+    # a poset on other nodes is not read either
+    other = Poset.from_relation(list(range(6)), sperner.covers, rank=sperner.rank)
+    assert strong_sperner_check(other).ok and sperner._gains is not None
+    sperner._gains = None
+    assert strong_sperner_check(sperner, weaker=other).ok
+    assert sperner._gains is not None
+
+
+def test_a_weaker_poset_that_is_not_strongly_sperner_takes_the_flows(monkeypatch):
+    weaker, poset = _levels_1_3_2(), _levels_1_3_2([(2, 4), (3, 5)])
+    assert not strong_sperner_check(weaker).ok
+    calls = []
+    real = posets_mod.max_h_family_value
+    monkeypatch.setattr(posets_mod, "max_h_family_value",
+                        lambda p, h: calls.append((p, h)) or real(p, h))
+    rep = strong_sperner_check(poset, weaker=weaker)
+    assert rep.ok and [row.flow_value for row in rep.rows] == [3, 5, 6]
+    assert [h for p, h in calls if p is poset] == [1, 2, 3]
+
+
 def test_order_complex_cube():
     complex = order_complex(_boolean(3))
     assert len(complex.vertices) == 6
