@@ -485,12 +485,13 @@ def _check_logconcave(run, args):
 
 def _check_shellability(run, args):
     ball = run.ball
+    coxeter_elements = ball.coxeter_elements()  # n! products: once per run
     rows = []
     for k in run.ks:
         inter = run.intermediate(k)
         absol = orders.k_absolute_poset(run.absolute_length(k))
         for flavor, poset in (("intermediate", inter), ("absolute", absol)):
-            for c in ball.coxeter_elements():
+            for c in coxeter_elements:
                 try:
                     open_interval = posets.order_complex(poset, ball.identity, c)
                 except DomainError:

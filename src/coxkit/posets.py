@@ -17,9 +17,9 @@ class Poset:
     """Finite poset over hashable node labels.
 
     Stored as the list of nodes and the Hasse (cover) edges as index
-    pairs; the reflexive up-set bitmasks are built from the covers when
-    first read.  An optional rank list and a metadata dict describe how
-    the poset was built.
+    pairs; the reflexive up-set bitmasks and the cover adjacency lists
+    are built from the covers when first read, and kept.  An optional
+    rank list and a metadata dict describe how the poset was built.
     """
 
     def __init__(self, nodes, covers, rank=None, metadata=None, _up=None):
@@ -33,6 +33,8 @@ class Poset:
         self.n = len(self.nodes)
         self._up = _up  # up[i] = bitmask of j >= i (reflexive)
         self._down = None
+        self._up_adj = None  # up_adj[i] = the covers of i, by index
+        self._down_adj = None
         self._gains = None  # chain gains, see _chain_gains
 
     # -- construction ---------------------------------------------------
@@ -134,16 +136,24 @@ class Poset:
         return [i for i in range(self.n) if i not in below]
 
     def up_adj(self):
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            adj[i].append(j)
-        return adj
+        """The upper covers of each node, by increasing index; built once
+        and shared by every caller, so not to be mutated."""
+        if self._up_adj is None:
+            adj = [[] for _ in range(self.n)]
+            for i, j in self.covers:
+                adj[i].append(j)
+            self._up_adj = adj
+        return self._up_adj
 
     def down_adj(self):
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            adj[j].append(i)
-        return adj
+        """The lower covers of each node, by increasing index; built once
+        and shared like `up_adj`."""
+        if self._down_adj is None:
+            adj = [[] for _ in range(self.n)]
+            for i, j in self.covers:
+                adj[j].append(i)
+            self._down_adj = adj
+        return self._down_adj
 
     # -- derived posets ---------------------------------------------------
 
@@ -200,31 +210,8 @@ class Poset:
             comps.append(sorted(comp))
         return comps
 
-    def is_antichain(self, indices) -> bool:
-        idx = list(indices)
-        for a, b in combinations(idx, 2):
-            if self.leq(a, b) or self.leq(b, a):
-                return False
-        return True
-
     def topological_order(self):
         return _topological_order(self.up_adj())
-
-    def maximal_chains(self):
-        """All maximal chains, as lists of indices (cover paths from
-        minimal to maximal elements)."""
-        uadj = self.up_adj()
-        out = []
-        stack = [[m] for m in self.minimals()]
-        while stack:
-            chain = stack.pop()
-            ups = uadj[chain[-1]]
-            if not ups:
-                out.append(chain)
-            else:
-                for y in ups:
-                    stack.append(chain + [y])
-        return out
 
 
 def _topological_order(succ):
@@ -614,12 +601,22 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
     must meet the union of its predecessors in a nonempty pure
     codimension-1 subcomplex of itself.
 
-    Facets and sets of facets are int bitmasks.  For facets F and G,
-    miss = F & ~G holds the vertices of F outside G.  F & G is a wall
-    (a codimension-1 face of F) iff miss has one bit, and lies in the
-    wall F minus v iff v is in miss; so F can follow the facets G used
-    so far iff some miss has one bit, none is empty (a duplicate), and
-    every other miss meets the union of the one-bit misses.
+    Sets of facets are int bitmasks (bit f for facet f).  For a facet F
+    and the facets G used so far, let W(F) be the set of vertices v of F
+    with F - G = {v} for some G: F meets that G in the wall F - v.  F
+    may follow the used facets iff W(F) is nonempty and no used facet
+    contains W(F).  This is the wall test itself: the walls F - v with v
+    in W(F) are where F meets the used facets in codimension 1, and F & G
+    lies in the wall F - v iff v is not in G, so F & G lies in one of
+    them iff G does not contain W(F); a used G that contains F (a
+    duplicate, or a larger facet) contains W(F) too, as W(F) lies in F.
+
+    holds[v] is the set of facets that contain vertex v.  For each
+    vertex v of F, the facets G with F - G = {v} are those that hold
+    every other vertex of F and not v: the AND of the prefix and the
+    suffix of F's holds around v, less holds[v].  So a test reads the
+    used facets against one such set per vertex of F, and ANDs the
+    holds of the walls it finds, in O(|F|) big-int operations.
     """
     facets = list(dict.fromkeys(complex.facets))
     m = len(facets)
@@ -627,22 +624,29 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
         raise ResourceError(f"facet count {m} exceeds cap {facet_cap}")
     if m <= 1:
         return ShellingVerdict("shellable", order=list(facets))
-    bit = {}
-    masks = [sum(bit.setdefault(v, 1 << len(bit)) for v in f) for f in facets]
+    vertex = {}
+    members = [[vertex.setdefault(v, len(vertex)) for v in f] for f in facets]
+    holds = [0] * len(vertex)
+    for f, vs in enumerate(members):
+        for v in vs:
+            holds[v] |= 1 << f
+    # rows[f] = (facets G with F - G = {v}, holds[v]) for each vertex v of F
+    rows = []
+    every = (1 << m) - 1
+    for vs in members:
+        hs = [holds[v] for v in vs]
+        prefix = list(accumulate(hs[:-1], int.__and__, initial=every))
+        suffix = list(accumulate(reversed(hs[1:]), int.__and__, initial=every))[::-1]
+        rows.append([(pre & suf & ~h, h) for pre, suf, h in zip(prefix, suffix, hs)])
 
-    def can_add(f, used):
-        ff = masks[f]
-        walls = 0
-        misses = []
-        for g in used:
-            miss = ff & ~masks[g]
-            if miss & (miss - 1):
-                misses.append(miss)
-            elif miss:
-                walls |= miss
-            else:
-                return False  # duplicate facet; filtered above, defensive
-        return bool(walls) and all(miss & walls for miss in misses)
+    def can_add(f, used_set):
+        held = used_set  # the used facets that contain the walls found
+        for across, h in rows[f]:
+            if used_set & across:
+                held &= h
+                if not held:
+                    return True
+        return False
 
     dead: set[int] = set()
     nodes = 0
@@ -669,7 +673,7 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
                 stack.append(0)
             while True:  # advance the deepest open state, or backtrack
                 f = next((g for g in range(stack[-1], m)
-                          if not used_set >> g & 1 and can_add(g, used)), None)
+                          if not used_set >> g & 1 and can_add(g, used_set)), None)
                 if f is not None:
                     stack[-1] = f + 1
                     used.append(f)

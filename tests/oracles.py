@@ -264,6 +264,32 @@ def brute_max_h_family(poset, h):
     return best[0]
 
 
+def is_antichain(poset, indices):
+    """Whether no two of the given node indices are comparable."""
+    return not any(poset.leq(a, b) or poset.leq(b, a)
+                   for a, b in combinations(indices, 2))
+
+
+def maximal_chains(poset):
+    """All maximal chains of the poset, as lists of indices: the cover
+    paths from minimal to maximal elements, read off `poset.covers`,
+    found by a depth-first search that takes the last path on its stack
+    first and pushes upper covers by increasing index."""
+    ups = [[] for _ in range(poset.n)]
+    for i, j in poset.covers:
+        ups[i].append(j)
+    covered = {j for _i, j in poset.covers}
+    out = []
+    stack = [[x] for x in range(poset.n) if x not in covered]
+    while stack:
+        chain = stack.pop()
+        if ups[chain[-1]]:
+            stack.extend(chain + [y] for y in ups[chain[-1]])
+        else:
+            out.append(chain)
+    return out
+
+
 def is_union_of_h_antichains(poset, families, h):
     if len(families) > h:
         return False
@@ -273,7 +299,7 @@ def is_union_of_h_antichains(poset, families, h):
         if set(idx) & seen:
             return False
         seen.update(idx)
-        if not poset.is_antichain(idx):
+        if not is_antichain(poset, idx):
             return False
     return True
 
@@ -307,13 +333,13 @@ def reference_order_complex(poset, u, v):
     interval off the covers: the closed interval [u, v] as an induced
     subposet (from up- and down-set bitmasks; DomainError unless u <= v),
     its bottom and top removed, and the facets as the maximal chains of
-    the rest."""
+    the rest, read off its covers."""
     interval = poset.interval(u, v)
     up, down = interval.up, interval.down
     inner = interval.subposet([i for i in range(interval.n)
                                if up[i] != 1 << i and down[i] != 1 << i])
     return inner.nodes, [frozenset(inner.nodes[i] for i in chain)
-                         for chain in inner.maximal_chains()]
+                         for chain in maximal_chains(inner)]
 
 
 def brute_shellable(facets):

@@ -5,11 +5,12 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxkit import DomainError, enumerate_ball, named_matrix
 from coxkit import posets as posets_mod
+from coxkit.cli import main
 from coxkit.matrices import longest_length
 from coxkit.orders import (intermediate_poset, k_absolute_length_all,
                            k_absolute_poset)
@@ -475,6 +476,39 @@ def test_extremes_are_read_off_the_covers(dag):
     assert p._up is None  # no up-set was built
 
 
+def test_cover_adjacency_is_built_once():
+    p = _random_poset(10, 0.3, 7)
+    assert p.up_adj() is p.up_adj()
+    assert p.down_adj() is p.down_adj()
+    assert p.up_adj() == [[j for i, j in p.covers if i == x] for x in range(p.n)]
+    assert p.down_adj() == [[i for i, j in p.covers if j == x] for x in range(p.n)]
+
+
+def test_cover_adjacency_is_not_changed_by_the_checks(monkeypatch, capsys):
+    # every poset the A4 checks build, read through its kept adjacency,
+    # still holds the lists its covers give: no caller mutated them
+    built = []
+    init = Poset.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Poset, "__init__", recording_init)
+    code = main(["check", "--type", "A4",
+                 "--checks", "graded,sperner,phi,shellability"])
+    capsys.readouterr()
+    assert code == 0
+    read = [p for p in built if p._up_adj is not None or p._down_adj is not None]
+    assert read
+    for p in read:
+        fresh = Poset(p.nodes, p.covers)
+        if p._up_adj is not None:
+            assert p._up_adj == fresh.up_adj()
+        if p._down_adj is not None:
+            assert p._down_adj == fresh.down_adj()
+
+
 @pytest.mark.parametrize("facets,expected", [
     ([{1, 2, 3}, {3, 4, 5}], False),          # two triangles at a vertex
     ([{1, 2}, {3, 4}], False),                # disconnected edges
@@ -553,11 +587,24 @@ def test_shellability_matches_the_frozenset_search_on_check_suite_intervals():
 _LABELS = st.sampled_from([0, 1, 2, 3, "a", "b", (0, 1), frozenset({5})])
 
 
+def _facets(*sets):
+    return [frozenset(f) for f in sets]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.frozensets(_LABELS, min_size=1, max_size=4), max_size=8),
+@given(st.lists(st.frozensets(_LABELS, min_size=0, max_size=4), max_size=8),
        st.integers(min_value=1, max_value=30))
+# a facet inside another: W(F) lies in the larger facet
+@example(_facets({1, 2, 3}, {1, 2}), 30)
+@example(_facets({1, 2}, {1, 2, 3}), 30)
+@example(_facets({1, 2, 3}, {2, 3, 4}, {2, 3}), 30)   # walls of both
+@example(_facets({1, 2, 3}, {3, 4, 5}, {3}), 30)      # two triangles at a vertex
+@example(_facets({1, 2}, {2, 3}, {1, 2, 3, 4}), 30)   # a path in a tetrahedron
+@example(_facets({1, 2}, set(), {2, 3}), 30)          # the empty facet
+@example(_facets(set(), {1}), 30)
 def test_shellability_matches_the_frozenset_search(facets, budget):
-    # lists may repeat a facet; vertex labels need not be integers
+    # lists may repeat a facet, hold the empty facet or nest one facet in
+    # another; vertex labels need not be integers
     complex = OrderComplex(vertices=list(set().union(*facets)), facets=facets)
     for node_budget in (budget, 500_000):
         verdict = shellability(complex, node_budget=node_budget)
