@@ -45,6 +45,9 @@ class GroupBall:
         self._lengths: list[int] = []
         self._descents: list[int] = []
         self._rim: dict[tuple[int, int], int] = {}
+        # the roots of the reflections, built on first use by
+        # coxkit.reflections when every finite bond is 2, 3, 4 or 6
+        self._roots = None
 
     # -- basic accessors ------------------------------------------------
 

@@ -25,31 +25,55 @@ internal length.  `dihedral_subgroup` finds W' in three steps:
    so the walk comes back to e, the cycle is all of W', and its two
    shortest reflections are the canonical pair.  A walk that does not
    come back means W' is infinite and the descent was exact.
-3. A BFS over right multiplication by the canonical pair, inside the
-   ball, gives the members, their internal lengths and the reflections;
-   by monotonicity each member in the ball is reached through members in
-   the ball.
+3. The members of W' in the ball, with their internal lengths for the
+   canonical pair; by monotonicity each member in the ball is reached
+   through members in the ball.
 
-Products in steps 1 and 2 are followed past the radius with
-`GroupBall._walk` and `GroupBall._times`; a conjugate is dropped as soon
-as the letters still to come cannot bring it below the bound.  When
-every finite bond is 2, 3, 4 or 6, step 3 runs first on the given pair,
-and steps 1 and 2 only when its internal length 3 shows that step 1
-would move (see `dihedral_subgroup`).
+When every finite bond is 2, 3, 4 or 6, steps 1 and 3 run on integer
+roots.  Take the generalized Cartan matrix with (a_st, a_ts) = (0, 0),
+(-1, -1), (-1, -2), (-1, -3) or (-2, -2) for m(s, t) = 2, 3, 4, 6 or
+inf (s < t).  Its Weyl group, acting on the root lattice by s(b) = b -
+<a_s^v, b> a_s, is the Coxeter group of the matrix (Kac,
+Infinite-dimensional Lie algebras, Prop. 3.13), and the reflections
+are in bijection with the positive real roots: w s w^-1 has root
+w(a_s), so t*u*t has root +-t(root u).  The ball keeps one table,
+built on first use, of every reflection's root and coroot, each from
+those of s*t*s, two shorter, with s the first letter of t (see
+`_root_table`); a root missing from the table is that of a reflection
+beyond the radius.  Then:
+
+- step 1 keeps its rule, with each conjugate looked up by its root (a
+  miss is longer than the radius, so it never shortens);
+- step 3 reads the reflections of W' off two sequences of conjugates,
+  x, yxy, xyxyx, ... and y, xyx, yxyxy, ..., each term the conjugate
+  of the one before; a sequence stops at its first miss (every later
+  term has a larger internal length, so it is longer) or when it comes
+  back to a reflection already met (W' finite);
+- the members of even internal length, r*g for r a reflection of W'
+  in the ball and g the generator that conjugates r next, are built
+  only when read, and so is `escaped` unless a sequence missed.
+
+No product is walked past the radius on this path.  For other bonds (5
+and >= 7), the products of steps 1 and 2 are followed past the radius
+with `GroupBall._walk` and `GroupBall._times`, a conjugate being dropped
+as soon as the letters still to come cannot bring it below the bound,
+and step 3 is a BFS over right multiplication by the canonical pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property, partial
+from itertools import combinations
+from operator import mul
 
-from .ball import GroupBall
+from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, IncompleteSliceError, OutOfBallError
+from .matrices import INF
 from .posets import Poset
 
 __all__ = [
     "ReflectionTable", "ReflectionSubgroup", "reflections_in_ball",
     "t_k_set", "dihedral_subgroup", "t_order_poset",
-    "omega_distance_in_dihedral",
 ]
 
 
@@ -62,15 +86,45 @@ class ReflectionTable:
         return {t: self.ball.length(t) for t in self.reflections}
 
 
-@dataclass
 class ReflectionSubgroup:
-    ball: GroupBall
-    member_ids: tuple[int, ...]           # members inside the ball, sorted
-    reflection_ids: tuple[int, ...]       # reflections of W' inside the ball
-    canonical_generators: tuple[int, ...]  # the canonical pair (or single id)
-    is_dihedral: bool
-    escaped: bool                          # some member of W' is beyond the radius
-    internal_length: dict[int, int] = field(default_factory=dict)
+    """W' = <t, t'> intersected with the ball.
+
+    `reflection_lengths` maps each reflection of W' in the ball to its
+    internal length.  The identity and the members of even internal
+    length, and with them `member_ids`, `internal_length` and
+    `escaped` (some member of W' lies beyond the radius), are built on
+    first read by `rotations`, which returns ({member: internal
+    length}, escaped) for them; `escaped=True` says so in advance.
+    """
+
+    def __init__(self, ball: GroupBall, canonical_generators: tuple[int, ...],
+                 reflection_lengths: dict[int, int], rotations,
+                 escaped: bool = False):
+        self.ball = ball
+        self.canonical_generators = canonical_generators  # the pair (or single id)
+        self.is_dihedral = len(canonical_generators) == 2
+        self.reflection_lengths = reflection_lengths
+        self.reflection_ids = tuple(sorted(reflection_lengths))
+        self._rotations = rotations
+        self._escaped = escaped
+
+    @cached_property
+    def _members(self) -> tuple[dict[int, int], bool]:
+        rotations, escaped = self._rotations()
+        return {**rotations, **self.reflection_lengths}, escaped
+
+    @property
+    def internal_length(self) -> dict[int, int]:
+        return self._members[0]
+
+    @cached_property
+    def member_ids(self) -> tuple[int, ...]:
+        """The members inside the ball, sorted."""
+        return tuple(sorted(self.internal_length))
+
+    @property
+    def escaped(self) -> bool:
+        return self._escaped or self._members[1]
 
 
 def reflections_in_ball(ball: GroupBall) -> ReflectionTable:
@@ -103,6 +157,195 @@ def t_k_set(table: ReflectionTable, k: int) -> frozenset[int]:
 # -- dihedral reflection subgroups -------------------------------------------
 
 
+def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
+    """The reflection subgroup <t, t'> intersected with the ball, with
+    its canonical generating pair (exact; see module docstring).
+    DomainError unless t and t' are reflections of the ball."""
+    if _cartan(ball.matrix) is None:
+        return _walked_subgroup(ball, t, tp)
+    return _rooted_subgroup(ball, t, tp)
+
+
+def _singleton(ball: GroupBall, t: int) -> ReflectionSubgroup:
+    return ReflectionSubgroup(ball, (t,), {t: 1},
+                              lambda: ({ball.identity: 0}, False))
+
+
+# -- integer roots: every finite bond 2, 3, 4 or 6 --------------------------
+
+
+_CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INF: (-2, -2)}
+
+
+@cache
+def _cartan(matrix):
+    """The generalized Cartan matrix of the module docstring, as rows;
+    None when some finite bond is not 2, 3, 4 or 6."""
+    a = [[2 if s == t else 0 for t in matrix.generators]
+         for s in matrix.generators]
+    for s, t in combinations(matrix.generators, 2):
+        entry = _CARTAN.get(matrix.m(s, t))
+        if entry is None:
+            return None
+        a[s][t], a[t][s] = entry
+    return tuple(map(tuple, a))
+
+
+def _root_table(ball: GroupBall):
+    """({reflection id: (root, coroot, key)}, {+-key: reflection id})
+    for every reflection of the ball, built once and kept on the ball.  A
+    root is its coordinates on the simple roots; a coroot is kept as its
+    pairings with the simple roots, so <t^v, b> is one dot product.
+
+    The table grows by length from the generators: for t of length n
+    and s an ascent of t, s*t*s is t or has length n + 2, and its root
+    and coroot are s applied to t's, both positive since t != s.  Every
+    reflection r of length n + 2 is met, from s*r*s with s its first
+    letter, so the ids in the table are exactly the reflections of the
+    ball, each proven once.
+
+    The key of a vector b is the integer sum b_i B^i, with B a power of
+    two above twice any coordinate of root u - <t^v, root u> root t over
+    reflections t, u of the table.  It is one-to-one on such vectors
+    (balanced base-B digits), and linear, so `_conjugate` finds the key of
+    t*u*t with one integer product."""
+    if ball._roots is None:
+        a = _cartan(ball.matrix)
+        left, right, elements = ball.left, ball.right, ball.elements
+        rank = ball.matrix.rank
+        roots = {}
+        level = []
+        for s in range(rank):
+            x = right[ball.identity][s]
+            if x != BOUNDARY:
+                roots[x] = (tuple(int(i == s) for i in range(rank)), a[s])
+                level.append(x)
+        n = 1
+        while level:
+            nxt = []
+            for t in level:
+                root, coroot = roots[t]
+                for s in range(rank):
+                    x = left[t][s]
+                    if x == BOUNDARY or elements[x].length < n:
+                        continue
+                    y = right[x][s]
+                    if y == BOUNDARY or y in roots:
+                        continue
+                    b = list(root)
+                    b[s] -= sum(map(mul, a[s], root))
+                    k = coroot[s]
+                    roots[y] = (tuple(b),
+                                tuple(c - k * d for c, d in zip(coroot, a[s])))
+                    nxt.append(y)
+            level = nxt
+            n += 2
+        big = max((abs(c) for root, _ in roots.values() for c in root), default=0)
+        co = max((abs(c) for _, coroot in roots.values() for c in coroot),
+                 default=0)
+        shift = (big + rank * co * big * big).bit_length() + 1
+        keyed, ids = {}, {}
+        for t, (root, coroot) in roots.items():
+            key = sum(c << (shift * i) for i, c in enumerate(root))
+            keyed[t] = (root, coroot, key)
+            ids[key] = ids[-key] = t
+        ball._roots = (keyed, ids)
+    return ball._roots
+
+
+def _conjugate(table, t: int, u: int):
+    """t*u*t for reflections t, u of the root table: the reflection
+    whose root is +-(root u - <t^v, root u> root t), or None when that
+    root is missing (t*u*t lies beyond the radius)."""
+    roots, ids = table
+    rt, ct, kt = roots[t]
+    ru, _, ku = roots[u]
+    return ids.get(ku - sum(map(mul, ct, ru)) * kt)
+
+
+def _rooted_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
+    """Steps 1 and 3 on the root table (module docstring)."""
+    table = _root_table(ball)
+    for r in (t, tp):
+        if r not in table[0]:
+            raise DomainError(f"element {r} is not a reflection")
+    if t == tp:
+        return _singleton(ball, t)
+    length = ball.length
+    a, b = t, tp
+    while True:
+        aba = _conjugate(table, a, b)
+        if aba is not None and length(aba) < length(b):
+            b = aba
+            continue
+        bab = _conjugate(table, b, a)
+        if bab is None or length(bab) >= length(a):
+            break
+        a = bab
+    # the terms a, bab, ababa, ... and b, aba, babab, ...; the last round
+    # of step 1 looked up the second ones
+    internal = {a: 1, b: 1}
+    swept = [(a, b), (b, a)]  # each term and the generator that conjugates it next
+    found = [(bab, a, b), (aba, b, a)]  # (g*r*g, r, g)
+    missed = False
+    while found:
+        nxt = []
+        for z, r, g in found:
+            if z is None:
+                missed = True
+            elif z not in internal:
+                internal[z] = internal[r] + 2
+                h = a if g == b else b
+                swept.append((z, h))
+                nxt.append((_conjugate(table, h, z), z, h))
+        found = nxt
+    pair = (a, b) if (length(a), a) < (length(b), b) else (b, a)
+    return ReflectionSubgroup(ball, pair, internal,
+                              partial(_rotations, ball, swept, internal),
+                              escaped=missed)
+
+
+def _rotations(ball: GroupBall, swept, internal):
+    """The identity and the members of even internal length, with
+    `escaped`: for each term r of the two sequences, of internal length
+    i, and the generator g that conjugates it next, r*g is the member of
+    internal length i + 1, or, once a sequence has come back, a member
+    met at a lower length before it.  Every such member in the ball is
+    below a term in the ball, so it is met; and when no sequence missed,
+    a member beyond the radius is some r*g."""
+    lengths = {ball.identity: 0}
+    escaped = False
+    for r, g in swept:
+        try:
+            z = ball.multiply(r, g)
+        except OutOfBallError:
+            escaped = True
+            continue
+        lengths.setdefault(z, internal[r] + 1)
+    return lengths, escaped
+
+
+# -- walks past the radius: a finite bond of 5 or >= 7 ------------------------
+
+
+def _walked_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
+    _check_reflection(ball, t)
+    _check_reflection(ball, tp)
+    if t == tp:
+        return _singleton(ball, t)
+    pair = _descend(ball, t, tp)
+    cycle = _finite_cycle(ball, *pair, _walk_steps(ball.matrix))
+    if cycle is not None:  # its reflections are a, aba, ababa, ...
+        pair = cycle[::2]
+    return _internal_lengths(ball, *_by_length(ball, pair))
+
+
+def _by_length(ball: GroupBall, pair) -> tuple[int, int]:
+    """The two shortest of the reflections, by (length, id)."""
+    x, y = sorted(pair, key=lambda r: (ball._length(r), r))[:2]
+    return x, y
+
+
 def _descend(ball: GroupBall, a: int, b: int) -> tuple[int, int]:
     """Replace b by a*b*a, or a by b*a*b, while that shortens it."""
     while True:
@@ -118,11 +361,9 @@ def _descend(ball: GroupBall, a: int, b: int) -> tuple[int, int]:
 
 @cache
 def _walk_steps(matrix) -> int:
-    """2M for M the largest finite bond, when some finite bond is not 2,
-    3, 4 or 6; else 0 (no walk is needed)."""
-    bonds = {matrix.m(s, t) for s in matrix.generators
-             for t in matrix.generators if s < t and matrix.is_finite_bond(s, t)}
-    return 2 * max(bonds) if bonds - {2, 3, 4, 6} else 0
+    """2M for M the largest finite bond."""
+    return 2 * max(matrix.m(s, t) for s, t in combinations(matrix.generators, 2)
+                   if matrix.is_finite_bond(s, t))
 
 
 def _finite_cycle(ball: GroupBall, a: int, b: int, steps: int):
@@ -142,63 +383,24 @@ def _finite_cycle(ball: GroupBall, a: int, b: int, steps: int):
 
 
 def _check_reflection(ball: GroupBall, x: int) -> None:
-    """DomainError unless x is a reflection, decided inside the ball: x
-    must be an involution, and conjugating it by a left descent s must
-    shorten it by 2 until a generator is left.  For a reflection t != s
-    with s a left descent, s*t*s != t, so l(sts) = l(t) - 2 (Bjorner and
-    Brenti, Combinatorics of Coxeter Groups, ch. 1); an involution such
-    as a central w0 is left as it is."""
+    """DomainError unless x is a reflection of the ball, decided inside
+    the ball: x must be an involution, and conjugating it by a left
+    descent s must shorten it by 2 until a generator is left.  For a
+    reflection t != s with s a left descent, s*t*s != t, so l(sts) =
+    l(t) - 2 (Bjorner and Brenti, Combinatorics of Coxeter Groups, ch.
+    1); an involution such as a central w0 is left as it is."""
     elements, left, right = ball.elements, ball.left, ball.right
-    y, n = x, elements[x].length
-    if ball.inverse(x) == x:
+    if 0 <= x < len(elements) and ball.inverse(x) == x:
+        y, n = x, elements[x].length
         while n > 1:
             s = elements[y].word[0]
             z = right[left[y][s]][s]
             if elements[z].length != n - 2:
                 break
             y, n = z, n - 2
-    if n != 1:
-        raise DomainError(f"element {x} is not a reflection")
-
-
-def dihedral_subgroup(ball: GroupBall, t: int, tp: int) -> ReflectionSubgroup:
-    """The reflection subgroup <t, t'> intersected with the ball, with
-    its canonical generating pair (exact; see module docstring).
-
-    When every finite bond is 2, 3, 4 or 6 (`_walk_steps` is 0), the BFS
-    of step 3 runs first on the given pair x, y, with l(x) <= l(y).  If
-    no member of internal length 3 (x y x or y x y) is shorter than y,
-    step 1 would not move: it needs l(xyx) < l(y) or l(yxy) < l(x) <=
-    l(y), and a member beyond the radius is longer than y.  The pair is
-    then canonical and that BFS is the answer, with no conjugate walked.
-    Otherwise, and for other bonds, the three steps run in turn.
-    """
-    _check_reflection(ball, t)
-    _check_reflection(ball, tp)
-    if t == tp:
-        return ReflectionSubgroup(
-            ball=ball, member_ids=(ball.identity, t), reflection_ids=(t,),
-            canonical_generators=(t,), is_dihedral=False, escaped=False,
-            internal_length={ball.identity: 0, t: 1})
-    steps = _walk_steps(ball.matrix)
-    if not steps:
-        x, y = _by_length(ball, (t, tp))
-        sub = _internal_lengths(ball, x, y)
-        ly = ball.length(y)
-        if all(ball.length(w) >= ly
-               for w, i in sub.internal_length.items() if i == 3):
-            return sub
-    pair = _descend(ball, t, tp)
-    cycle = _finite_cycle(ball, *pair, steps)
-    if cycle is not None:  # its reflections are a, aba, ababa, ...
-        pair = cycle[::2]
-    return _internal_lengths(ball, *_by_length(ball, pair))
-
-
-def _by_length(ball: GroupBall, pair) -> tuple[int, int]:
-    """The two shortest of the reflections, by (length, id)."""
-    x, y = sorted(pair, key=lambda r: (ball._length(r), r))[:2]
-    return x, y
+        if n == 1:
+            return
+    raise DomainError(f"element {x} is not a reflection")
 
 
 def _internal_lengths(ball: GroupBall, x: int, y: int) -> ReflectionSubgroup:
@@ -224,38 +426,9 @@ def _internal_lengths(ball: GroupBall, x: int, y: int) -> ReflectionSubgroup:
                     internal[z] = internal[w] + 1
                     nxt.append((z, g))
         frontier = nxt
-    members = tuple(sorted(internal))
     return ReflectionSubgroup(
-        ball=ball, member_ids=members,
-        reflection_ids=tuple(w for w in members if internal[w] % 2),
-        canonical_generators=(x, y), is_dihedral=True, escaped=escaped,
-        internal_length=internal)
-
-
-def omega_distance_in_dihedral(sub: ReflectionSubgroup, t: int, tp: int):
-    """Directed distance t -> t' in the Bruhat graph of the subgroup
-    (arcs a -> ra for subgroup reflections r that increase internal
-    length).  Cross-check for the length criterion; None if unreachable.
-    """
-    ball = sub.ball
-    il = sub.internal_length
-    dist = {t: 0}
-    frontier = [t]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for a in frontier:
-            for r in sub.reflection_ids:
-                try:
-                    b = ball.multiply(r, a)
-                except OutOfBallError:
-                    continue
-                if b in il and il[b] > il[a] and b not in dist:
-                    dist[b] = d
-                    nxt.append(b)
-        frontier = nxt
-    return dist.get(tp)
+        ball, (x, y), {w: i for w, i in internal.items() if i % 2},
+        lambda: (internal, escaped))
 
 
 def t_order_poset(table: ReflectionTable, restrict_to=None) -> Poset:
@@ -311,9 +484,9 @@ def t_order_poset(table: ReflectionTable, restrict_to=None) -> Poset:
                 seen[r] |= met
             in_nodes = [r for r in sub.reflection_ids if r in pos]
             for a in in_nodes:
-                la = sub.internal_length[a]
+                la = sub.reflection_lengths[a]
                 for b in in_nodes:
-                    if sub.internal_length[b] > la:
+                    if sub.reflection_lengths[b] > la:
                         pairs.add((pos[a], pos[b]))
     return Poset.from_relation(
         nodes, sorted(pairs), rank=None,

@@ -485,6 +485,32 @@ def brute_t_order_pairs(table):
     return less
 
 
+def omega_distance_in_dihedral(sub, t, tp):
+    """Directed distance t -> t' in the Bruhat graph of a dihedral
+    reflection subgroup (arcs a -> ra for subgroup reflections r that
+    increase internal length), by BFS; None if unreachable.  Cross-check
+    for the internal-length criterion of the reflection order."""
+    ball = sub.ball
+    il = sub.internal_length
+    dist = {t: 0}
+    frontier = [t]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for a in frontier:
+            for r in sub.reflection_ids:
+                try:
+                    b = ball.multiply(r, a)
+                except OutOfBallError:
+                    continue
+                if b in il and il[b] > il[a] and b not in dist:
+                    dist[b] = d
+                    nxt.append(b)
+        frontier = nxt
+    return dist.get(tp)
+
+
 # -- products beyond the radius -----------------------------------------------
 
 

@@ -1,21 +1,22 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from coxkit import (DomainError, IncompleteSliceError, OutOfBallError,
                     enumerate_ball, named_matrix, parse_coxeter_matrix,
                     reflections)
+from coxkit.ball import GroupBall
 from coxkit.matrices import longest_length
 from coxkit.posets import Poset, is_order_ideal, order_ideals
-from coxkit.reflections import (dihedral_subgroup, omega_distance_in_dihedral,
-                                reflections_in_ball, t_k_set, t_order_poset)
+from coxkit.reflections import (dihedral_subgroup, reflections_in_ball, t_k_set,
+                                t_order_poset)
 
 from models import longest_first
 from oracles import (brute_closure, brute_covers, brute_t_order_pairs,
-                     reference_dihedral_subgroup)
+                     omega_distance_in_dihedral, reference_dihedral_subgroup)
 
 
 def _ball(spec, radius, renumber=False):
@@ -110,6 +111,12 @@ def test_dihedral_subgroup_rejects_non_reflection(ball_a3):
     s = ball_a3.id_of_word((0,))
     with pytest.raises(DomainError):
         dihedral_subgroup(ball_a3, rotation, s)
+    # an id outside the ball, on the root path (A3) and the walk path (H3)
+    for ball in (ball_a3, _ball("H3", None)):
+        s = ball.id_of_word((0,))
+        for pair in ((10**6, s), (s, 10**6), (-1, s)):
+            with pytest.raises(DomainError, match="not a reflection"):
+                dihedral_subgroup(ball, *pair)
 
 
 @pytest.mark.parametrize("spec,radius,word", [
@@ -300,15 +307,24 @@ def test_t_order_sweeps_only_canonical_pairs(spec, radius, calls, renumber,
         assert given == canonical
 
 
-@pytest.mark.parametrize("spec,radius", [
-    ("B3", 4), ("affC2", 10), ("I2(inf)", 20),
-    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, id="hyperbolic-8")])
-def test_dihedral_subgroup_matches_the_descent_first_reference(spec, radius):
-    # on every pair of reflections, canonical or not, the BFS-first
-    # subgroup is the one the descent-first reference finds on its own
-    # copy of the ball, which never holds fewer elements beyond the radius
-    matrix = parse_coxeter_matrix(spec)
-    ball, ref = enumerate_ball(matrix, radius), enumerate_ball(matrix, radius)
+@pytest.mark.parametrize("spec,radius,renumber", [
+    pytest.param("B3", 4, False, id="B3-4"),
+    pytest.param("affC2", 10, False, id="affC2-10"),
+    pytest.param("I2(inf)", 20, False, id="I2(inf)-20"),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, False, id="hyperbolic-8"),
+    pytest.param("affG2", 10, False, id="affG2-10"),
+    # 4-bonds on a cycle: the Cartan matrix is not symmetrizable
+    pytest.param("1 4 inf; 4 1 3; inf 3 1", 8, False, id="cycle-4-3-inf-8"),
+    pytest.param("1 4 4; 4 1 4; 4 4 1", 8, False, id="cycle-4-4-4-8"),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, True,
+                 id="hyperbolic-8-longest-first")])
+def test_dihedral_subgroup_matches_the_descent_first_reference(
+        spec, radius, renumber):
+    # on every pair of reflections, canonical or not, the subgroup read
+    # off the roots is the one the descent-first reference finds on its
+    # own copy of the ball, which never holds fewer elements beyond the
+    # radius
+    ball, ref = _ball(spec, radius, renumber), _ball(spec, radius, renumber)
     for t, tp in combinations(reflections_in_ball(ball).reflections, 2):
         for a, b in ((t, tp), (tp, t)):
             sub = dihedral_subgroup(ball, a, b)
@@ -344,6 +360,50 @@ def test_t_order_reads_canonical_pairs_off_their_bfs(spec, radius, monkeypatch):
     cycles = _calls(monkeypatch, reflections, "_finite_cycle")
     t_order_poset(table)
     assert descents == cycles == []
+
+
+@pytest.mark.parametrize("spec,radius", [
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10"),
+    ("affC2", 12), ("affG2", 12), ("I2(inf)", 30)])
+def test_t_order_walks_nothing_on_roots(spec, radius, monkeypatch):
+    # every finite bond is 2, 3, 4, 6 or inf: conjugates are root lookups,
+    # the reflections come proven by the root table, and no member of
+    # even internal length is built, so no product is taken at all
+    table = reflections_in_ball(_ball(spec, radius))
+    calls = [_calls(monkeypatch, GroupBall, name)
+             for name in ("_walk", "_times", "multiply")]
+    calls += [_calls(monkeypatch, reflections, name)
+              for name in ("_descend", "_finite_cycle", "_check_reflection")]
+    t_order_poset(table)
+    assert calls == [[]] * 6
+
+
+@pytest.mark.parametrize("renumber", [False, True],
+                         ids=["by-length", "longest-first"])
+@pytest.mark.parametrize("spec,radius", [
+    ("A3", None), ("B3", None), ("affA2", 8), ("affC2", 10), ("affG2", 10),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10"),
+    pytest.param("1 4 inf; 4 1 3; inf 3 1", 8, id="cycle-4-3-inf-8"),
+    pytest.param("1 4 4; 4 1 4; 4 4 1", 8, id="cycle-4-4-4-8")])
+def test_root_table_conjugates_like_the_ball(spec, radius, renumber):
+    # the table holds exactly the reflections of the ball, and t*u*t is
+    # the reflection with the root +-t(root u), missing exactly when it
+    # lies beyond the radius.  t*u can leave the ball when t*u*t does
+    # not (two commuting reflections on affC2@10, for instance), so
+    # there t*u*t is the word t u t followed past the radius.
+    ball = _ball(spec, radius, renumber)
+    found = reflections_in_ball(ball).reflections
+    table = reflections._root_table(ball)
+    assert tuple(sorted(table[0])) == found
+    for t, u in product(found, repeat=2):
+        try:
+            tut = ball.multiply(ball.multiply(t, u), t)
+        except OutOfBallError:
+            try:
+                tut = ball.id_of_word(ball.word(t) + ball.word(u) + ball.word(t))
+            except OutOfBallError:
+                tut = None
+        assert reflections._conjugate(table, t, u) == tut
 
 
 def test_t_order_on_h3_still_descends(monkeypatch):
