@@ -1,0 +1,339 @@
+"""The nine checks of `coxkit check`, run by one walk over the T_k
+slices of a ball: each part of slice k is built when a check first reads
+it, and the slice is dropped before slice k + 1 is built.  The Bruhat
+poset and the projection tables are held for the run, and each check
+keeps only its own rows (and Sperner its certified first slice).
+"""
+from __future__ import annotations
+
+import time
+from collections import deque
+from functools import cache, cached_property, partial
+from itertools import combinations
+from operator import attrgetter
+
+from . import curvature, orders, polynomials, posets, projections, reflections
+from .ball import BOUNDARY
+from .errors import DomainError, OutOfBallError, ResourceError
+
+__all__ = ["THEOREM_CHECKS", "CONJECTURE_CHECKS", "ALL_CHECKS", "run_checks"]
+
+THEOREM_CHECKS = ("graded", "projections", "refinement", "sperner", "phi", "monoid")
+CONJECTURE_CHECKS = ("logconcave", "shellability", "curvature")
+ALL_CHECKS = THEOREM_CHECKS + CONJECTURE_CHECKS
+
+
+class _Group:
+    """The ball, its reflections, and, built on first read, the Bruhat
+    poset and each projection table (J a sorted tuple or a frozenset)."""
+
+    def __init__(self, ball):
+        self.ball, self.table = ball, reflections.reflections_in_ball(ball)
+        self.projection = cache(partial(projections.projection_map, ball))
+
+    bruhat = cached_property(lambda g: orders.bruhat_poset(g.ball))
+
+
+class _Slice:
+    """Slice k: T_k and, each built on first read, its arc graph,
+    intermediate poset and k-absolute length table."""
+
+    def __init__(self, group, k):
+        self.ball, self.table, self.k = group.ball, group.table, k
+
+    x_set = cached_property(lambda s: reflections.t_k_set(s.table, s.k))
+    graph = cached_property(lambda s: orders.omega_graph(s.ball, s.x_set))
+    intermediate = cached_property(
+        lambda s: orders.intermediate_poset(s.ball, s.x_set, s.graph))
+    absolute_length = cached_property(
+        lambda s: orders.k_absolute_length_all(s.table, s.k, s.graph))
+
+
+def run_checks(ball, names, ks=None, ideal="tk", deadline=None) -> dict:
+    """The records of the named checks (from ALL_CHECKS) on the ball.
+
+    The checks read the slices in `ks` (all by default), `refinement`
+    0..max(ks); with ideal="all", `graded` and `projections` each loop
+    over the order ideals before the walk.  `deadline` (`time.monotonic`)
+    is read before those loops and each slice: past it, every unfinished
+    check is skipped for "timeout", as one is for a cap it hits.
+    """
+    group = _Group(ball)
+    ks = sorted(set(ks)) if ks else range(reflections.max_k(group.table) + 1)
+    live = {name: _CHECKS[name](group) for name in names if name != "refinement"}
+    out = {}
+
+    past = lambda: deadline is not None and time.monotonic() > deadline
+
+    if ideal == "all":
+        for name in ("graded", "projections"):
+            check = live.pop(name, None)
+            if check is not None and not past():
+                out[name] = _record(check.every_ideal)
+
+    def walk():
+        for k in (range(ks[-1] + 1) if "refinement" in names else ks):
+            if past():
+                raise TimeoutError
+            s = _Slice(group, k)  # drops slice k - 1 before any part of k is built
+            if k in ks:
+                for name, check in list(live.items()):
+                    if skipped := _record(check.step, s):  # a step gives None
+                        out[name] = skipped
+                        del live[name]
+            yield s
+
+    slices = walk()
+    try:
+        if "refinement" in names:
+            out["refinement"] = _record(_refinement, group, ks[-1], slices)
+        deque(slices, maxlen=0)  # the slices refinement does not read
+    except TimeoutError:  # every check not finished is skipped
+        out = {n: out.get(n, {"ok": None, "skipped": "timeout"}) for n in names}
+    return {n: out[n] if n in out else live[n].report() for n in names}
+
+
+def _record(fn, *args):
+    """fn(*args), or the record of a check skipped for a cap hit."""
+    try:
+        return fn(*args)
+    except (ResourceError, DomainError) as exc:
+        return {"ok": None, "skipped": str(exc)}
+
+
+def _refinement(group, k_max, slices):
+    # map, not a generator expression: it keeps no slice once it is read
+    rep = orders.refinement_chain_check(
+        group.table, k_max, map(attrgetter("intermediate"), slices),
+        bruhat=group.bruhat)
+    return {"ok": rep.ok,
+            "containments": [[str(a), str(b), ok] for a, b, ok in rep.containments],
+            "equals_bruhat_at": rep.equals_bruhat_at}
+
+
+class _Check:
+    """One check of a run: `step` reads each slice handed to it, by
+    increasing k, and `report` gives the check's record."""
+
+    conjecture = False
+    key = "per_k"
+
+    def __init__(self, group):
+        self.group, self.rows = group, []
+
+    def step(self, s):
+        self.rows.append(self.row(s))
+
+    def report(self):
+        if self.conjecture:
+            return {"ok": True, "conjecture": True, self.key: self.rows}
+        return {"ok": all(r["ok"] for r in self.rows), self.key: self.rows}
+
+
+class _IdealCheck(_Check):
+    """A check over the T_k slices or every order ideal; rows: failures."""
+
+    count = 0
+
+    def step(self, s):
+        self.ideal(s.x_set, s.intermediate)
+
+    def every_ideal(self):
+        """Each order ideal of the reflection order, its poset built and dropped."""
+        ball, tpos = self.group.ball, reflections.t_order_poset(self.group.table)
+        for ideal in posets.order_ideals(tpos):
+            X = frozenset(tpos.nodes[i] for i in ideal)
+            self.ideal(X, orders.intermediate_poset(ball, X))
+        return self.report()
+
+
+class _Graded(_IdealCheck):
+    cut = 0
+
+    def ideal(self, X, poset):
+        ball, left, failures = self.group.ball, self.group.ball.left, self.rows
+        self.count += 1
+        J = frozenset(s for s in ball.matrix.generators
+                      if ball.right[ball.identity][s] in X)
+        qj = self.group.projection(J, "Q")
+        rep = posets.check_graded(poset, lambda w: ball.length(w) - ball.length(qj(w)))
+        if not rep.ok:
+            failures.append({"X_size": len(X), "bad_covers": rep.bad_covers[:5]})
+        gaps = posets.check_graded(poset, ball.length).bad_covers
+        if gaps:  # the nodes are the ball ids 0..n-1
+            failures.append({"X_size": len(X), "length_gap_cover": list(gaps[0])})
+        comps = poset.components()
+        minreps = sum(1 for w in range(len(ball))
+                      if not (ball.left_descents(w) & J))
+        if len(comps) != minreps:
+            failures.append({"X_size": len(X), "components": len(comps),
+                             "expected": minreps})
+            return
+        whole = comps
+        if not ball.is_complete_group:
+            # a coset the radius cuts off is no copy of W_J; only whole
+            # ones are compared
+            whole = [c for c in comps if not any(
+                left[w][s] == BOUNDARY for w in c for s in J)]
+            self.cut += len(comps) - len(whole)
+        if len(whole) > 1 and not _components_isomorphic(ball, poset, whole):
+            failures.append({"X_size": len(X), "non_isomorphic_component": True})
+
+    def report(self):
+        report = {"ok": not self.rows, "ideals_checked": self.count,
+                  "failures": self.rows}
+        if not self.group.ball.is_complete_group:
+            report["cut_components"] = self.cut
+        return report
+
+
+def _components_isomorphic(ball, poset, comps):
+    """Whether each of the given components of an intermediate poset
+    (nodes: the ball ids) is isomorphic to the first, the identity's.
+
+    Component c is first tried with x -> x m, m its element of least
+    length.  When X lies in W_J the components are the cosets W_J m, and
+    l(u m) = l(u) + l(m) takes each arc a -> t a to a m -> t a m; but
+    the verdict is the check's, and where the map is no isomorphism, or
+    leaves the ball, the search decides.
+    """
+    where = {x: c for c, comp in enumerate(comps) for x in comp}
+    covers = [[] for _ in comps]
+    for i, j in poset.covers:
+        if i in where:
+            covers[where[i]].append((i, j))
+
+    def part(c):
+        pos = {x: k for k, x in enumerate(comps[c])}
+        return posets.Poset(comps[c], [(pos[i], pos[j]) for i, j in covers[c]])
+
+    base = part(0)
+    for c in range(1, len(comps)):
+        m = min(comps[c], key=ball.length)
+        try:
+            iso = posets.is_isomorphism(
+                base, part(c), {x: ball.multiply(x, m) for x in comps[0]})
+        except OutOfBallError:
+            iso = False
+        if not iso and not posets.poset_isomorphic(
+                poset.subposet(comps[0]), poset.subposet(comps[c]))[0]:
+            return False
+    return True
+
+
+class _Projections(_IdealCheck):
+    def ideal(self, X, poset):
+        gens = list(self.group.ball.matrix.generators)
+        for r in range(len(gens) + 1):
+            for J in combinations(gens, r):
+                self.count += 1
+                pmap = self.group.projection(J, "P")
+                rep = projections.is_order_preserving(pmap, poset)
+                if not rep.ok:
+                    self.rows.append({"X_size": len(X), "J": list(J),
+                                      "violations": rep.violations[:5]})
+
+    def report(self):
+        return {"ok": not self.rows, "maps_checked": self.count,
+                "failures": self.rows}
+
+
+class _Sperner(_Check):
+    weaker = None  # the first slice the flows found strongly Sperner
+
+    def row(self, s):
+        poset = s.intermediate
+        rep = posets.strong_sperner_check(poset, weaker=self.weaker)
+        if rep.ok and self.weaker is None:
+            self.weaker = poset
+        return {"k": s.k, "ok": rep.ok,
+                "rows": [[r.h, r.flow_value, r.top_rank_sum, r.ok] for r in rep.rows]}
+
+
+class _Phi(_Check):
+    def row(self, s):
+        ball, gens = self.group.ball, self.group.ball.matrix.generators
+        maps = [self.group.projection(tuple(t for t in gens if t != i), "P")
+                for i in gens]
+        name = ball.matrix.name or ""
+        image = projections.phi_k_image_poset(ball, s.intermediate, maps)
+        graded = posets.is_graded(image)
+        row = {"k": s.k, "image_size": image.n, "graded": graded, "ok": True}
+        if name.startswith("A"):
+            # the candidate is phi itself, from the Bruhat order onto
+            # its image; the search decides only where it fails
+            bruhat = self.group.bruhat
+            phi = {w: tuple(m(w) for m in maps) for w in bruhat.nodes}
+            iso = (posets.is_isomorphism(bruhat, image, phi)
+                   or posets.poset_isomorphic(image, bruhat)[0])
+            row["isomorphic_to_bruhat"] = row["ok"] = iso
+        elif name == "B3" and s.k == 0:
+            row["ok"] = not graded  # the expected negative
+        return row  # elsewhere informational
+
+
+class _Monoid(_Check):
+    @cached_property
+    def monoid(self):
+        # the closure does not depend on k; order preservation is decided
+        # on the generators: they are members, and composites of
+        # order-preserving maps preserve order
+        gens = [self.group.projection((s,), "P")
+                for s in self.group.ball.matrix.generators]
+        return gens, projections.projection_monoid(self.group.ball, gens)
+
+    def row(self, s):
+        gens, rep = self.monoid
+        preserving = all(projections.is_order_preserving(g, s.intermediate).ok
+                         for g in gens)
+        good = (rep.size == len(self.group.ball) and rep.idempotent
+                and rep.braid_ok and preserving)
+        return {"k": s.k, "size": rep.size, "idempotent": rep.idempotent,
+                "braid_ok": rep.braid_ok, "order_preserving": preserving,
+                "ok": good}
+
+
+class _Logconcave(_Check):
+    conjecture = True
+
+    def row(self, s):
+        poly = polynomials.gen_poly(s.absolute_length)
+        return {"k": s.k, "coeffs": list(poly.coeffs),
+                "log_concave": polynomials.is_log_concave(poly),
+                "unimodal": polynomials.is_unimodal(poly)}
+
+
+class _Shellability(_Check):
+    conjecture = True
+    key = "intervals"
+
+    # n! products: once per run
+    coxeter_elements = cached_property(lambda c: c.group.ball.coxeter_elements())
+
+    def step(self, s):
+        ball, absol = self.group.ball, orders.k_absolute_poset(s.absolute_length)
+        for flavor, poset in (("intermediate", s.intermediate), ("absolute", absol)):
+            for c in self.coxeter_elements:
+                try:
+                    open_interval = posets.order_complex(poset, ball.identity, c)
+                except DomainError:
+                    continue  # c is not above e in this order
+                self.rows.append({"k": s.k, "order": flavor,
+                                  "coxeter_element": list(ball.word(c)),
+                                  "status": posets.shellability(open_interval).status})
+
+
+class _Curvature(_Check):
+    conjecture = True
+
+    def row(self, s):
+        rep = curvature.curvature_spectrum(s.graph)
+        lo, hi = rep.kappa_min(), rep.kappa_max()  # None if every edge is skipped
+        return {"k": s.k, "edges": rep.edge_count(), "skipped": len(rep.errors),
+                "kappa_min": None if lo is None else str(lo),
+                "kappa_max": None if hi is None else str(hi)}
+
+
+_CHECKS = {c.__name__[1:].lower(): c for c in (
+    _Graded, _Projections, _Sperner, _Phi, _Monoid, _Logconcave, _Shellability,
+    _Curvature)}

@@ -13,23 +13,18 @@ import json
 import sys
 import time
 from functools import cache
-from itertools import combinations
 
 from . import curvature as curvature_mod
-from . import orders, polynomials, posets, projections, reflections, serialize
-from .ball import BOUNDARY, enumerate_ball
-from .errors import CoxkitError, DomainError, OutOfBallError, ResourceError
+from . import orders, polynomials, posets, reflections, serialize
+from .ball import enumerate_ball
+from .checks import ALL_CHECKS, THEOREM_CHECKS, run_checks
+from .errors import CoxkitError, ResourceError
 from .matrices import group_order, longest_length, parse_coxeter_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
-
-THEOREM_CHECKS = ("graded", "projections", "refinement", "sperner", "phi", "monoid")
-CONJECTURE_CHECKS = ("logconcave", "shellability", "curvature")
-ALL_CHECKS = THEOREM_CHECKS + CONJECTURE_CHECKS
-
 
 class UsageError(Exception):
     pass
@@ -87,24 +82,22 @@ def _build_ball(args):
 
 
 def _parse_k(raw):
-    """The k values named by --k: a single value, 'a..b' or a comma list
-    of integers >= 0; None when --k is absent."""
+    """The k values named by --k (a single value, 'a..b' or a comma list
+    of integers >= 0) as a set: increasing, each once.  None when --k is
+    absent."""
     if raw is None:
         return None
     raw = str(raw)
     try:
-        if ".." in raw:
-            lo, hi = raw.split("..", 1)
-            ks = list(range(int(lo), int(hi) + 1))
-        else:
-            ks = [int(x) for x in raw.split(",")]
+        lo, dots, hi = raw.partition("..")
+        ks = range(int(lo), int(hi) + 1) if dots else [int(x) for x in raw.split(",")]
     except ValueError:
         raise UsageError(f"--k takes integers, got {raw!r}") from None
     if not ks:
         raise UsageError(f"--k range {raw!r} is empty")
     if min(ks) < 0:
         raise UsageError(f"--k must be >= 0, got {raw!r}")
-    return ks
+    return sorted(set(ks))
 
 
 def _single_k(args):
@@ -113,12 +106,6 @@ def _single_k(args):
     if len(ks) != 1:
         raise UsageError(f"{args.command} takes a single --k, got {args.k!r}")
     return ks[0]
-
-
-def _max_k(ball, table):
-    """Smallest k whose slice already holds every reflection."""
-    top = max((ball.length(t) for t in table.reflections), default=1)
-    return (top - 1) // 2
 
 
 def _format(args, accepted):
@@ -200,17 +187,14 @@ def cmd_poly(args) -> int:
     ks = _parse_k(args.k)
     ball = _build_ball(args)
     table = reflections.reflections_in_ball(ball)
-    ks = ks or range(_max_k(ball, table) + 1)
+    ks = ks or range(reflections.max_k(table) + 1)
     rows = []
     for k in ks:
         poly = polynomials.gen_poly(orders.k_absolute_length_all(table, k))
-        rows.append({
-            "k": k,
-            "coeffs": list(poly.coeffs),
-            "log_concave": polynomials.is_log_concave(poly),
-            "unimodal": polynomials.is_unimodal(poly),
-            "truncated": poly.truncated,
-        })
+        rows.append({"k": k, "coeffs": list(poly.coeffs),
+                     "log_concave": polynomials.is_log_concave(poly),
+                     "unimodal": polynomials.is_unimodal(poly),
+                     "truncated": poly.truncated})
     _emit_json(args, {"schema": 1, "type": args.type or args.matrix,
                       "polynomials": rows})
     return EXIT_OK
@@ -246,330 +230,26 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-# -- the check suite ---------------------------------------------------------
-
-
-class _Run:
-    """What the checks of one `cmd_check` run share: the k values of
-    --k (every slice's by default) and, each built on first use, the arc
-    graph and the intermediate poset of each T_k slice, the Bruhat
-    poset, the k-absolute length table of each k and the projection
-    maps."""
-
-    def __init__(self, ball, table, ks=None):
-        self.ball, self.table = ball, table
-        self.ks = ks or range(_max_k(ball, table) + 1)
-        self._built = {}
-
-    def _once(self, key, build):
-        value = self._built.get(key)
-        if value is None:
-            value = self._built[key] = build()
-        return value
-
-    def graph(self, k):
-        X = reflections.t_k_set(self.table, k)
-        return self._once(("graph", X), lambda: orders.omega_graph(self.ball, X))
-
-    def intermediate(self, k):
-        X = reflections.t_k_set(self.table, k)
-        return self._once(
-            X, lambda: orders.intermediate_poset(self.ball, X, self.graph(k)))
-
-    def bruhat(self):
-        return self._once("bruhat", lambda: orders.bruhat_poset(self.ball))
-
-    def absolute_length(self, k):
-        # keyed by k, not by the slice: the table's k goes into the
-        # k-absolute poset's metadata
-        return self._once(("lk", k), lambda: orders.k_absolute_length_all(
-            self.table, k, self.graph(k)))
-
-    def projection(self, J, kind):
-        return self._once((frozenset(J), kind),
-                          lambda: projections.projection_map(self.ball, J, kind))
-
-
-def _ideal_posets(run, mode):
-    """(X, intermediate poset of X) for the reflection sets X used by the
-    ideal-quantified checks.  Under --ideal all each poset is built here
-    and dropped after use."""
-    ball, table = run.ball, run.table
-    if mode == "all":
-        tpos = reflections.t_order_poset(table)
-        for ideal in posets.order_ideals(tpos):
-            X = frozenset(tpos.nodes[i] for i in ideal)
-            yield X, orders.intermediate_poset(ball, X)
-    else:
-        for k in range(_max_k(ball, table) + 1):
-            yield reflections.t_k_set(table, k), run.intermediate(k)
-
-
-def _check_graded(run, args):
-    ball, left = run.ball, run.ball.left
-    failures = []
-    count = cut = 0
-    for X, poset in _ideal_posets(run, args.ideal):
-        count += 1
-        J = frozenset(s for s in ball.matrix.generators
-                      if ball.right[ball.identity][s] in X)
-        qj = run.projection(J, "Q")
-        rank_fn = lambda w: ball.length(w) - ball.length(qj(w))
-        rep = posets.check_graded(poset, rank_fn)
-        if not rep.ok:
-            failures.append({"X_size": len(X), "bad_covers": rep.bad_covers[:5]})
-        for i, j in poset.covers:
-            if ball.length(poset.nodes[j]) - ball.length(poset.nodes[i]) != 1:
-                failures.append({"X_size": len(X), "length_gap_cover": [i, j]})
-                break
-        comps = poset.components()
-        minreps = sum(1 for w in range(len(ball))
-                      if not (ball.left_descents(w) & J))
-        if len(comps) != minreps:
-            failures.append({"X_size": len(X), "components": len(comps),
-                             "expected": minreps})
-        else:
-            whole = comps
-            if not ball.is_complete_group:
-                # a coset the radius cuts off is no copy of W_J; only
-                # whole ones are compared
-                whole = [c for c in comps if not any(
-                    left[w][s] == BOUNDARY for w in c for s in J)]
-                cut += len(comps) - len(whole)
-            if len(whole) > 1 and not _components_isomorphic(ball, poset, whole):
-                failures.append({"X_size": len(X),
-                                 "non_isomorphic_component": True})
-    report = {"ok": not failures, "ideals_checked": count, "failures": failures}
-    if not ball.is_complete_group:
-        report["cut_components"] = cut
-    return report
-
-
-def _components_isomorphic(ball, poset, comps):
-    """Whether each of the given components of an intermediate poset
-    (nodes: the ball ids) is isomorphic to the first, the identity's.
-
-    Component c is first tried with x -> x m, m its element of least
-    length.  When X lies in W_J the components are the cosets W_J m, and
-    l(u m) = l(u) + l(m) takes each arc a -> t a to a m -> t a m; but
-    the verdict is the check's, and where the map is no isomorphism, or
-    leaves the ball, the search decides.
-    """
-    where = [-1] * poset.n
-    for c, comp in enumerate(comps):
-        for x in comp:
-            where[x] = c
-    covers = [[] for _ in comps]
-    for i, j in poset.covers:
-        if where[i] >= 0:
-            covers[where[i]].append((i, j))
-
-    def part(c):
-        pos = {x: k for k, x in enumerate(comps[c])}
-        return posets.Poset(comps[c], [(pos[i], pos[j]) for i, j in covers[c]])
-
-    base = part(0)
-    for c in range(1, len(comps)):
-        m = min(comps[c], key=ball.length)
-        try:
-            iso = posets.is_isomorphism(
-                base, part(c), {x: ball.multiply(x, m) for x in comps[0]})
-        except OutOfBallError:
-            iso = False
-        if not iso and not posets.poset_isomorphic(
-                poset.subposet(comps[0]), poset.subposet(comps[c]))[0]:
-            return False
-    return True
-
-
-def _check_projections(run, args):
-    failures = []
-    gens = list(run.ball.matrix.generators)
-    count = 0
-    for X, poset in _ideal_posets(run, args.ideal):
-        for r in range(len(gens) + 1):
-            for J in combinations(gens, r):
-                count += 1
-                pmap = run.projection(J, "P")
-                rep = projections.is_order_preserving(pmap, poset)
-                if not rep.ok:
-                    failures.append({"X_size": len(X), "J": list(J),
-                                     "violations": rep.violations[:5]})
-    return {"ok": not failures, "maps_checked": count, "failures": failures}
-
-
-def _check_refinement(run, args):
-    k_max = max(run.ks)
-    rep = orders.refinement_chain_check(
-        run.table, k_max,
-        intermediate=[run.intermediate(k) for k in range(k_max + 1)],
-        bruhat=run.bruhat())
-    return {"ok": rep.ok,
-            "containments": [[str(a), str(b), ok] for a, b, ok in rep.containments],
-            "equals_bruhat_at": rep.equals_bruhat_at}
-
-
-def _check_sperner(run, args):
-    rows = []
-    weaker = None  # the first slice the flows found strongly Sperner
-    for k in run.ks:
-        poset = run.intermediate(k)
-        rep = posets.strong_sperner_check(poset, weaker=weaker)
-        if rep.ok and weaker is None:
-            weaker = poset
-        rows.append({"k": k, "ok": rep.ok,
-                     "rows": [[r.h, r.flow_value, r.top_rank_sum, r.ok]
-                              for r in rep.rows]})
-    return {"ok": all(row["ok"] for row in rows), "per_k": rows}
-
-
-def _check_phi(run, args):
-    ball = run.ball
-    name = ball.matrix.name or ""
-    gens = list(ball.matrix.generators)
-    maps = [run.projection([s for s in gens if s != i], "P") for i in gens]
-    rows = []
-    ok = True
-    for k in run.ks:
-        image = projections.phi_k_image_poset(ball, run.intermediate(k), maps)
-        graded = posets.is_graded(image)
-        row = {"k": k, "image_size": image.n, "graded": graded}
-        if name.startswith("A"):
-            # the candidate is phi itself, from the Bruhat order onto
-            # its image; the search decides only where it fails
-            bruhat = run.bruhat()
-            phi = {w: tuple(m(w) for m in maps) for w in bruhat.nodes}
-            iso = (posets.is_isomorphism(bruhat, image, phi)
-                   or posets.poset_isomorphic(image, bruhat)[0])
-            row["isomorphic_to_bruhat"] = iso
-            row["ok"] = iso
-        elif name == "B3" and k == 0:
-            row["ok"] = not graded  # the expected negative
-        else:
-            row["ok"] = True  # informational
-        ok = ok and row["ok"]
-        rows.append(row)
-    return {"ok": ok, "per_k": rows}
-
-
-def _check_monoid(run, args):
-    ball = run.ball
-    gens = [run.projection([s], "P") for s in ball.matrix.generators]
-    # the closure does not depend on k; order preservation is decided on
-    # the generators: they are members, and composites of order-preserving
-    # maps preserve order
-    rep = projections.projection_monoid(ball, gens)
-    rows = []
-    ok = True
-    for k in run.ks:
-        pk = run.intermediate(k)
-        preserving = all(projections.is_order_preserving(g, pk).ok for g in gens)
-        good = (rep.size == len(ball) and rep.idempotent and rep.braid_ok
-                and preserving)
-        ok = ok and good
-        rows.append({"k": k, "size": rep.size, "idempotent": rep.idempotent,
-                     "braid_ok": rep.braid_ok,
-                     "order_preserving": preserving, "ok": good})
-    return {"ok": ok, "per_k": rows}
-
-
-def _check_logconcave(run, args):
-    rows = []
-    for k in run.ks:
-        poly = polynomials.gen_poly(run.absolute_length(k))
-        rows.append({"k": k, "coeffs": list(poly.coeffs),
-                     "log_concave": polynomials.is_log_concave(poly),
-                     "unimodal": polynomials.is_unimodal(poly)})
-    return {"ok": True, "conjecture": True, "per_k": rows}
-
-
-def _check_shellability(run, args):
-    ball = run.ball
-    coxeter_elements = ball.coxeter_elements()  # n! products: once per run
-    rows = []
-    for k in run.ks:
-        inter = run.intermediate(k)
-        absol = orders.k_absolute_poset(run.absolute_length(k))
-        for flavor, poset in (("intermediate", inter), ("absolute", absol)):
-            for c in coxeter_elements:
-                try:
-                    open_interval = posets.order_complex(poset, ball.identity, c)
-                except DomainError:
-                    continue  # c is not above e in this order
-                verdict = posets.shellability(open_interval)
-                rows.append({"k": k, "order": flavor,
-                             "coxeter_element": list(ball.word(c)),
-                             "status": verdict.status})
-    return {"ok": True, "conjecture": True, "intervals": rows}
-
-
-def _check_curvature(run, args):
-    rows = []
-    for k in run.ks:
-        rep = curvature_mod.curvature_spectrum(run.graph(k))
-        lo, hi = rep.kappa_min(), rep.kappa_max()  # None if every edge is skipped
-        rows.append({
-            "k": k, "edges": rep.edge_count(), "skipped": len(rep.errors),
-            "kappa_min": None if lo is None else str(lo),
-            "kappa_max": None if hi is None else str(hi),
-        })
-    return {"ok": True, "conjecture": True, "per_k": rows}
-
-
-_CHECK_FNS = {
-    "graded": _check_graded,
-    "projections": _check_projections,
-    "refinement": _check_refinement,
-    "sperner": _check_sperner,
-    "phi": _check_phi,
-    "monoid": _check_monoid,
-    "logconcave": _check_logconcave,
-    "shellability": _check_shellability,
-    "curvature": _check_curvature,
-}
-
-
 def cmd_check(args) -> int:
     _format(args, ("json",))
     names = [c.strip() for c in (args.checks or "").split(",") if c.strip()]
     if not names:
         raise UsageError("at least one check must be enabled via --checks")
     for name in names:
-        if name not in _CHECK_FNS:
+        if name not in ALL_CHECKS:
             raise UsageError(f"unknown check {name!r} "
                              f"(available: {', '.join(ALL_CHECKS)})")
     ks = _parse_k(args.k)
     ball = _build_ball(args)
-    run = _Run(ball, reflections.reflections_in_ball(ball), ks)
-    deadline = None
-    if args.timeout_secs:
-        deadline = time.monotonic() + float(args.timeout_secs)
-    report = {"schema": 1, "type": args.type or args.matrix,
-              "radius": ball.radius, "elements": len(ball), "checks": {}}
-    partial = False
-    theorem_failed = False
-    for name in names:
-        if deadline is not None and time.monotonic() > deadline:
-            report["checks"][name] = {"ok": None, "skipped": "timeout"}
-            partial = True
-            continue
-        try:
-            result = _CHECK_FNS[name](run, args)
-        except (ResourceError, DomainError) as exc:
-            # a cap hit, or a check this ball cannot take (phi and monoid
-            # need the complete group): the other checks still report
-            report["checks"][name] = {"ok": None, "skipped": str(exc)}
-            partial = True
-            continue
-        report["checks"][name] = result
-        if name in THEOREM_CHECKS and not result["ok"]:
-            theorem_failed = True
-    report["status"] = ("partial" if partial
-                        else "failed" if theorem_failed else "ok")
-    _emit_json(args, report)
-    if partial:
-        return EXIT_PARTIAL
-    return EXIT_CHECK_FAILED if theorem_failed else EXIT_OK
+    deadline = time.monotonic() + float(args.timeout_secs) if args.timeout_secs else None
+    results = run_checks(ball, names, ks, args.ideal, deadline)
+    partial = any(r["ok"] is None for r in results.values())
+    failed = any(r["ok"] is False for n, r in results.items() if n in THEOREM_CHECKS)
+    _emit_json(args, {
+        "schema": 1, "type": args.type or args.matrix, "radius": ball.radius,
+        "elements": len(ball), "checks": results,
+        "status": "partial" if partial else "failed" if failed else "ok"})
+    return EXIT_PARTIAL if partial else EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -582,7 +262,7 @@ def _add_output(sub):
     sub.add_argument("--config", help="key=value file supplying flag defaults")
 
 
-_K_LIST = "slice parameter: single value, 'a..b', or comma list (default: every slice)"
+_K_LIST = "slices: one k, 'a..b' or a comma list, in increasing order (default: all)"
 _K_SINGLE = "slice parameter: a single value (default 0)"
 
 

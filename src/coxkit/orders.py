@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 
 from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, IncompleteSliceError
@@ -323,38 +324,40 @@ class RefinementReport:
 
 
 def refinement_chain_check(table: ReflectionTable, k_max: int,
-                           intermediate: list[Poset] | None = None,
+                           intermediate=None,
                            bruhat: Poset | None = None) -> RefinementReport:
     """Containment of the intermediate orders as k grows, ending inside
     Bruhat order: relation(k=a) is a subset of relation(k=b) for a <= b,
     and the largest tested order sits inside Bruhat.
 
-    `intermediate[k]` (k = 0..k_max) and `bruhat` are those posets, if
-    they are already built.  All of them have the ball ids 0..n-1 as
-    nodes, so the relations are compared on their up-set bitmasks.
+    `intermediate` (any iterable of the posets for k = 0..k_max, read
+    once and in order) and `bruhat` are those posets, if they are already
+    built.  Only the previous slice's up-sets are kept.  All the posets
+    have the ball ids 0..n-1 as nodes, so the relations are compared on
+    their up-set bitmasks.
     """
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     ball = table.ball
     if intermediate is None:
-        intermediate = [intermediate_poset(ball, t_k_set(table, k))
-                        for k in range(k_max + 1)]
+        intermediate = (intermediate_poset(ball, t_k_set(table, k))
+                        for k in range(k_max + 1))
     if bruhat is None:
         bruhat = bruhat_poset(ball)
-    ups = [p.up for p in intermediate[:k_max + 1]]
     top = bruhat.up
 
     def contained(a, b):
         return all(x & ~y == 0 for x, y in zip(a, b))
 
     rows = []
-    ok = True
-    for a in range(k_max):
-        holds = contained(ups[a], ups[a + 1])
-        rows.append((a, a + 1, holds))
-        ok = ok and holds
-    holds = contained(ups[k_max], top)
-    rows.append((k_max, "bruhat", holds))
-    ok = ok and holds
-    equals_at = next((k for k in range(k_max + 1) if ups[k] == top), None)
-    return RefinementReport(ok=ok, containments=rows, equals_bruhat_at=equals_at)
+    equals_at = prev = None
+    # map holds no poset once its up-sets are read
+    for k, up in zip(range(k_max + 1), map(attrgetter("up"), intermediate)):
+        if prev is not None:
+            rows.append((k - 1, k, contained(prev, up)))
+        if equals_at is None and up == top:
+            equals_at = k
+        prev = up
+    rows.append((k_max, "bruhat", contained(prev, top)))
+    return RefinementReport(ok=all(holds for _a, _b, holds in rows),
+                            containments=rows, equals_bruhat_at=equals_at)

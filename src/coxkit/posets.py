@@ -481,7 +481,7 @@ class SpernerReport:
     rows: list
 
 
-def strong_sperner_check(poset: Poset, rank_fn=None, weaker=None) -> SpernerReport:
+def strong_sperner_check(poset: Poset, weaker=None) -> SpernerReport:
     """For every h, the largest union of h antichains must equal the sum
     of the h largest rank-level sizes.
 
@@ -493,12 +493,9 @@ def strong_sperner_check(poset: Poset, rank_fn=None, weaker=None) -> SpernerRepo
     `poset`, which is graded, so d_h(poset) >= that sum (Greene and
     Kleitman, J. Combin. Theory A 20, 1976).  Otherwise the flows decide.
     """
-    if rank_fn is None:
-        if poset.rank is None:
-            raise DomainError("strong Sperner check needs a graded poset with ranks")
-        ranks = poset.rank
-    else:
-        ranks = [rank_fn(x) for x in poset.nodes]
+    if poset.rank is None:
+        raise DomainError("strong Sperner check needs a graded poset with ranks")
+    ranks = poset.rank
     rep = check_graded(poset, lambda x: ranks[poset.index(x)])
     if not rep.ok:
         raise DomainError(f"poset is not graded by the given rank: {rep.bad_covers[:3]}")

@@ -73,7 +73,7 @@ from .posets import Poset
 
 __all__ = [
     "ReflectionTable", "ReflectionSubgroup", "reflections_in_ball",
-    "t_k_set", "dihedral_subgroup", "t_order_poset",
+    "t_k_set", "max_k", "dihedral_subgroup", "t_order_poset",
 ]
 
 
@@ -152,6 +152,12 @@ def t_k_set(table: ReflectionTable, k: int) -> frozenset[int]:
             f"{ball.radius} and the group is not fully enumerated")
     return frozenset(t for t in table.reflections
                      if ball.length(t) <= 2 * k + 1)
+
+
+def max_k(table: ReflectionTable) -> int:
+    """The smallest k whose slice already holds every reflection."""
+    top = max((table.ball.length(t) for t in table.reflections), default=1)
+    return (top - 1) // 2
 
 
 # -- dihedral reflection subgroups -------------------------------------------

@@ -10,10 +10,9 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
-from coxkit import (DomainError, OutOfBallError, cli, enumerate_ball,
-                    named_matrix)
+from coxkit import DomainError, OutOfBallError, enumerate_ball, named_matrix
+from coxkit.checks import run_checks
 from coxkit.orders import (intermediate_poset, k_absolute_length_all,
                            k_absolute_poset, refinement_chain_check)
 from coxkit.polynomials import (count_t_k_type_A, dihedral_formula_poly,
@@ -102,15 +101,13 @@ def _suite_balls():
     from coxkit.matrices import longest_length
     for name in _SUITE_TYPES:
         matrix = named_matrix(name)
-        ball = enumerate_ball(matrix, longest_length(matrix))
-        yield name, ball, reflections_in_ball(ball)
+        yield name, enumerate_ball(matrix, longest_length(matrix))
 
 
 def test_criterion_05_gradedness_suite_over_all_ideals():
     start = time.monotonic()
-    args = SimpleNamespace(ideal="all")
-    for name, ball, table in _suite_balls():
-        result = cli._check_graded(cli._Run(ball, table), args)
+    for name, ball in _suite_balls():
+        result = run_checks(ball, ["graded"], ideal="all")["graded"]
         assert result["ok"], (name, result["failures"][:3])
         assert result["ideals_checked"] >= 2
     assert time.monotonic() - start < 300.0
@@ -119,9 +116,8 @@ def test_criterion_05_gradedness_suite_over_all_ideals():
 
 def test_criterion_06_projection_suite_and_negative_control(
         ball_a2, table_a2):
-    args = SimpleNamespace(ideal="all")
-    for name, ball, table in _suite_balls():
-        result = cli._check_projections(cli._Run(ball, table), args)
+    for name, ball in _suite_balls():
+        result = run_checks(ball, ["projections"], ideal="all")["projections"]
         assert result["ok"], (name, result["failures"][:3])
     # negative control: the left projection stripping the second
     # generator breaks the weak order at (ts, sts)
@@ -245,8 +241,7 @@ def test_criterion_13_strong_sperner_and_flow_oracle(ball_a3, table_a3,
                                                      ball_a2, table_a2):
     for k in range(3):
         poset = intermediate_poset(ball_a3, t_k_set(table_a3, k))
-        report = strong_sperner_check(
-            poset, rank_fn=lambda w: ball_a3.length(w))
+        report = strong_sperner_check(poset)  # ranked by length
         assert report.ok, k
     # flow oracle equivalence on every tested poset small enough for
     # exhaustive search (<= 20 nodes)

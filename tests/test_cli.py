@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import weakref
+from types import SimpleNamespace
 
 import pytest
 
-from coxkit import cli
+from coxkit import checks, cli, enumerate_ball, named_matrix
+from coxkit.checks import ALL_CHECKS, run_checks
 from coxkit.cli import main
 
 
@@ -111,13 +114,13 @@ def test_graded_still_fails_on_whole_cosets_that_differ(capsys, monkeypatch):
     # with every isomorphism test failing, each ideal with two or more
     # whole cosets is reported
     compared = []
-    isomorphic = cli._components_isomorphic
+    isomorphic = checks._components_isomorphic
 
     def counted(ball, poset, comps):
         compared.append(len(comps))
         return isomorphic(ball, poset, comps)
 
-    monkeypatch.setattr(cli, "_components_isomorphic", counted)
+    monkeypatch.setattr(checks, "_components_isomorphic", counted)
     monkeypatch.setattr(cli.posets, "is_isomorphism", lambda p, q, f: False)
     monkeypatch.setattr(cli.posets, "poset_isomorphic",
                         lambda p, q: (False, None))
@@ -189,8 +192,14 @@ def test_curvature_slice_with_every_edge_skipped_reports_null(capsys):
 
 
 def test_theorem_failure_gives_exit_1(capsys, monkeypatch):
-    monkeypatch.setitem(cli._CHECK_FNS, "graded",
-                        lambda run, args: {"ok": False, "failures": ["x"]})
+    class Failing(checks._Check):
+        def step(self, s):
+            pass
+
+        def report(self):
+            return {"ok": False, "failures": ["x"]}
+
+    monkeypatch.setitem(checks._CHECKS, "graded", Failing)
     code, out, _e = _run(capsys, ["check", "--type", "A2", "--checks", "graded"])
     assert code == 1
     assert json.loads(out)["status"] == "failed"
@@ -223,6 +232,70 @@ def test_check_the_ball_cannot_take_is_skipped(capsys, refused, message):
     assert checks[refused] == {"ok": None, "skipped": message}
 
 
+def test_graded_and_projections_read_k(capsys):
+    code, out, _e = _run(capsys, ["check", "--type", "A4",
+                                  "--checks", "graded,projections", "--k", "1"])
+    assert code == 0
+    result = json.loads(out)["checks"]
+    assert result["graded"]["ideals_checked"] == 1
+    assert result["projections"]["maps_checked"] == 16  # 2^4 subsets J
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "A3", "--checks", ",".join(ALL_CHECKS)],
+    ["--type", "B3", "--checks", ",".join(ALL_CHECKS)],
+    ["--type", "affC2", "--radius", "7", "--checks", "graded,projections",
+     "--ideal", "all"]], ids=["A3", "B3", "affC2-ideal-all"])
+def test_run_checks_gives_the_checks_of_the_command(capsys, argv):
+    code, out, _e = _run(capsys, ["check"] + argv)
+    assert code == 0
+    opts = dict(zip(argv[::2], argv[1::2]))
+    matrix = named_matrix(opts["--type"])
+    radius = int(opts.get("--radius", 0)) or json.loads(out)["radius"]
+    got = run_checks(enumerate_ball(matrix, radius), opts["--checks"].split(","),
+                     ideal=opts.get("--ideal", "tk"))
+    assert got == json.loads(out)["checks"]
+
+
+def test_the_walk_holds_one_slice_at_a_time(monkeypatch):
+    # besides the slice being read, only Sperner's certified first slice
+    # is kept
+    alive = []
+    build = checks.orders.intermediate_poset
+
+    def tracked(*args):
+        poset = build(*args)
+        alive.append(weakref.ref(poset))
+        assert sum(ref() is not None for ref in alive) <= 2
+        return poset
+
+    monkeypatch.setattr(checks.orders, "intermediate_poset", tracked)
+    ball = enumerate_ball(named_matrix("A4"), 10)
+    # with refinement the walk feeds refinement_chain_check; without, it
+    # runs to its end on its own
+    for names in (["graded", "projections", "refinement", "sperner", "phi", "monoid"],
+                  ["graded", "sperner"]):
+        alive.clear()
+        out = run_checks(ball, names)
+        assert all(record["ok"] for record in out.values())
+        assert len(alive) == 4  # one poset per slice, shared by the checks
+
+
+def test_the_deadline_is_read_between_slices(monkeypatch):
+    # a clock that ticks once per read: the deadline passes before the
+    # third slice, so no check that walks the slices finishes, while a
+    # check over every ideal, run before the walk, does
+    clock = iter(range(100))
+    monkeypatch.setattr(checks, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    ball = enumerate_ball(named_matrix("A3"), 6)
+    timeout = {"ok": None, "skipped": "timeout"}
+    out = run_checks(ball, ["sperner", "refinement"], deadline=1.5)
+    assert out == {"sperner": timeout, "refinement": timeout}
+    clock = iter(range(100))
+    out = run_checks(ball, ["graded", "sperner"], ideal="all", deadline=2.5)
+    assert out["graded"]["ok"] and out["sperner"] == timeout
+
+
 def test_element_cap_gives_partial(capsys):
     code, _o, err = _run(capsys, ["ball", "--type", "B3",
                                   "--cap-elements", "5"])
@@ -242,6 +315,9 @@ def test_poly_k_ranges(capsys):
     assert code == 0
     assert [r["k"] for r in json.loads(out)["polynomials"]] == [0, 1, 2]
     code, out, _e = _run(capsys, ["poly", "--type", "A3", "--k", "0,2"])
+    assert [r["k"] for r in json.loads(out)["polynomials"]] == [0, 2]
+    # a set of slices: increasing, each once
+    code, out, _e = _run(capsys, ["poly", "--type", "A3", "--k", "2,0,2"])
     assert [r["k"] for r in json.loads(out)["polynomials"]] == [0, 2]
     code, out, _e = _run(capsys, ["poly", "--type", "A3"])  # default: all k
     assert [r["k"] for r in json.loads(out)["polynomials"]] == [0, 1, 2]
@@ -277,12 +353,15 @@ def test_sperner_flows_run_on_the_first_slice_only(capsys, monkeypatch):
     assert code == 0 and len(computed) == 1
     assert [row["k"] for row in json.loads(out)["checks"]["sperner"]["per_k"]] == [
         0, 1, 2, 3]
-    # the k = 2 slice does not lie in the k = 0 slice, so both take the flows
+    # --k names a set of slices, walked upward: k = 0 takes the flows and
+    # certifies k = 2
     computed.clear()
     code, out, _e = _run(capsys, ["check", "--type", "A4", "--checks", "sperner",
                                   "--k", "2,0"])
-    assert code == 0 and len(computed) == 2
-    assert json.loads(out)["checks"]["sperner"]["ok"] is True
+    assert code == 0 and len(computed) == 1
+    sperner = json.loads(out)["checks"]["sperner"]
+    assert sperner["ok"] is True
+    assert [row["k"] for row in sperner["per_k"]] == [0, 2]
 
 
 def test_order_torder_dot(capsys):
