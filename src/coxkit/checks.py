@@ -1,8 +1,16 @@
 """The nine checks of `coxkit check`, run by one walk over the T_k
 slices of a ball: each part of slice k is built when a check first reads
-it, and the slice is dropped before slice k + 1 is built.  The Bruhat
-poset and the projection tables are held for the run, and each check
-keeps only its own rows (and Sperner its certified first slice).
+it, and the slice is dropped before slice k + 1 is built.  Under
+`--ideal all` one loop over the order ideals hands each ideal's poset
+to `graded` and `projections` alike.
+
+What depends only on the group is held for the run by `_Group`: the
+Bruhat poset, the projection tables, and for each J the data of W_J the
+checks read.  `graded` reads per J the rank list w -> l(w) - l(Q^J w)
+and the number of w with no left descent in J; `projections` and
+`monoid` test each single P^{s} once per slice, and P^J for |J| >= 2 is
+certified once per run as the composite of the singles in J.  Each
+check keeps only its own rows (and Sperner its certified first slice).
 """
 from __future__ import annotations
 
@@ -24,22 +32,70 @@ ALL_CHECKS = THEOREM_CHECKS + CONJECTURE_CHECKS
 
 
 class _Group:
-    """The ball, its reflections, and, built on first read, the Bruhat
-    poset and each projection table (J a sorted tuple or a frozenset)."""
+    """The ball, its reflections and lengths, and, built on first read,
+    the Bruhat poset, each projection table (J a sorted tuple or a
+    frozenset), and the per-J data of `graded` and `composite`."""
 
     def __init__(self, ball):
         self.ball, self.table = ball, reflections.reflections_in_ball(ball)
         self.projection = cache(partial(projections.projection_map, ball))
+        self.length = [e.length for e in ball.elements]
+        self._graded, self._composite = {}, {}
 
     bruhat = cached_property(lambda g: orders.bruhat_poset(g.ball))
 
+    def graded(self, J):
+        """(rank, minreps) for the frozenset J: the list w -> l(w) - l(Q^J w),
+        which is `self.length` itself when Q^J sends every w to e (J = S),
+        and the number of w with no left descent in J."""
+        if J not in self._graded:
+            ball, length = self.ball, self.length
+            rank = [lw - length[q] for lw, q in
+                    zip(length, self.projection(J, "Q").images)]
+            minreps = sum(1 for w in range(len(ball))
+                          if not (ball.left_descents(w) & J))
+            self._graded[J] = (length if rank == length else rank), minreps
+        return self._graded[J]
+
+    def composite(self, J):
+        """Whether the table of P^J is a composite of the single tables
+        P^{s}, s in J: they are applied in turn to the identity table
+        until a whole round changes nothing, and the result is compared.
+
+        A composite of maps that each preserve an order preserves it, so
+        only the comparison is needed for that.  It holds when the tables
+        are right: each P^{s} strips the right descent s or does nothing,
+        so it never leaves the ball, and a round that changes nothing
+        leaves each image in w W_J with no right descent in J, the
+        minimal coset representative, also on a truncated ball (P^J
+        acts as w0(J) in the 0-Hecke monoid; Norton, J. Austral. Math.
+        Soc. A 27, 1979).  Each other round strips every image not yet
+        there, so radius + 1 rounds suffice.
+        """
+        if J not in self._composite:
+            singles = [self.projection((s,), "P").images for s in J]
+            f = self.projection((), "P").images
+            for _ in range(self.ball.radius + 1):
+                g = f
+                for p in singles:
+                    g = tuple(map(p.__getitem__, g))
+                if g == f:
+                    break
+                f = g
+            self._composite[J] = f == self.projection(J, "P").images
+        return self._composite[J]
+
 
 class _Slice:
-    """Slice k: T_k and, each built on first read, its arc graph,
-    intermediate poset and k-absolute length table."""
+    """Slice k, or the order ideal x_set (k None), and, each built on first
+    read, its arc graph, intermediate poset and k-absolute length table,
+    and the order test of each single projection."""
 
-    def __init__(self, group, k):
-        self.ball, self.table, self.k = group.ball, group.table, k
+    def __init__(self, group, k, x_set=None):
+        self.group, self.ball, self.table, self.k = group, group.ball, group.table, k
+        if x_set is not None:
+            self.x_set = x_set
+        self._single = {}
 
     x_set = cached_property(lambda s: reflections.t_k_set(s.table, s.k))
     graph = cached_property(lambda s: orders.omega_graph(s.ball, s.x_set))
@@ -48,15 +104,23 @@ class _Slice:
     absolute_length = cached_property(
         lambda s: orders.k_absolute_length_all(s.table, s.k, s.graph))
 
+    def single(self, s):
+        """`is_order_preserving` of P^{s} on the intermediate poset, once."""
+        if s not in self._single:
+            self._single[s] = projections.is_order_preserving(
+                self.group.projection((s,), "P"), self.intermediate)
+        return self._single[s]
+
 
 def run_checks(ball, names, ks=None, ideal="tk", deadline=None) -> dict:
     """The records of the named checks (from ALL_CHECKS) on the ball.
 
     The checks read the slices in `ks` (all by default), `refinement`
-    0..max(ks); with ideal="all", `graded` and `projections` each loop
-    over the order ideals before the walk.  `deadline` (`time.monotonic`)
-    is read before those loops and each slice: past it, every unfinished
-    check is skipped for "timeout", as one is for a cap it hits.
+    0..max(ks); with ideal="all", `graded` and `projections` read every
+    order ideal instead, in one loop before the walk.  `deadline`
+    (`time.monotonic`) is read before that loop and each slice: past it,
+    every unfinished check is skipped for "timeout", as one is for a cap
+    it hits.
     """
     group = _Group(ball)
     ks = sorted(set(ks)) if ks else range(reflections.max_k(group.table) + 1)
@@ -65,11 +129,23 @@ def run_checks(ball, names, ks=None, ideal="tk", deadline=None) -> dict:
 
     past = lambda: deadline is not None and time.monotonic() > deadline
 
+    def hand(checks, s):
+        """s to each check; one that is skipped is recorded and dropped."""
+        for name, check in list(checks.items()):
+            if skipped := _record(check.step, s):  # a step gives None
+                out[name] = skipped
+                del checks[name]
+
+    def every_ideal(checks):
+        tpos = reflections.t_order_poset(group.table)
+        for i in posets.order_ideals(tpos):  # each ideal's slice dropped after it
+            hand(checks, _Slice(group, None, frozenset(tpos.nodes[j] for j in i)))
+
     if ideal == "all":
-        for name in ("graded", "projections"):
-            check = live.pop(name, None)
-            if check is not None and not past():
-                out[name] = _record(check.every_ideal)
+        per_ideal = {n: live.pop(n) for n in ("graded", "projections") if n in live}
+        if per_ideal and not past():
+            skipped = _record(every_ideal, per_ideal)
+            out.update((n, skipped or c.report()) for n, c in per_ideal.items())
 
     def walk():
         for k in (range(ks[-1] + 1) if "refinement" in names else ks):
@@ -77,10 +153,7 @@ def run_checks(ball, names, ks=None, ideal="tk", deadline=None) -> dict:
                 raise TimeoutError
             s = _Slice(group, k)  # drops slice k - 1 before any part of k is built
             if k in ks:
-                for name, check in list(live.items()):
-                    if skipped := _record(check.step, s):  # a step gives None
-                        out[name] = skipped
-                        del live[name]
+                hand(live, s)
             yield s
 
     slices = walk()
@@ -135,36 +208,26 @@ class _IdealCheck(_Check):
 
     count = 0
 
-    def step(self, s):
-        self.ideal(s.x_set, s.intermediate)
-
-    def every_ideal(self):
-        """Each order ideal of the reflection order, its poset built and dropped."""
-        ball, tpos = self.group.ball, reflections.t_order_poset(self.group.table)
-        for ideal in posets.order_ideals(tpos):
-            X = frozenset(tpos.nodes[i] for i in ideal)
-            self.ideal(X, orders.intermediate_poset(ball, X))
-        return self.report()
-
 
 class _Graded(_IdealCheck):
     cut = 0
 
-    def ideal(self, X, poset):
-        ball, left, failures = self.group.ball, self.group.ball.left, self.rows
+    def step(self, s):
+        group, X, poset, failures = self.group, s.x_set, s.intermediate, self.rows
+        ball, left, length = group.ball, group.ball.left, group.length
         self.count += 1
-        J = frozenset(s for s in ball.matrix.generators
-                      if ball.right[ball.identity][s] in X)
-        qj = self.group.projection(J, "Q")
-        rep = posets.check_graded(poset, lambda w: ball.length(w) - ball.length(qj(w)))
-        if not rep.ok:
-            failures.append({"X_size": len(X), "bad_covers": rep.bad_covers[:5]})
-        gaps = posets.check_graded(poset, ball.length).bad_covers
-        if gaps:  # the nodes are the ball ids 0..n-1
+        J = frozenset(t for t in ball.matrix.generators
+                      if ball.right[ball.identity][t] in X)
+        rank, minreps = group.graded(J)
+        # the nodes are the ball ids 0..n-1, so the covers are id pairs
+        bad = [c for c in poset.covers if rank[c[1]] - rank[c[0]] != 1]
+        if bad:
+            failures.append({"X_size": len(X), "bad_covers": bad[:5]})
+        gaps = bad if rank is length else [
+            c for c in poset.covers if length[c[1]] - length[c[0]] != 1]
+        if gaps:
             failures.append({"X_size": len(X), "length_gap_cover": list(gaps[0])})
         comps = poset.components()
-        minreps = sum(1 for w in range(len(ball))
-                      if not (ball.left_descents(w) & J))
         if len(comps) != minreps:
             failures.append({"X_size": len(X), "components": len(comps),
                              "expected": minreps})
@@ -174,7 +237,7 @@ class _Graded(_IdealCheck):
             # a coset the radius cuts off is no copy of W_J; only whole
             # ones are compared
             whole = [c for c in comps if not any(
-                left[w][s] == BOUNDARY for w in c for s in J)]
+                left[w][t] == BOUNDARY for w in c for t in J)]
             self.cut += len(comps) - len(whole)
         if len(whole) > 1 and not _components_isomorphic(ball, poset, whole):
             failures.append({"X_size": len(X), "non_isomorphic_component": True})
@@ -222,15 +285,23 @@ def _components_isomorphic(ball, poset, comps):
 
 
 class _Projections(_IdealCheck):
-    def ideal(self, X, poset):
-        gens = list(self.group.ball.matrix.generators)
+    def step(self, s):
+        group = self.group
+        gens = list(group.ball.matrix.generators)
         for r in range(len(gens) + 1):
             for J in combinations(gens, r):
                 self.count += 1
-                pmap = self.group.projection(J, "P")
-                rep = projections.is_order_preserving(pmap, poset)
+                if r == 0:
+                    continue  # the identity preserves every order
+                if r == 1:
+                    rep = s.single(J[0])
+                elif all(s.single(t).ok for t in J) and group.composite(J):
+                    continue  # a composite of maps that preserve the order
+                else:
+                    rep = projections.is_order_preserving(
+                        group.projection(J, "P"), s.intermediate)
                 if not rep.ok:
-                    self.rows.append({"X_size": len(X), "J": list(J),
+                    self.rows.append({"X_size": len(s.x_set), "J": list(J),
                                       "violations": rep.violations[:5]})
 
     def report(self):
@@ -280,12 +351,11 @@ class _Monoid(_Check):
         # order-preserving maps preserve order
         gens = [self.group.projection((s,), "P")
                 for s in self.group.ball.matrix.generators]
-        return gens, projections.projection_monoid(self.group.ball, gens)
+        return projections.projection_monoid(self.group.ball, gens)
 
     def row(self, s):
-        gens, rep = self.monoid
-        preserving = all(projections.is_order_preserving(g, s.intermediate).ok
-                         for g in gens)
+        rep = self.monoid
+        preserving = all(s.single(t).ok for t in self.group.ball.matrix.generators)
         good = (rep.size == len(self.group.ball) and rep.idempotent
                 and rep.braid_ok and preserving)
         return {"k": s.k, "size": rep.size, "idempotent": rep.idempotent,

@@ -131,11 +131,12 @@ def is_order_preserving(table: SelfMapTable, poset: Poset) -> OrderPreservationR
 
     Poset nodes must be the ball ids the map is defined on.
     """
-    bad = []
-    nodes, index, up, images = poset.nodes, poset.index, poset.up, table.images
-    for i, j in poset.covers:
-        if not up[index(images[nodes[i]])] >> index(images[nodes[j]]) & 1:
-            bad.append((nodes[i], nodes[j]))
+    nodes, up, images = poset.nodes, poset.up, table.images
+    at = list(map(poset.index, map(images.__getitem__, nodes)))  # index of f(node i)
+    # a cover f fixes, or one whose ends f identifies, needs no bit test
+    bad = [(nodes[i], nodes[j]) for i, j in poset.covers
+           if (a := at[i]) != (b := at[j]) and (a != i or b != j)
+           and not up[a] >> b & 1]
     return OrderPreservationReport(ok=not bad, violations=bad)
 
 

@@ -1,0 +1,202 @@
+"""The W_J data `coxkit.checks` holds for a run: the composite
+certificate of P^J, the per-slice order test of each single P^{s}, the
+per-J graded lists, and the one loop over the order ideals."""
+from __future__ import annotations
+
+from itertools import chain, combinations
+
+import pytest
+
+from coxkit import checks, enumerate_ball, named_matrix
+from coxkit.ball import BOUNDARY
+from coxkit.checks import run_checks
+from coxkit.matrices import longest_length
+from coxkit.orders import intermediate_poset
+from coxkit.posets import Poset, check_graded
+from coxkit.projections import SelfMapTable, is_order_preserving, projection_map
+from coxkit.reflections import max_k, reflections_in_ball, t_k_set
+
+
+def _ball(name, radius=None):
+    matrix = named_matrix(name)
+    return enumerate_ball(matrix, radius or longest_length(matrix))
+
+
+def _subsets(gens):
+    gens = sorted(gens)
+    return chain.from_iterable(combinations(gens, r) for r in range(len(gens) + 1))
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("A3", None), ("B3", None), ("H3", None), ("A4", None), ("B4", None),
+    ("A3", 3), ("B3", 4), ("H3", 7), ("affC2", 7), ("affA2", 6)])
+def test_every_p_j_is_the_composite_of_its_singles(name, radius):
+    # truncated balls included: the singles strip descents inside the ball
+    ball = _ball(name, radius)
+    group = checks._Group(ball)
+    for J in _subsets(ball.matrix.generators):
+        if len(J) >= 2:
+            assert group.composite(J), J
+            # the certificate compares with the table of projection_map
+            assert group.projection(J, "P").images == \
+                projection_map(ball, J, "P").images
+
+
+def _moved(monkeypatch, J, w, x):
+    """projection_map with the image of w under P^J moved to x."""
+    build = checks.projections.projection_map
+
+    def patched(ball, K, kind="P"):
+        table = build(ball, K, kind)
+        if kind == "P" and tuple(sorted(K)) == J:
+            images = list(table.images)
+            images[w] = x
+            table = SelfMapTable(table.descriptor, tuple(images))
+        return table
+
+    monkeypatch.setattr(checks.projections, "projection_map", patched)
+    return patched
+
+
+def _direct_failures(ball, table_of, poset_of):
+    """The failure rows of `projections` over the T_k slices, each P^J
+    tested on its own."""
+    table, rows = reflections_in_ball(ball), []
+    for k in range(max_k(table) + 1):
+        X = t_k_set(table, k)
+        poset = poset_of(ball, X)
+        for J in _subsets(ball.matrix.generators):
+            rep = is_order_preserving(table_of(ball, J, "P"), poset)
+            if not rep.ok:
+                rows.append({"X_size": len(X), "J": list(J),
+                             "violations": rep.violations[:5]})
+    return rows
+
+
+@pytest.mark.parametrize("J", [(1,), (0, 1), (0, 2), (0, 1, 2)])
+def test_a_broken_table_is_caught_through_the_fallback(monkeypatch, J):
+    # the image of s, the first generator in J, is moved from e to the top
+    # element: for a single the slice's own order test fails, for |J| >= 2
+    # the composite no longer matches; either way the direct test reports
+    # the violations
+    ball = _ball("A3")
+    w0 = max(range(len(ball)), key=ball.length)
+    patched = _moved(monkeypatch, J, ball.right[ball.identity][J[0]], w0)
+    expected = _direct_failures(ball, patched, intermediate_poset)
+    assert expected and {tuple(row["J"]) for row in expected} == {J}
+    got = run_checks(ball, ["projections"])["projections"]
+    assert got == {"ok": False, "maps_checked": 8 * 3, "failures": expected}
+    if len(J) >= 2:
+        assert not checks._Group(ball).composite(J)
+
+
+def test_an_order_a_single_breaks_is_tested_for_every_j(monkeypatch):
+    # on the right weak order in place of each slice, the singles fail,
+    # so every P^J is tested on its own although its certificate holds
+    ball = _ball("A3")
+
+    def right_weak(ball, X, graph=None):
+        return Poset(range(len(ball)), [
+            (w, x) for w, row in enumerate(ball.right) for x in row
+            if x != BOUNDARY and ball.length(x) > ball.length(w)])
+
+    expected = _direct_failures(ball, projection_map, right_weak)
+    assert {len(row["J"]) for row in expected} == {1, 2}
+    monkeypatch.setattr(checks.orders, "intermediate_poset", right_weak)
+    got = run_checks(ball, ["projections"])["projections"]
+    assert got == {"ok": False, "maps_checked": 8 * 3, "failures": expected}
+
+
+def test_projections_and_monoid_test_each_single_once_per_slice(monkeypatch):
+    # 4 order tests per slice, shared by both checks, where every P^J was
+    # once tested on its own (16 + 4)
+    calls = []
+    test = checks.projections.is_order_preserving
+
+    def counted(table, poset):
+        calls.append(table.descriptor)
+        return test(table, poset)
+
+    monkeypatch.setattr(checks.projections, "is_order_preserving", counted)
+    ball = _ball("A4")
+    slices = max_k(reflections_in_ball(ball)) + 1
+    out = run_checks(ball, ["projections", "monoid"])
+    assert out["projections"]["ok"] and out["monoid"]["ok"]
+    assert out["projections"]["maps_checked"] == 16 * slices
+    assert len(calls) == 4 * slices
+    assert sorted(set(calls)) == [f"P^{{{s}}}" for s in range(4)]
+
+
+@pytest.mark.parametrize("ideal", ["tk", "all"])
+def test_graded_reads_left_descents_once_per_j(monkeypatch, ideal):
+    ball = _ball("B3")
+    calls, js = [], set()
+    descents = ball.left_descents
+    graded = checks._Group.graded
+
+    def counted(w):
+        calls.append(w)
+        return descents(w)
+
+    def recorded(group, J):
+        js.add(J)
+        return graded(group, J)
+
+    monkeypatch.setattr(ball, "left_descents", counted)
+    monkeypatch.setattr(checks._Group, "graded", recorded)
+    out = run_checks(ball, ["graded"], ideal=ideal)["graded"]
+    assert out["ok"]
+    assert len(calls) == len(ball) * len(js)
+    # on the T_k slices J = S throughout; over the ideals it varies
+    assert (len(js) == 1) == (ideal == "tk")
+    assert out["ideals_checked"] > len(js)
+
+
+@pytest.mark.parametrize("ideal", ["tk", "all"])
+def test_graded_failures_match_check_graded(monkeypatch, ideal):
+    # an extra cover e < w0 in every poset breaks both the rank and the
+    # length grading; the reports are those check_graded gives
+    ball = _ball("A3")
+    w0 = max(range(len(ball)), key=ball.length)
+    build, built = checks.orders.intermediate_poset, []
+
+    def broken(*args):
+        poset = build(*args)
+        poset = Poset(poset.nodes, poset.covers + [(ball.identity, w0)],
+                      rank=poset.rank)
+        built.append((args[1], poset))
+        return poset
+
+    monkeypatch.setattr(checks.orders, "intermediate_poset", broken)
+    failures = run_checks(ball, ["graded"], ideal=ideal)["graded"]["failures"]
+    expected = []
+    for X, poset in built:
+        J = frozenset(s for s in ball.matrix.generators
+                      if ball.right[ball.identity][s] in X)
+        qj = projection_map(ball, J, "Q")
+        rep = check_graded(poset, lambda w: ball.length(w) - ball.length(qj(w)))
+        if not rep.ok:
+            expected.append({"X_size": len(X), "bad_covers": rep.bad_covers[:5]})
+        gaps = check_graded(poset, ball.length).bad_covers
+        if gaps:
+            expected.append({"X_size": len(X), "length_gap_cover": list(gaps[0])})
+    got = [f for f in failures if "bad_covers" in f or "length_gap_cover" in f]
+    assert expected and got == expected
+
+
+def test_every_ideal_builds_its_poset_once(monkeypatch):
+    # graded and projections share one loop over the order ideals
+    calls = []
+    build = checks.orders.intermediate_poset
+
+    def counted(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(checks.orders, "intermediate_poset", counted)
+    ball = _ball("B3")
+    out = run_checks(ball, ["graded", "projections"], ideal="all")
+    ideals = out["graded"]["ideals_checked"]
+    assert out["graded"]["ok"] and out["projections"]["ok"]
+    assert out["projections"]["maps_checked"] == 8 * ideals
+    assert len(calls) == ideals == len(set(calls))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import chain, combinations
 
 import pytest
@@ -71,6 +72,21 @@ def test_pj_preserves_bruhat(ball_a3, table_a3, ball_b3, table_b3):
         for J in _subsets(ball.matrix.generators):
             report = is_order_preserving(projection_map(ball, J, "P"), poset)
             assert report.ok, (J, report.violations)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_order_preservation_tests_every_cover(ball_b3, table_b3, k):
+    # random self-maps that fix about half the elements and identify
+    # some: the covers skipped as fixed or identified are never violations
+    poset = intermediate_poset(ball_b3, t_k_set(table_b3, k))
+    rng = random.Random(k)
+    n = len(ball_b3)
+    for _ in range(50):
+        images = [w if rng.random() < 0.5 else rng.randrange(n) for w in range(n)]
+        report = is_order_preserving(SelfMapTable("f", tuple(images)), poset)
+        expected = [(u, v) for u, v in poset.covers
+                    if not poset.leq(images[u], images[v])]
+        assert report.violations == expected and report.ok == (not expected)
 
 
 def test_qj_breaks_weak_order_in_a2(ball_a2, table_a2):
