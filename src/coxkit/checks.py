@@ -9,16 +9,16 @@ Bruhat poset, the projection tables, and for each J the data of W_J the
 checks read.  `graded` reads per J the rank list w -> l(w) - l(Q^J w)
 and the number of w with no left descent in J; `projections` and
 `monoid` test each single P^{s} once per slice, and P^J for |J| >= 2 is
-certified once per run as the composite of the singles in J.  Each
-check keeps only its own rows (and Sperner its certified first slice).
+certified once per run as the composite of the singles in J.
+`refinement` reads no slice: it decides the chain on the reflection sets
+and one arc graph when it reports.  Each check keeps only its own rows
+(and Sperner its certified first slice).
 """
 from __future__ import annotations
 
 import time
-from collections import deque
 from functools import cache, cached_property, partial
 from itertools import combinations
-from operator import attrgetter
 
 from . import curvature, orders, polynomials, posets, projections, reflections
 from .ball import BOUNDARY
@@ -115,16 +115,17 @@ class _Slice:
 def run_checks(ball, names, ks=None, ideal="tk", deadline=None) -> dict:
     """The records of the named checks (from ALL_CHECKS) on the ball.
 
-    The checks read the slices in `ks` (all by default), `refinement`
-    0..max(ks); with ideal="all", `graded` and `projections` read every
-    order ideal instead, in one loop before the walk.  `deadline`
-    (`time.monotonic`) is read before that loop and each slice: past it,
-    every unfinished check is skipped for "timeout", as one is for a cap
-    it hits.
+    The checks read the slices in `ks` (all by default); `refinement`
+    reads none, and decides the chain up to max(ks) on the reflection
+    sets and one arc graph.  With ideal="all", `graded` and
+    `projections` read every order ideal instead, in one loop before the
+    walk.  `deadline` (`time.monotonic`) is read before that loop and
+    each slice: past it, every unfinished check is skipped for
+    "timeout", as one is for a cap it hits.
     """
     group = _Group(ball)
     ks = sorted(set(ks)) if ks else range(reflections.max_k(group.table) + 1)
-    live = {name: _CHECKS[name](group) for name in names if name != "refinement"}
+    live = {name: _CHECKS[name](group) for name in names}
     out = {}
 
     past = lambda: deadline is not None and time.monotonic() > deadline
@@ -147,22 +148,10 @@ def run_checks(ball, names, ks=None, ideal="tk", deadline=None) -> dict:
             skipped = _record(every_ideal, per_ideal)
             out.update((n, skipped or c.report()) for n, c in per_ideal.items())
 
-    def walk():
-        for k in (range(ks[-1] + 1) if "refinement" in names else ks):
-            if past():
-                raise TimeoutError
-            s = _Slice(group, k)  # drops slice k - 1 before any part of k is built
-            if k in ks:
-                hand(live, s)
-            yield s
-
-    slices = walk()
-    try:
-        if "refinement" in names:
-            out["refinement"] = _record(_refinement, group, ks[-1], slices)
-        deque(slices, maxlen=0)  # the slices refinement does not read
-    except TimeoutError:  # every check not finished is skipped
-        out = {n: out.get(n, {"ok": None, "skipped": "timeout"}) for n in names}
+    for k in ks:
+        if past():  # every check not finished is skipped
+            return {n: out.get(n, {"ok": None, "skipped": "timeout"}) for n in names}
+        hand(live, _Slice(group, k))  # drops slice k - 1 before any part of k is built
     return {n: out[n] if n in out else live[n].report() for n in names}
 
 
@@ -172,16 +161,6 @@ def _record(fn, *args):
         return fn(*args)
     except (ResourceError, DomainError) as exc:
         return {"ok": None, "skipped": str(exc)}
-
-
-def _refinement(group, k_max, slices):
-    # map, not a generator expression: it keeps no slice once it is read
-    rep = orders.refinement_chain_check(
-        group.table, k_max, map(attrgetter("intermediate"), slices),
-        bruhat=group.bruhat)
-    return {"ok": rep.ok,
-            "containments": [[str(a), str(b), ok] for a, b, ok in rep.containments],
-            "equals_bruhat_at": rep.equals_bruhat_at}
 
 
 class _Check:
@@ -203,14 +182,8 @@ class _Check:
         return {"ok": all(r["ok"] for r in self.rows), self.key: self.rows}
 
 
-class _IdealCheck(_Check):
-    """A check over the T_k slices or every order ideal; rows: failures."""
-
-    count = 0
-
-
-class _Graded(_IdealCheck):
-    cut = 0
+class _Graded(_Check):
+    count = cut = 0  # over the T_k slices or every order ideal; rows: failures
 
     def step(self, s):
         group, X, poset, failures = self.group, s.x_set, s.intermediate, self.rows
@@ -284,7 +257,9 @@ def _components_isomorphic(ball, poset, comps):
     return True
 
 
-class _Projections(_IdealCheck):
+class _Projections(_Check):
+    count = 0  # over the T_k slices or every order ideal; rows: failures
+
     def step(self, s):
         group = self.group
         gens = list(group.ball.matrix.generators)
@@ -307,6 +282,24 @@ class _Projections(_IdealCheck):
     def report(self):
         return {"ok": not self.rows, "maps_checked": self.count,
                 "failures": self.rows}
+
+
+class _Refinement(_Check):
+    k_max = -1  # the last slice handed over; the chain is decided at the end
+
+    def step(self, s):
+        # the chain reads X_0..X_k, so the first incomplete one raises now,
+        # before a later check's step reads a later slice
+        for k in range(self.k_max + 1, s.k + 1):
+            reflections.t_k_set(self.group.table, k)
+        self.k_max = s.k
+
+    def report(self):
+        rep = orders.refinement_chain_check(self.group.table, self.k_max,
+                                            self.group.bruhat)
+        return {"ok": rep.ok,
+                "containments": [[str(a), str(b), ok] for a, b, ok in rep.containments],
+                "equals_bruhat_at": rep.equals_bruhat_at}
 
 
 class _Sperner(_Check):
@@ -405,5 +398,5 @@ class _Curvature(_Check):
 
 
 _CHECKS = {c.__name__[1:].lower(): c for c in (
-    _Graded, _Projections, _Sperner, _Phi, _Monoid, _Logconcave, _Shellability,
-    _Curvature)}
+    _Graded, _Projections, _Refinement, _Sperner, _Phi, _Monoid, _Logconcave,
+    _Shellability, _Curvature)}

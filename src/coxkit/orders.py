@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter
 
 from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, IncompleteSliceError
@@ -324,40 +323,46 @@ class RefinementReport:
 
 
 def refinement_chain_check(table: ReflectionTable, k_max: int,
-                           intermediate=None,
                            bruhat: Poset | None = None) -> RefinementReport:
     """Containment of the intermediate orders as k grows, ending inside
-    Bruhat order: relation(k=a) is a subset of relation(k=b) for a <= b,
-    and the largest tested order sits inside Bruhat.
+    Bruhat order (`bruhat`, if it is already built): relation(k - 1) is
+    a subset of relation(k) for each k <= k_max, and relation(k_max) of
+    Bruhat order; and the least k whose relation is Bruhat order.
 
-    `intermediate` (any iterable of the posets for k = 0..k_max, read
-    once and in order) and `bruhat` are those posets, if they are already
-    built.  Only the previous slice's up-sets are kept.  All the posets
-    have the ball ids 0..n-1 as nodes, so the relations are compared on
-    their up-set bitmasks.
+    Decided on the slices X_k and one arc graph, with no poset of any
+    slice.  The arcs of slice k are its rows a -> t*a, t in X_k, so
+    X_{k-1} <= X_k makes every arc of slice k - 1 one of slice k.  Each
+    arc raises length, so it is a Bruhat relation (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Def. 2.1.1); the arcs of X_{k_max}
+    with l(t*a) = l(a) + 1 are tested to be covers of `bruhat`, which
+    catches a poset that is not Bruhat order.  Bruhat order is the
+    closure of its covers (2.2), and in relation(k) a relation between
+    adjacent lengths is a single arc, labelled v*u^-1.  So relation(k)
+    is Bruhat order iff every cover is a unit arc whose label lies in
+    X_k, and the least such k is (max l(label) - 1) // 2; None when
+    some cover is no unit arc of X_{k_max}, or the last row fails.  The
+    unit arcs are distinct pairs, so they are the covers when each is
+    one and there are as many.
     """
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     ball = table.ball
-    if intermediate is None:
-        intermediate = (intermediate_poset(ball, t_k_set(table, k))
-                        for k in range(k_max + 1))
+    xs = [t_k_set(table, k) for k in range(k_max + 1)]  # the first incomplete raises
+    rows = [(k - 1, k, xs[k - 1] <= xs[k]) for k in range(1, k_max + 1)]
     if bruhat is None:
         bruhat = bruhat_poset(ball)
-    top = bruhat.up
-
-    def contained(a, b):
-        return all(x & ~y == 0 for x, y in zip(a, b))
-
-    rows = []
-    equals_at = prev = None
-    # map holds no poset once its up-sets are read
-    for k, up in zip(range(k_max + 1), map(attrgetter("up"), intermediate)):
-        if prev is not None:
-            rows.append((k - 1, k, contained(prev, up)))
-        if equals_at is None and up == top:
-            equals_at = k
-        prev = up
-    rows.append((k_max, "bruhat", contained(prev, top)))
+    n = len(ball)
+    length = [ball.length(w) for w in range(n)]
+    covers = {u * n + v for u, v in bruhat.covers}
+    inside, units, top = True, 0, 1
+    for t, row in omega_graph(ball, xs[-1]).rows.items():
+        unit = [a * n + b for a, b in enumerate(row)
+                if b >= 0 and length[b] == length[a] + 1]
+        if unit:
+            inside = inside and covers.issuperset(unit)
+            units += len(unit)
+            top = max(top, length[t])
+    rows.append((k_max, "bruhat", inside))
+    equals_at = (top - 1) // 2 if inside and units == len(covers) else None
     return RefinementReport(ok=all(holds for _a, _b, holds in rows),
                             containments=rows, equals_bruhat_at=equals_at)

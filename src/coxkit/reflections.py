@@ -82,9 +82,6 @@ class ReflectionTable:
     ball: GroupBall
     reflections: tuple[int, ...]  # element ids, sorted
 
-    def lengths(self) -> dict[int, int]:
-        return {t: self.ball.length(t) for t in self.reflections}
-
 
 class ReflectionSubgroup:
     """W' = <t, t'> intersected with the ball.

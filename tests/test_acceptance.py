@@ -14,7 +14,7 @@ from fractions import Fraction
 from coxkit import DomainError, OutOfBallError, enumerate_ball, named_matrix
 from coxkit.checks import run_checks
 from coxkit.orders import (intermediate_poset, k_absolute_length_all,
-                           k_absolute_poset, refinement_chain_check)
+                           k_absolute_poset)
 from coxkit.polynomials import (count_t_k_type_A, dihedral_formula_poly,
                                 gen_poly, is_log_concave)
 from coxkit.posets import (is_graded, max_h_family_value, nc_lattice,

@@ -1,6 +1,7 @@
 """The W_J data `coxkit.checks` holds for a run: the composite
 certificate of P^J, the per-slice order test of each single P^{s}, the
-per-J graded lists, and the one loop over the order ideals."""
+per-J graded lists, and the one loop over the order ideals; and that
+`refinement` builds no slice poset."""
 from __future__ import annotations
 
 from itertools import chain, combinations
@@ -200,3 +201,28 @@ def test_every_ideal_builds_its_poset_once(monkeypatch):
     assert out["graded"]["ok"] and out["projections"]["ok"]
     assert out["projections"]["maps_checked"] == 8 * ideals
     assert len(calls) == ideals == len(set(calls))
+
+
+@pytest.mark.parametrize("name,radius", [("A4", None), ("affC2", 7)])
+def test_refinement_builds_no_slice_poset_and_no_closure(monkeypatch, name, radius):
+    # the chain is decided on the reflection sets and one arc graph; with
+    # another check, the walk still builds each slice it hands over once
+    calls = {"intermediate_poset": 0, "_close": 0}
+
+    def counted(module, fn):
+        inner = getattr(module, fn)
+
+        def wrapper(*args):
+            calls[fn] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, fn, wrapper)
+
+    counted(checks.orders, "intermediate_poset")
+    counted(checks.posets, "_close")
+    ball = _ball(name, radius)
+    assert run_checks(ball, ["refinement"])["refinement"]["ok"]
+    assert calls == {"intermediate_poset": 0, "_close": 0}
+    if name == "A4":
+        out = run_checks(ball, ["graded", "refinement"], ks=[2])
+        assert out["graded"]["ok"] and out["refinement"]["ok"]
+        assert calls["intermediate_poset"] == 1

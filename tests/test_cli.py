@@ -271,8 +271,8 @@ def test_the_walk_holds_one_slice_at_a_time(monkeypatch):
 
     monkeypatch.setattr(checks.orders, "intermediate_poset", tracked)
     ball = enumerate_ball(named_matrix("A4"), 10)
-    # with refinement the walk feeds refinement_chain_check; without, it
-    # runs to its end on its own
+    # refinement reads no slice, so the walk builds the same slices with
+    # it and without it
     for names in (["graded", "projections", "refinement", "sperner", "phi", "monoid"],
                   ["graded", "sperner"]):
         alive.clear()

@@ -15,7 +15,7 @@ from coxkit.orders import (_pairs_by_definition, bruhat_poset,
                            refinement_chain_check)
 from coxkit.posets import check_graded
 from coxkit.projections import phi_k_image_poset
-from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
+from coxkit.reflections import max_k, reflections_in_ball, t_k_set, t_order_poset
 from coxkit.serialize import poset_to_json_dict
 
 from models import longest_first
@@ -257,16 +257,15 @@ def test_refinement_chain_matches_relation_pairs(name, radius):
     for k_max in range(len(slices)):
         want = refinement_by_relation_pairs(slices[:k_max + 1], bruhat)
         for rep in (refinement_chain_check(table, k_max),
-                    refinement_chain_check(table, k_max, slices, bruhat)):
+                    refinement_chain_check(table, k_max, bruhat)):
             assert (rep.ok, rep.containments, rep.equals_bruhat_at) == want
-    # the slices handed over in reverse, with the weak order standing in
-    # for Bruhat order: the containments that fail are found
-    backwards = slices[::-1]
-    rep = refinement_chain_check(table, len(slices) - 1, backwards, slices[0])
-    want = refinement_by_relation_pairs(backwards, slices[0])
-    assert (rep.ok, rep.containments, rep.equals_bruhat_at) == want
-    if len(slices) > 1 and slices[0].covers != slices[-1].covers:
-        assert not rep.ok
+    # the weak order (slice 0) standing in for Bruhat order: the last
+    # slice's arcs that are no weak covers are found
+    k_top = len(slices) - 1
+    rep = refinement_chain_check(table, k_top, slices[0])
+    assert slices[0].covers != slices[-1].covers
+    assert rep.containments[-1] == (k_top, "bruhat", False)
+    assert not rep.ok and rep.equals_bruhat_at is None
 
 
 def test_incomplete_slice_raises():
@@ -325,7 +324,7 @@ def test_k_absolute_poset_matches_definition(name, ks):
     # lk is the word metric of T_k, and the unit steps give the covers of
     # the order tested pair by pair (ks None: every k up to the full set)
     ball, table = _complete(name)
-    k_max = (max(table.lengths().values()) - 1) // 2
+    k_max = max_k(table)
     n = len(ball)
     for k in ks or range(k_max + 1):
         tk = t_k_set(table, k)
@@ -382,7 +381,7 @@ def test_interval_poset(ball_a3, table_a3):
 @pytest.mark.parametrize("name", ["A4", "B4", "H3"])
 def test_poset_covers_match_brute_force(name):
     ball, table = _complete(name)
-    k_max = (max(table.lengths().values()) - 1) // 2
+    k_max = max_k(table)
     posets = [t_order_poset(table), k_absolute_poset(k_absolute_length_all(table, 1))]
     for k in range(k_max + 1):
         inter = intermediate_poset(ball, t_k_set(table, k))
