@@ -5,14 +5,25 @@ it, and the slice is dropped before slice k + 1 is built.  Under
 to `graded` and `projections` alike.
 
 What depends only on the group is held for the run by `_Group`: the
+arc table (each reflection's row t*a built once, on first read, and
+each slice's or ideal's arc graph a view of the rows of its X), the
 Bruhat poset, the projection tables, and for each J the data of W_J the
-checks read.  `graded` reads per J the rank list w -> l(w) - l(Q^J w)
-and the number of w with no left descent in J; `projections` and
-`monoid` test each single P^{s} once per slice, and P^J for |J| >= 2 is
-certified once per run as the composite of the singles in J.
-`refinement` reads no slice: it decides the chain on the reflection sets
-and one arc graph when it reports.  Each check keeps only its own rows
-(and Sperner its certified first slice).
+checks read.
+
+Each slice's intermediate poset is built from its unit arcs a -> t*a,
+l(t*a) = l(a) + 1, once a sweep down the lengths has certified that
+every longer arc lies in their closure, so that the unit arcs are its
+covers (`orders.intermediate_poset`).  The up-sets are made only for a
+check that reads them, and a slice whose certificate fails is closed
+from every arc, so `graded` still sees a bad cover.
+
+`graded` reads per J the rank list w -> l(w) - l(Q^J w) and the number
+of w with no left descent in J; `projections` and `monoid` test each
+single P^{s} once per slice, and P^J for |J| >= 2 is certified once per
+run as the composite of the singles in J.  `refinement` reads no slice:
+it decides the chain on the reflection sets and the run's arc graph of
+X_{max k} when it reports.  Each check keeps only its own rows (and
+Sperner its certified first slice).
 """
 from __future__ import annotations
 
@@ -38,6 +49,7 @@ class _Group:
 
     def __init__(self, ball):
         self.ball, self.table = ball, reflections.reflections_in_ball(ball)
+        self.arcs = orders.ArcTable(ball)
         self.projection = cache(partial(projections.projection_map, ball))
         self.length = [e.length for e in ball.elements]
         self._graded, self._composite = {}, {}
@@ -98,7 +110,7 @@ class _Slice:
         self._single = {}
 
     x_set = cached_property(lambda s: reflections.t_k_set(s.table, s.k))
-    graph = cached_property(lambda s: orders.omega_graph(s.ball, s.x_set))
+    graph = cached_property(lambda s: s.group.arcs.graph(s.x_set))
     intermediate = cached_property(
         lambda s: orders.intermediate_poset(s.ball, s.x_set, s.graph))
     absolute_length = cached_property(
@@ -295,8 +307,10 @@ class _Refinement(_Check):
         self.k_max = s.k
 
     def report(self):
-        rep = orders.refinement_chain_check(self.group.table, self.k_max,
-                                            self.group.bruhat)
+        group = self.group
+        rep = orders.refinement_chain_check(
+            group.table, self.k_max, group.bruhat,
+            group.arcs.graph(reflections.t_k_set(group.table, self.k_max)))
         return {"ok": rep.ok,
                 "containments": [[str(a), str(b), ok] for a, b, ok in rep.containments],
                 "equals_bruhat_at": rep.equals_bruhat_at}

@@ -14,6 +14,12 @@ and each transport problem, up to the order of its rows and columns, is
 solved once.  On a complete group whose X holds only involutions of odd
 length, the graph is vertex-transitive, and one transport problem per t
 in X gives every edge.
+
+A problem whose cost matrix is square with entries 1 and 3 is solved as
+a maximum matching (see `_solve`).  Every edge of an arc graph of
+reflections with supports of one size gives one: reflections have odd
+length, so every arc joins lengths of opposite parity, and the distance
+between a neighbour of x and a neighbour of y is odd and at most 3.
 """
 from __future__ import annotations
 
@@ -223,10 +229,46 @@ class _GraphCache:
         key = tuple(tuple(costs[i][j] for j in cp) for i in rp)
         hit = self.plans.get(key)
         if hit is None:
-            hit = self.plans[key] = wasserstein_1(
-                range(len(rp)), range(len(cp)), lambda i, j: key[i][j])
+            hit = self.plans[key] = _solve(key)
         w1, plan = hit
         return w1, {(nx[rp[i]], ny[cp[j]]): m for (i, j), m in plan.items()}
+
+
+def _solve(costs) -> tuple[Fraction, dict]:
+    """W1 and an optimal plan, (i, j) -> mass, between uniform measures on
+    the rows and the columns of the cost matrix.
+
+    A square matrix whose entries are all 1 or 3 is a matching problem,
+    and every matrix of an arc graph of reflections is one when its
+    supports have the same size.  Reflections have odd length, so each
+    arc joins lengths of opposite parity; for an edge {x, y}, N(x) and
+    N(y) lie on opposite sides, so every distance between them is odd,
+    and it is at most 3, through x and y.  For uniform measures on p
+    points each, some optimal plan is a permutation (Birkhoff), and one
+    that uses nu entries 1 costs (3p - 2 nu) / p.  So W1 = (3p - 2 nu) / p
+    with nu a maximum matching on the entries 1 (one flow, all costs 0),
+    and the plan is the matching with the unmatched rows paired to the
+    unmatched columns at cost 3.  Every other matrix is solved by
+    `wasserstein_1`.
+    """
+    p = len(costs)
+    if p != len(costs[0]) or not {c for row in costs for c in row} <= {1, 3}:
+        return wasserstein_1(range(p), range(len(costs[0])),
+                             lambda i, j: costs[i][j])
+    mcf = MinCostFlow(2 * p + 2)
+    s, t = 2 * p, 2 * p + 1
+    for i in range(p):
+        mcf.add_edge(s, i, 1, 0)
+        mcf.add_edge(p + i, t, 1, 0)
+    ones = {(i, j): mcf.add_edge(i, p + j, 1, 0)
+            for i, row in enumerate(costs) for j, c in enumerate(row) if c == 1}
+    nu, _cost = mcf.run(s, t)
+    pairs = [ij for ij, e in ones.items() if mcf.edge_flow(e)]
+    rows_left = sorted(set(range(p)).difference(i for i, _j in pairs))
+    cols_left = sorted(set(range(p)).difference(j for _i, j in pairs))
+    mass = Fraction(1, p)
+    return (Fraction(3 * p - 2 * nu, p),
+            {ij: mass for ij in pairs + list(zip(rows_left, cols_left))})
 
 
 def ollivier_ricci_edge(graph, x: int, y: int,

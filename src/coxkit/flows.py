@@ -8,7 +8,9 @@ every Greene-Kleitman number follows, and the potentials of one more
 run give an h-family witness.  The strong Sperner check runs the flows
 only on the posets that no contained, strongly Sperner poset on the
 same nodes certifies.  The curvature layer runs it once per
-distinct transport problem of a graph.
+distinct transport problem of a graph: with all costs 0 on the entries
+1 of a square matrix of entries 1 and 3, where a maximum matching gives
+W1, and as a transportation network on any other matrix.
 
 All capacities and costs are integers, so optima are exact.
 """

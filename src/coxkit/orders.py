@@ -5,10 +5,22 @@ All constructions are ball-restricted.  Chains of the intermediate
 orders are strictly length-increasing, so reachability between two
 elements of the ball never depends on anything outside it; the graph
 still records how many arcs were dropped at the boundary.
+
+An `ArcTable` holds the rows t*a of a ball, each built once, when
+first read, and the arc graph of a set X (`OmegaGraph`) is a view of
+the rows of X; `omega_graph` builds a table for one set.
+
+The covers of an intermediate order are certified, not closed: every
+arc raises length, so a unit arc a -> t*a, l(t*a) = l(a) + 1, is a
+cover, and when every longer arc lies in the closure of the unit arcs,
+the unit arcs are all the covers.  One sweep down the lengths tests
+that, holding the up-sets of two lengths at a time (`_unit_covers`);
+where it fails, the order is closed from every arc.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from .ball import BOUNDARY, GroupBall
@@ -17,7 +29,7 @@ from .posets import Poset
 from .reflections import ReflectionTable, t_k_set
 
 __all__ = [
-    "OmegaGraph", "AbsoluteLengthTable", "omega_graph", "intermediate_poset",
+    "OmegaGraph", "ArcTable", "AbsoluteLengthTable", "omega_graph", "intermediate_poset",
     "bruhat_poset", "k_absolute_length_all", "k_absolute_poset",
     "refinement_chain_check", "RefinementReport",
 ]
@@ -27,53 +39,89 @@ __all__ = [
 class OmegaGraph:
     """The arc graph of a set X on a ball, stored as its rows: rows[t][a]
     is the id of t*a for t in X (in increasing order), or BOUNDARY where
-    t*a lies outside the ball.  The arcs are a -> t*a where l(t*a) > l(a)."""
+    t*a lies outside the ball.  The arcs are a -> t*a where l(t*a) > l(a).
+    The rows are those of `table`, which also sorts each t's arcs by the
+    length of their tails."""
     ball: GroupBall
     x_set: frozenset[int]
     rows: dict[int, list[int]]
     boundary_skips: int   # products t*a that left the ball
+    table: ArcTable = field(repr=False, compare=False)
 
     @property
     def arcs(self) -> list:
         """The sorted (a, b, t) with b = t*a in the ball and l(b) > l(a),
         derived from the rows on each read."""
-        length = [e.length for e in self.ball.elements]
+        length = self.table.length
         return sorted((a, b, t) for t, row in self.rows.items()
                       for a, b in enumerate(row)
                       if b >= 0 and length[b] > length[a])
 
 
-def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
-    """The rows t*a for t in the set, every a in the ball.
+class ArcTable:
+    """The rows t*a of a ball, each built when first read and kept with
+    its boundary skips and its arcs sorted by rise.  The arc graph of any
+    set X is a view of it (`graph`), so a run that reads many sets, such
+    as the T_k slices or the order ideals of `coxkit check`, builds each
+    row once.  No reader mutates what the table holds."""
 
-    Each row t*a is one step from an earlier one: with s the last letter
-    of a's ShortLex word, t*a = (t*(a s)) s, and a s is one shorter than
-    a, so the ids are visited by length (a ball read from JSON may number
-    them in any order).  The step is a right-table lookup, or
-    `GroupBall._times` where t*(a s) or t*a lies beyond the radius, so
-    the row holds ids beyond the radius too and no product is walked.
-    An entry becomes BOUNDARY once l(t*a) + l(a) > 2 radius: an
-    extension a' = a s_1 ... s_j in the ball has j <= radius - l(a), so
-    l(t*a') >= l(t*a) - j > radius, and the entries of every extension
-    are BOUNDARY in turn.  When the row is done, the ids beyond the
-    radius become BOUNDARY too.  Each entry outside the ball is one
-    boundary skip.
-    """
-    xs = frozenset(x_set)
-    n = len(ball)
-    length = [ball.length(w) for w in range(n)]
-    right, elements = ball.right, ball.elements
-    times, beyond = ball._times, ball._lengths  # beyond[x - n] = l(x)
-    steps = []
-    for a in sorted(range(n), key=length.__getitem__)[1:]:  # the identity first
-        s = elements[a].word[-1]
-        steps.append((a, right[a][s], s, 2 * ball.radius - length[a]))
-    rows = {}
-    skips = 0
-    for t in sorted(xs):
+    def __init__(self, ball: GroupBall):
+        self.ball = ball
+        self.rows: dict[int, list[int]] = {}
+        self.skips: dict[int, int] = {}
+        self._rises: dict[int, tuple[list, list]] = {}
+
+    @cached_property
+    def length(self) -> list[int]:
+        return [self.ball.length(w) for w in range(len(self.ball))]
+
+    @cached_property
+    def levels(self) -> list[list[int]]:
+        """levels[l]: the ids of length l, increasing."""
+        levels = [[] for _ in range(max(self.length) + 1)]
+        for a, la in enumerate(self.length):
+            levels[la].append(a)
+        return levels
+
+    @cached_property
+    def _steps(self):
+        """(a, a s, s, 2 radius - l(a)) for the ids a but the identity,
+        by length, s the last letter of a's ShortLex word."""
+        ball = self.ball
+        right, elements = ball.right, ball.elements
+        return [(a, right[a][elements[a].word[-1]], elements[a].word[-1],
+                 2 * ball.radius - la)
+                for la, level in enumerate(self.levels[1:], 1) for a in level]
+
+    def row(self, t: int) -> list[int]:
+        """row[a] = t*a, or BOUNDARY where t*a lies outside the ball.
+
+        Each entry is one step from an earlier one: with s the last
+        letter of a's ShortLex word, t*a = (t*(a s)) s, and a s is one
+        shorter than a, so the ids are visited by length (a ball read
+        from JSON may number them in any order).  The step is a
+        right-table lookup, or `GroupBall._times` where t*(a s) or t*a
+        lies beyond the radius, so the row holds ids beyond the radius
+        too and no product is walked.  An entry becomes BOUNDARY once
+        l(t*a) + l(a) > 2 radius: an extension a' = a s_1 ... s_j in the
+        ball has j <= radius - l(a), so l(t*a') >= l(t*a) - j > radius,
+        and the entries of every extension are BOUNDARY in turn.  When
+        the row is done, the ids beyond the radius become BOUNDARY too.
+        Each entry outside the ball is one boundary skip.
+        """
+        if t not in self.rows:
+            self.rows[t], self.skips[t] = self._build(t)
+        return self.rows[t]
+
+    def _build(self, t):
+        ball = self.ball
+        n = len(ball)
+        right = ball.right
+        times, beyond = ball._times, ball._lengths  # beyond[x - n] = l(x)
+        skips = 0
         row = [BOUNDARY] * n  # row[a] = t*a, or BOUNDARY once it cannot return
         row[ball.identity] = t
-        for a, a_s, s, reach in steps:
+        for a, a_s, s, reach in self._steps:
             x = row[a_s]
             if x >= n:
                 b = times(x, s)
@@ -91,8 +139,33 @@ def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
             row[a] = b
         if not ball.is_complete_group:
             row = [BOUNDARY if b >= n else b for b in row]
-        rows[t] = row
-    return OmegaGraph(ball=ball, x_set=xs, rows=rows, boundary_skips=skips)
+        return row, skips
+
+    def rises(self, t: int) -> tuple[list, list]:
+        """(unit, longer): unit[l] lists the ids a of length l whose arc
+        a -> t*a is a unit arc, l(t*a) = l + 1, and longer[l] those with
+        l(t*a) > l + 1; built on first read."""
+        if t not in self._rises:
+            row, length = self.row(t), self.length
+            unit, longer = [], []
+            for la, level in enumerate(self.levels):
+                unit.append([a for a in level if row[a] >= 0 and length[row[a]] == la + 1])
+                longer.append([a for a in level if row[a] >= 0 and length[row[a]] > la + 1])
+            self._rises[t] = unit, longer
+        return self._rises[t]
+
+    def graph(self, x_set) -> OmegaGraph:
+        """The arc graph of the set: its rows, and their skips summed."""
+        xs = frozenset(x_set)
+        rows = {t: self.row(t) for t in sorted(xs)}
+        return OmegaGraph(ball=self.ball, x_set=xs, rows=rows,
+                          boundary_skips=sum(self.skips[t] for t in xs), table=self)
+
+
+def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
+    """The rows t*a for t in the set, every a in the ball, each built by
+    `ArcTable.row`."""
+    return ArcTable(ball).graph(x_set)
 
 
 def _arc_graph(ball: GroupBall, x_set, graph: OmegaGraph | None) -> OmegaGraph:
@@ -113,21 +186,62 @@ def intermediate_poset(ball: GroupBall, x_set,
     length, so witnessing chains cannot leave the ball.  `graph` is the
     arc graph of x_set, if it is already built.
 
-    When every arc raises length by exactly 1 (as at k = 0, the left
-    weak order), the arcs are the covers and the closure is skipped:
-    nothing lies strictly between two adjacent lengths, and a relation
-    whose steps all raise length has no cycle.
+    The covers are certified by a sweep over the unit arcs a -> t*a,
+    l(t*a) = l(a) + 1 (see `_unit_covers`), and the poset is built from
+    them with no closure; its up-sets are made from the covers only if
+    a reader asks.  Where the certificate fails, the order is closed
+    from every arc (`Poset.from_relation`).  So the theorem that these
+    orders are graded by length is tested here, not assumed.
     """
     g = _arc_graph(ball, x_set, graph)
-    rank = [ball.length(w) for w in range(len(ball))]
-    pairs = [(a, b) for row in g.rows.values() for a, b in enumerate(row)
-             if b >= 0 and rank[b] > rank[a]]
+    rank = g.table.length
     metadata = {"kind": "intermediate-order", "x_size": len(g.x_set),
                 "boundary_skips": g.boundary_skips}
     nodes = list(range(len(ball)))
-    if all(rank[b] == rank[a] + 1 for a, b in pairs):
-        return Poset(nodes, pairs, rank=rank, metadata=metadata)
+    covers = _unit_covers(g)
+    if covers is not None:
+        return Poset(nodes, covers, rank=rank, metadata=metadata)
+    pairs = [(a, b) for row in g.rows.values() for a, b in enumerate(row)
+             if b >= 0 and rank[b] > rank[a]]
     return Poset.from_relation(nodes, pairs, rank=rank, metadata=metadata)
+
+
+def _unit_covers(g: OmegaGraph):
+    """The unit arcs (a, b), l(b) = l(a) + 1, of the graph, if every longer
+    arc lies in the order they generate; otherwise None.
+
+    The certificate.  Every arc raises length, so every relation of the
+    order does, and nothing lies strictly between the ends of a unit
+    arc: each is a cover.  If every longer arc lies in the closure U* of
+    the unit arcs, the order is U*, and its covers are exactly the unit
+    arcs, since each cover of a closure is one of its generating pairs.
+    A longer arc outside U* makes the answer None.
+
+    The sweep takes the lengths from the top down.  The up-set in U* of
+    a node a is a and the up-sets of its unit successors, one length
+    higher; each longer arc a -> b is tested against it when it is made.
+    Then the level above is dropped, so two levels of up-sets are held
+    at a time.  With no longer arc there is nothing to test.  The arcs
+    of each t are read off the table sorted by rise and tail length
+    (`ArcTable.rises`), so the sweep reads only arcs.
+    """
+    table = g.table
+    arcs = [(row, *table.rises(t)) for t, row in g.rows.items()]
+    covers = [(a, row[a]) for row, unit, _longer in arcs for level in unit for a in level]
+    if not any(any(longer) for _row, _unit, longer in arcs):
+        return covers
+    above = {}
+    for la in reversed(range(len(table.levels))):
+        here = {a: 1 << a for a in table.levels[la]}
+        for row, unit, _longer in arcs:
+            for a in unit[la]:
+                here[a] |= above[row[a]]
+        for row, _unit, longer in arcs:
+            for a in longer[la]:
+                if not here[a] >> row[a] & 1:
+                    return None
+        above = here
+    return covers
 
 
 def bruhat_poset(ball: GroupBall) -> Poset:
@@ -172,6 +286,8 @@ class AbsoluteLengthTable:
     lk: list[int]                 # distance from the identity in the arc graph
     witness_pred: list[int]       # BFS predecessor (smallest id), -1 at source
     witness_arc: list[int]        # reflection used to enter each node, -1 at source
+    # the rows t -> [t*a for a] lk was read off, if known
+    rows: dict | None = field(default=None, repr=False, compare=False)
 
 
 def k_absolute_length_all(table: ReflectionTable, k: int,
@@ -182,7 +298,8 @@ def k_absolute_length_all(table: ReflectionTable, k: int,
     node b by its one arc, t = b a^-1."""
     ball = table.ball
     tk = t_k_set(table, k)  # raises when the slice is incomplete
-    rows = list(_arc_graph(ball, tk, graph).rows.items())
+    g = _arc_graph(ball, tk, graph)
+    rows = list(g.rows.items())
     n = len(ball)
     length = [ball.length(w) for w in range(n)]
     dist = [-1] * n
@@ -204,8 +321,8 @@ def k_absolute_length_all(table: ReflectionTable, k: int,
     if any(d == -1 for d in dist):
         raise IncompleteSliceError(
             "arc graph does not reach the whole ball; slice incomplete")
-    return AbsoluteLengthTable(ball=ball, k=k, lk=dist,
-                               witness_pred=pred, witness_arc=arc)
+    return AbsoluteLengthTable(ball=ball, k=k, lk=dist, witness_pred=pred,
+                               witness_arc=arc, rows=g.rows)
 
 
 def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
@@ -236,21 +353,26 @@ def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
     ball = table.ball
     nodes = list(range(len(ball)))
     metadata = {"kind": "k-absolute-order", "k": table.k, "flagged_pairs": 0}
-    steps = _unit_steps(ball, table.lk) if ball.is_complete_group else None
+    steps = _unit_steps(ball, table.lk, table.rows) if ball.is_complete_group else None
     if steps is not None:
         return Poset(nodes, steps, rank=table.lk, metadata=metadata)
     pairs, metadata["flagged_pairs"] = _pairs_by_definition(ball, table.lk)
     return Poset.from_relation(nodes, pairs, rank=table.lk, metadata=metadata)
 
 
-def _unit_steps(ball: GroupBall, lk) -> list | None:
+def _unit_steps(ball: GroupBall, lk, rows=None) -> list | None:
     """The pairs (u, t u) with lk(t u) = lk(u) + 1 for t in T = {t :
     lk(t) = 1}, read off one BFS from the identity over left
     multiplication by T; None unless that BFS gives the distances lk.
-    On a table from `k_absolute_length_all`, T is T_k: each reflection
-    is one arc above the identity."""
+    The products t u are read off `rows` (rows[t][u] = t u) when its
+    keys are T, as on a table from `k_absolute_length_all`, whose rows
+    are those of T_k: each reflection is one arc above the identity.
+    Otherwise each is multiplied."""
     n = len(ball)
     tk = [t for t in range(n) if lk[t] == 1]
+    if rows is None or sorted(rows) != tk:
+        rows = {t: [ball.multiply(t, u) for u in range(n)] for t in tk}
+    products = [rows[t] for t in tk]
     dist = [-1] * n
     dist[ball.identity] = 0
     frontier = [ball.identity]
@@ -259,8 +381,8 @@ def _unit_steps(ball: GroupBall, lk) -> list | None:
         nxt = []
         for u in frontier:
             d = dist[u] + 1
-            for t in tk:
-                v = ball.multiply(t, u)
+            for row in products:
+                v = row[u]
                 if dist[v] == -1:
                     dist[v] = d
                     nxt.append(v)
@@ -323,26 +445,28 @@ class RefinementReport:
 
 
 def refinement_chain_check(table: ReflectionTable, k_max: int,
-                           bruhat: Poset | None = None) -> RefinementReport:
+                           bruhat: Poset | None = None,
+                           graph: OmegaGraph | None = None) -> RefinementReport:
     """Containment of the intermediate orders as k grows, ending inside
     Bruhat order (`bruhat`, if it is already built): relation(k - 1) is
     a subset of relation(k) for each k <= k_max, and relation(k_max) of
     Bruhat order; and the least k whose relation is Bruhat order.
 
-    Decided on the slices X_k and one arc graph, with no poset of any
-    slice.  The arcs of slice k are its rows a -> t*a, t in X_k, so
-    X_{k-1} <= X_k makes every arc of slice k - 1 one of slice k.  Each
-    arc raises length, so it is a Bruhat relation (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, Def. 2.1.1); the arcs of X_{k_max}
-    with l(t*a) = l(a) + 1 are tested to be covers of `bruhat`, which
-    catches a poset that is not Bruhat order.  Bruhat order is the
-    closure of its covers (2.2), and in relation(k) a relation between
-    adjacent lengths is a single arc, labelled v*u^-1.  So relation(k)
-    is Bruhat order iff every cover is a unit arc whose label lies in
-    X_k, and the least such k is (max l(label) - 1) // 2; None when
-    some cover is no unit arc of X_{k_max}, or the last row fails.  The
-    unit arcs are distinct pairs, so they are the covers when each is
-    one and there are as many.
+    Decided on the slices X_k and one arc graph, that of X_{k_max}
+    (`graph`, if it is already built), with no poset of any slice.  The
+    arcs of slice k are its rows a -> t*a, t in X_k, so X_{k-1} <= X_k
+    makes every arc of slice k - 1 one of slice k.  Each arc raises
+    length, so it is a Bruhat relation (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, Def. 2.1.1); the arcs of X_{k_max} with l(t*a) =
+    l(a) + 1 are tested to be covers of `bruhat`, which catches a poset
+    that is not Bruhat order.  Bruhat order is the closure of its covers
+    (2.2), and in relation(k) a relation between adjacent lengths is a
+    single arc, labelled v*u^-1.  So relation(k) is Bruhat order iff
+    every cover is a unit arc whose label lies in X_k, and the least
+    such k is (max l(label) - 1) // 2; None when some cover is no unit
+    arc of X_{k_max}, or the last row fails.  The unit arcs are distinct
+    pairs, so they are the covers when each is one and there are as
+    many.
     """
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
@@ -351,17 +475,16 @@ def refinement_chain_check(table: ReflectionTable, k_max: int,
     rows = [(k - 1, k, xs[k - 1] <= xs[k]) for k in range(1, k_max + 1)]
     if bruhat is None:
         bruhat = bruhat_poset(ball)
+    g = _arc_graph(ball, xs[-1], graph)
     n = len(ball)
-    length = [ball.length(w) for w in range(n)]
     covers = {u * n + v for u, v in bruhat.covers}
     inside, units, top = True, 0, 1
-    for t, row in omega_graph(ball, xs[-1]).rows.items():
-        unit = [a * n + b for a, b in enumerate(row)
-                if b >= 0 and length[b] == length[a] + 1]
+    for t, row in g.rows.items():
+        unit = [a * n + row[a] for level in g.table.rises(t)[0] for a in level]
         if unit:
             inside = inside and covers.issuperset(unit)
             units += len(unit)
-            top = max(top, length[t])
+            top = max(top, ball.length(t))
     rows.append((k_max, "bruhat", inside))
     equals_at = (top - 1) // 2 if inside and units == len(covers) else None
     return RefinementReport(ok=all(holds for _a, _b, holds in rows),

@@ -100,10 +100,15 @@ def bruhat_subword_leq(ball, u, v):
 
 def brute_closure(n, pairs):
     """Strict transitive closure of a relation on range(n), by
-    repeating the composition step until nothing new appears."""
+    repeating the composition step until nothing new appears.  Each
+    step joins the pairs through an index of the successors of each
+    element."""
     less = {(i, j) for i, j in pairs if i != j}
     while True:
-        more = {(i, k) for i, j in less for j2, k in less if j == j2} - less
+        succ = {}
+        for j, k in less:
+            succ.setdefault(j, []).append(k)
+        more = {(i, k) for i, j in less for k in succ.get(j, ())} - less
         if not more:
             return less
         less |= more

@@ -226,3 +226,76 @@ def test_refinement_builds_no_slice_poset_and_no_closure(monkeypatch, name, radi
         out = run_checks(ball, ["graded", "refinement"], ks=[2])
         assert out["graded"]["ok"] and out["refinement"]["ok"]
         assert calls["intermediate_poset"] == 1
+
+
+@pytest.mark.parametrize("name,names,ideal", [
+    ("A4", ["graded", "projections"], "all"),
+    ("B3", list(checks.ALL_CHECKS), "tk")])
+def test_each_row_is_built_once_per_run(monkeypatch, name, names, ideal):
+    # every slice or order ideal, and refinement's arc graph, read the
+    # run's one arc table
+    built = []
+    build = checks.orders.ArcTable._build
+
+    def counted(table, t):
+        built.append(t)
+        return build(table, t)
+
+    monkeypatch.setattr(checks.orders.ArcTable, "_build", counted)
+    ball = _ball(name)
+    out = run_checks(ball, names, ideal=ideal)
+    assert all(out[n]["ok"] for n in names)
+    assert sorted(built) == sorted(reflections_in_ball(ball).reflections)
+
+
+@pytest.mark.parametrize("name,radius", [("A4", None), ("affC2", 7)])
+def test_graded_closes_no_order(monkeypatch, name, radius):
+    # the covers of every slice are certified by the unit-arc sweep
+    calls = []
+    close = checks.posets._close
+    monkeypatch.setattr(checks.posets, "_close",
+                        lambda succ: calls.append(len(succ)) or close(succ))
+    out = run_checks(_ball(name, radius), ["graded"])["graded"]
+    assert out["ok"] and out["ideals_checked"] > 1
+    assert calls == []
+
+
+def test_a_long_arc_outside_the_unit_closure_fails_graded(monkeypatch):
+    # one extra arc s0 -> s1 s2 s1 (rise 2, not a Bruhat relation) in
+    # the row of s0: no slice's unit arcs certify it, so each slice is
+    # closed from every arc, and graded reports the bad cover as the
+    # closure of every arc gives it
+    ball = _ball("A3")
+    s0, b = ball.id_of_word([0]), ball.id_of_word([1, 2, 1])
+    build = checks.orders.ArcTable._build
+
+    def extra(table, t):
+        row, skips = build(table, t)
+        if t == s0:
+            row = row[:s0] + [b] + row[s0 + 1:]  # was s0 s0 = e: no arc
+        return row, skips
+
+    monkeypatch.setattr(checks.orders.ArcTable, "_build", extra)
+    closed = []
+    from_relation = Poset.from_relation.__func__
+
+    def counted(cls, nodes, pairs, **kw):
+        pairs = list(pairs)
+        closed.append(pairs)
+        return from_relation(cls, nodes, pairs, **kw)
+
+    monkeypatch.setattr(Poset, "from_relation", classmethod(counted))
+    failures = run_checks(ball, ["graded"])["graded"]["failures"]
+    monkeypatch.undo()
+    table = reflections_in_ball(ball)
+    assert len(closed) == max_k(table) + 1
+    expected = []
+    for k, pairs in enumerate(closed):
+        X = t_k_set(table, k)
+        assert (s0, b) in pairs and len(pairs) == 1 + len(ball) * len(X) // 2
+        bad = check_graded(Poset.from_relation(range(len(ball)), pairs),
+                           ball.length).bad_covers
+        assert (s0, b) in bad
+        expected += [{"X_size": len(X), "bad_covers": bad[:5]},
+                     {"X_size": len(X), "length_gap_cover": list(bad[0])}]
+    assert failures == expected

@@ -5,6 +5,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxkit import DomainError, OutOfBallError, enumerate_ball, named_matrix
 from coxkit.matrices import longest_length
@@ -357,3 +359,60 @@ def test_reading_records_solves_nothing_again(monkeypatch, ball_a3, table_a3):
     assert calls.count("ollivier_ricci_edge") == len(graph.x_set)
     assert len(report.records) == report.edge_count() == len(graph.arcs)
     assert len(calls) == solved
+
+
+def _coupling_cost(costs, plan):
+    """The cost of the plan, checked to be a coupling of the uniform
+    measures on the rows and the columns."""
+    p, q = len(costs), len(costs[0])
+    rows, cols = [Fraction(0)] * p, [Fraction(0)] * q
+    for (i, j), mass in plan.items():
+        assert mass > 0
+        rows[i] += mass
+        cols[j] += mass
+    assert rows == [Fraction(1, p)] * p and cols == [Fraction(1, q)] * q
+    return sum(mass * costs[i][j] for (i, j), mass in plan.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda p: st.lists(
+    st.lists(st.sampled_from([1, 3]), min_size=p, max_size=p),
+    min_size=p, max_size=p)))
+def test_a_square_matrix_of_ones_and_threes_is_a_matching(costs):
+    p = len(costs)
+    w1, plan = curvature._solve(costs)
+    assert w1 == wasserstein_1(range(p), range(p), lambda i, j: costs[i][j])[0]
+    assert _coupling_cost(costs, plan) == w1
+
+
+def test_other_matrices_take_the_general_path(monkeypatch):
+    calls = []
+    general = curvature.wasserstein_1
+    monkeypatch.setattr(curvature, "wasserstein_1",
+                        lambda *a: calls.append(a) or general(*a))
+    for costs in ([[1, 3, 1], [3, 1, 1]], [[0, 1], [1, 2]], [[1, 2], [3, 1]]):
+        w1, plan = curvature._solve(costs)
+        assert w1 == brute_w1(len(costs), len(costs[0]), costs)
+        assert _coupling_cost(costs, plan) == w1
+    assert len(calls) == 3
+    assert curvature._solve([[1, 3], [3, 1]])[0] == 1
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "B4"])
+def test_every_class_edge_is_a_matching_problem(name):
+    # reflections have odd length, so the cost matrix of each edge {e, t}
+    # is square with entries 1 and 3, and the matching gives the W1 of
+    # the general solver
+    for _k, graph in _complete_slices(name):
+        cache = curvature._GraphCache(graph, curvature._RowAdjacency(graph.rows))
+        nx = sorted(cache.adj[graph.ball.identity])
+        for t in graph.rows:
+            ny = sorted(cache.adj[t])
+            costs = [[cache.distances(u)[v] for v in ny] for u in nx]
+            assert len(nx) == len(ny)
+            assert {c for row in costs for c in row} <= {1, 3}
+            w1, plan = curvature._solve(costs)
+            assert w1 == wasserstein_1(range(len(nx)), range(len(ny)),
+                                       lambda i, j: costs[i][j])[0]
+            assert _coupling_cost(costs, plan) == w1

@@ -9,7 +9,7 @@ from coxkit import (DomainError, IncompleteSliceError, OutOfBallError,
                     enumerate_ball, named_matrix, parse_coxeter_matrix)
 from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.matrices import longest_length
-from coxkit.orders import (_pairs_by_definition, bruhat_poset,
+from coxkit.orders import (ArcTable, _pairs_by_definition, bruhat_poset,
                            intermediate_poset, k_absolute_length_all,
                            k_absolute_poset, omega_graph,
                            refinement_chain_check)
@@ -426,6 +426,86 @@ def test_weak_order_covers_are_its_arcs(spec, radius, renumber):
     assert poset.covers == sorted(brute_covers(less))
     assert set(poset.relation_pairs()) == less
     assert poset.rank == [ball.length(w) for w in range(n)]
+
+
+def _complete_slices(table):
+    """t_k_set(table, k) for k = 0, 1, ... up to the first incomplete one."""
+    slices = []
+    for k in range(max_k(table) + 1):
+        try:
+            slices.append(t_k_set(table, k))
+        except IncompleteSliceError:
+            break
+    return slices
+
+
+@pytest.mark.parametrize("spec,radius,renumber", [
+    _ball_case("A3", None), _ball_case("B3", None), _ball_case("H3", None),
+    _ball_case("A4", None), _ball_case("B4", None),
+    _ball_case("B3", 4), _ball_case("affC2", 7),
+    # ids out of length order, as a ball read from JSON may have them
+    _ball_case("B3", 9, True), _ball_case("affC2", 7, True)])
+def test_the_sweep_gives_the_closure_of_every_slice(spec, radius, renumber):
+    # every long arc lies in the closure of the unit arcs, so the unit
+    # arcs are the covers, and the poset keeps no up-sets until one is
+    # read; both agree with the closure of every arc
+    ball = _ball(spec, radius, renumber)
+    n = len(ball)
+    slices = _complete_slices(reflections_in_ball(ball))
+    assert len(slices) > 1
+    for x_set in slices:
+        g = omega_graph(ball, x_set)
+        poset = intermediate_poset(ball, x_set, g)
+        assert poset._up is None
+        less = brute_closure(n, [(a, b) for a, b, _t in g.arcs])
+        assert poset.covers == sorted(brute_covers(less))
+        assert poset.up == [(1 << i) | sum(1 << j for j in range(n) if (i, j) in less)
+                            for i in range(n)]
+        assert poset.rank == [ball.length(w) for w in range(n)]
+
+
+def with_extra_arc(build, t, a, b):
+    """`ArcTable._build` with the entry a of row t set to b."""
+    def patched(table, u):
+        row, skips = build(table, u)
+        if u == t:
+            row = row[:a] + [b] + row[a + 1:]
+        return row, skips
+    return patched
+
+
+def test_a_long_arc_outside_the_unit_closure_closes_every_arc(
+        monkeypatch, ball_a3, table_a3):
+    # s0 -> s1 s2 s1 rises by 2 and lies outside the closure of the unit
+    # arcs: the certificate fails, and the order is closed from every arc
+    ball = ball_a3
+    s0, b = ball.id_of_word([0]), ball.id_of_word([1, 2, 1])
+    assert not ball.bruhat_leq(s0, b)
+    monkeypatch.setattr(ArcTable, "_build", with_extra_arc(ArcTable._build, s0, s0, b))
+    for k in range(max_k(table_a3) + 1):
+        g = omega_graph(ball, t_k_set(table_a3, k))
+        assert g.rows[s0][s0] == b  # was s0 s0 = e: no arc
+        poset = intermediate_poset(ball, g.x_set, g)
+        assert poset._up is not None  # closed by Poset.from_relation
+        less = brute_closure(len(ball), [(a, c) for a, c, _t in g.arcs])
+        assert (s0, b) in poset.covers
+        assert poset.covers == sorted(brute_covers(less))
+
+
+def test_unit_steps_read_the_rows(monkeypatch):
+    # the k-absolute order of a complete group multiplies nothing: its
+    # unit steps read t u off the rows its length table was read off
+    ball, table = _complete("A4")
+    for k in range(max_k(table) + 1):
+        alt = k_absolute_length_all(table, k)
+        calls = []
+        monkeypatch.setattr(GroupBall, "multiply",
+                            lambda *a: calls.append(a) or ball.right[0][0])
+        poset = k_absolute_poset(alt)
+        assert calls == []
+        monkeypatch.undo()
+        multiplied = k_absolute_poset(dataclasses.replace(alt, rows=None))
+        assert poset.covers == multiplied.covers
 
 
 @pytest.mark.parametrize("name,k,covers", [
