@@ -48,6 +48,7 @@ class GroupBall:
         # the roots of the reflections, built on first use by
         # coxkit.reflections when every finite bond is 2, 3, 4 or 6
         self._roots = None
+        self._arcs = None  # the ball's table of rows t*a (coxkit.orders.arc_table)
 
     # -- basic accessors ------------------------------------------------
 

@@ -5,10 +5,10 @@ it, and the slice is dropped before slice k + 1 is built.  Under
 to `graded` and `projections` alike.
 
 What depends only on the group is held for the run by `_Group`: the
-arc table (each reflection's row t*a built once, on first read, and
-each slice's or ideal's arc graph a view of the rows of its X), the
 Bruhat poset, the projection tables, and for each J the data of W_J the
-checks read.
+checks read.  The arc table belongs to the ball (`orders.arc_table`):
+each reflection's row t*a is built once, on first read, and each
+slice's or ideal's arc graph is a view of the rows of its X.
 
 Each slice's intermediate poset is built from its unit arcs a -> t*a,
 l(t*a) = l(a) + 1, once a sweep down the lengths has certified that
@@ -21,7 +21,7 @@ from every arc, so `graded` still sees a bad cover.
 of w with no left descent in J; `projections` and `monoid` test each
 single P^{s} once per slice, and P^J for |J| >= 2 is certified once per
 run as the composite of the singles in J.  `refinement` reads no slice:
-it decides the chain on the reflection sets and the run's arc graph of
+it decides the chain on the reflection sets and the ball's arc graph of
 X_{max k} when it reports.  Each check keeps only its own rows (and
 Sperner its certified first slice).
 """
@@ -49,7 +49,6 @@ class _Group:
 
     def __init__(self, ball):
         self.ball, self.table = ball, reflections.reflections_in_ball(ball)
-        self.arcs = orders.ArcTable(ball)
         self.projection = cache(partial(projections.projection_map, ball))
         self.length = [e.length for e in ball.elements]
         self._graded, self._composite = {}, {}
@@ -100,8 +99,8 @@ class _Group:
 
 class _Slice:
     """Slice k, or the order ideal x_set (k None), and, each built on first
-    read, its arc graph, intermediate poset and k-absolute length table,
-    and the order test of each single projection."""
+    read, its intermediate poset and k-absolute length table, and the
+    order test of each single projection."""
 
     def __init__(self, group, k, x_set=None):
         self.group, self.ball, self.table, self.k = group, group.ball, group.table, k
@@ -110,11 +109,10 @@ class _Slice:
         self._single = {}
 
     x_set = cached_property(lambda s: reflections.t_k_set(s.table, s.k))
-    graph = cached_property(lambda s: s.group.arcs.graph(s.x_set))
     intermediate = cached_property(
-        lambda s: orders.intermediate_poset(s.ball, s.x_set, s.graph))
+        lambda s: orders.intermediate_poset(s.ball, s.x_set))
     absolute_length = cached_property(
-        lambda s: orders.k_absolute_length_all(s.table, s.k, s.graph))
+        lambda s: orders.k_absolute_length_all(s.table, s.k))
 
     def single(self, s):
         """`is_order_preserving` of P^{s} on the intermediate poset, once."""
@@ -308,9 +306,7 @@ class _Refinement(_Check):
 
     def report(self):
         group = self.group
-        rep = orders.refinement_chain_check(
-            group.table, self.k_max, group.bruhat,
-            group.arcs.graph(reflections.t_k_set(group.table, self.k_max)))
+        rep = orders.refinement_chain_check(group.table, self.k_max, group.bruhat)
         return {"ok": rep.ok,
                 "containments": [[str(a), str(b), ok] for a, b, ok in rep.containments],
                 "equals_bruhat_at": rep.equals_bruhat_at}
@@ -404,7 +400,7 @@ class _Curvature(_Check):
     conjecture = True
 
     def row(self, s):
-        rep = curvature.curvature_spectrum(s.graph)
+        rep = curvature.curvature_spectrum(orders.omega_graph(s.ball, s.x_set))
         lo, hi = rep.kappa_min(), rep.kappa_max()  # None if every edge is skipped
         return {"k": s.k, "edges": rep.edge_count(), "skipped": len(rep.errors),
                 "kappa_min": None if lo is None else str(lo),

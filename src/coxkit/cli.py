@@ -218,7 +218,7 @@ def cmd_export(args) -> int:
     fmt = _format(args, ("dot", "json", "csv"))
     with open(args.input, encoding="utf-8") as fh:
         data = json.load(fh)
-    if "covers" not in data:
+    if not isinstance(data, dict) or "covers" not in data:
         raise UsageError("input is not a poset JSON file")
     poset = serialize.poset_from_json_dict(data)
     if fmt == "dot":

@@ -6,9 +6,10 @@ orders are strictly length-increasing, so reachability between two
 elements of the ball never depends on anything outside it; the graph
 still records how many arcs were dropped at the boundary.
 
-An `ArcTable` holds the rows t*a of a ball, each built once, when
-first read, and the arc graph of a set X (`OmegaGraph`) is a view of
-the rows of X; `omega_graph` builds a table for one set.
+Each ball keeps one `ArcTable` (`arc_table`): the rows t*a, each built
+once, when first read, and the arc graph of a set X (`OmegaGraph`,
+from `omega_graph`) is a view of the rows of X, so every reader of the
+ball shares them.
 
 The covers of an intermediate order are certified, not closed: every
 arc raises length, so a unit arc a -> t*a, l(t*a) = l(a) + 1, is a
@@ -29,9 +30,9 @@ from .posets import Poset
 from .reflections import ReflectionTable, t_k_set
 
 __all__ = [
-    "OmegaGraph", "ArcTable", "AbsoluteLengthTable", "omega_graph", "intermediate_poset",
-    "bruhat_poset", "k_absolute_length_all", "k_absolute_poset",
-    "refinement_chain_check", "RefinementReport",
+    "OmegaGraph", "ArcTable", "AbsoluteLengthTable", "arc_table", "omega_graph",
+    "intermediate_poset", "bruhat_poset", "k_absolute_length_all",
+    "k_absolute_poset", "refinement_chain_check", "RefinementReport",
 ]
 
 
@@ -61,9 +62,10 @@ class OmegaGraph:
 class ArcTable:
     """The rows t*a of a ball, each built when first read and kept with
     its boundary skips and its arcs sorted by rise.  The arc graph of any
-    set X is a view of it (`graph`), so a run that reads many sets, such
-    as the T_k slices or the order ideals of `coxkit check`, builds each
-    row once.  No reader mutates what the table holds."""
+    set X is a view of it (`graph`), so the readers of many sets, such
+    as the T_k slices or the order ideals of `coxkit check`, build each
+    row once.  One table is kept on each ball (`arc_table`).  No reader
+    mutates what the table holds."""
 
     def __init__(self, ball: GroupBall):
         self.ball = ball
@@ -162,29 +164,24 @@ class ArcTable:
                           boundary_skips=sum(self.skips[t] for t in xs), table=self)
 
 
+def arc_table(ball: GroupBall) -> ArcTable:
+    """The ball's one `ArcTable`, made on first use and kept on the ball."""
+    if ball._arcs is None:
+        ball._arcs = ArcTable(ball)
+    return ball._arcs
+
+
 def omega_graph(ball: GroupBall, x_set) -> OmegaGraph:
-    """The rows t*a for t in the set, every a in the ball, each built by
-    `ArcTable.row`."""
-    return ArcTable(ball).graph(x_set)
+    """The rows t*a for t in the set, every a in the ball: a view of the
+    ball's table (`arc_table`), whose rows are built on first read."""
+    return arc_table(ball).graph(x_set)
 
 
-def _arc_graph(ball: GroupBall, x_set, graph: OmegaGraph | None) -> OmegaGraph:
-    """`graph`, checked to be the arc graph of x_set on ball, or that
-    graph built now."""
-    if graph is None:
-        return omega_graph(ball, x_set)
-    if graph.ball is not ball or graph.x_set != frozenset(x_set):
-        raise DomainError("graph is not the arc graph of this set on this ball")
-    return graph
-
-
-def intermediate_poset(ball: GroupBall, x_set,
-                       graph: OmegaGraph | None = None) -> Poset:
+def intermediate_poset(ball: GroupBall, x_set) -> Poset:
     """Reachability order of the arc graph, on all ball elements.
 
     Complete for every pair inside the ball: each chain step increases
-    length, so witnessing chains cannot leave the ball.  `graph` is the
-    arc graph of x_set, if it is already built.
+    length, so witnessing chains cannot leave the ball.
 
     The covers are certified by a sweep over the unit arcs a -> t*a,
     l(t*a) = l(a) + 1 (see `_unit_covers`), and the poset is built from
@@ -193,7 +190,7 @@ def intermediate_poset(ball: GroupBall, x_set,
     from every arc (`Poset.from_relation`).  So the theorem that these
     orders are graded by length is tested here, not assumed.
     """
-    g = _arc_graph(ball, x_set, graph)
+    g = omega_graph(ball, x_set)
     rank = g.table.length
     metadata = {"kind": "intermediate-order", "x_size": len(g.x_set),
                 "boundary_skips": g.boundary_skips}
@@ -286,20 +283,15 @@ class AbsoluteLengthTable:
     lk: list[int]                 # distance from the identity in the arc graph
     witness_pred: list[int]       # BFS predecessor (smallest id), -1 at source
     witness_arc: list[int]        # reflection used to enter each node, -1 at source
-    # the rows t -> [t*a for a] lk was read off, if known
-    rows: dict | None = field(default=None, repr=False, compare=False)
 
 
-def k_absolute_length_all(table: ReflectionTable, k: int,
-                          graph: OmegaGraph | None = None) -> AbsoluteLengthTable:
-    """BFS distances from the identity along the k-sliced arc graph
-    (`graph`, if it is already built), read off its rows.  Of the
-    frontier, the smallest id is taken first, and it enters each new
-    node b by its one arc, t = b a^-1."""
+def k_absolute_length_all(table: ReflectionTable, k: int) -> AbsoluteLengthTable:
+    """BFS distances from the identity along the k-sliced arc graph, read
+    off its rows.  Of the frontier, the smallest id is taken first, and
+    it enters each new node b by its one arc, t = b a^-1."""
     ball = table.ball
     tk = t_k_set(table, k)  # raises when the slice is incomplete
-    g = _arc_graph(ball, tk, graph)
-    rows = list(g.rows.items())
+    rows = list(omega_graph(ball, tk).rows.items())
     n = len(ball)
     length = [ball.length(w) for w in range(n)]
     dist = [-1] * n
@@ -322,7 +314,7 @@ def k_absolute_length_all(table: ReflectionTable, k: int,
         raise IncompleteSliceError(
             "arc graph does not reach the whole ball; slice incomplete")
     return AbsoluteLengthTable(ball=ball, k=k, lk=dist, witness_pred=pred,
-                               witness_arc=arc, rows=g.rows)
+                               witness_arc=arc)
 
 
 def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
@@ -353,26 +345,22 @@ def k_absolute_poset(table: AbsoluteLengthTable) -> Poset:
     ball = table.ball
     nodes = list(range(len(ball)))
     metadata = {"kind": "k-absolute-order", "k": table.k, "flagged_pairs": 0}
-    steps = _unit_steps(ball, table.lk, table.rows) if ball.is_complete_group else None
+    steps = _unit_steps(ball, table.lk) if ball.is_complete_group else None
     if steps is not None:
         return Poset(nodes, steps, rank=table.lk, metadata=metadata)
     pairs, metadata["flagged_pairs"] = _pairs_by_definition(ball, table.lk)
     return Poset.from_relation(nodes, pairs, rank=table.lk, metadata=metadata)
 
 
-def _unit_steps(ball: GroupBall, lk, rows=None) -> list | None:
+def _unit_steps(ball: GroupBall, lk) -> list | None:
     """The pairs (u, t u) with lk(t u) = lk(u) + 1 for t in T = {t :
     lk(t) = 1}, read off one BFS from the identity over left
     multiplication by T; None unless that BFS gives the distances lk.
-    The products t u are read off `rows` (rows[t][u] = t u) when its
-    keys are T, as on a table from `k_absolute_length_all`, whose rows
-    are those of T_k: each reflection is one arc above the identity.
-    Otherwise each is multiplied."""
+    The products t u are read off the ball's table (`arc_table`), whose
+    rows have no BOUNDARY entry on a complete group; for lk from
+    `k_absolute_length_all`, T is T_k, and its rows are already built."""
     n = len(ball)
-    tk = [t for t in range(n) if lk[t] == 1]
-    if rows is None or sorted(rows) != tk:
-        rows = {t: [ball.multiply(t, u) for u in range(n)] for t in tk}
-    products = [rows[t] for t in tk]
+    products = [arc_table(ball).row(t) for t in range(n) if lk[t] == 1]
     dist = [-1] * n
     dist[ball.identity] = 0
     frontier = [ball.identity]
@@ -445,28 +433,26 @@ class RefinementReport:
 
 
 def refinement_chain_check(table: ReflectionTable, k_max: int,
-                           bruhat: Poset | None = None,
-                           graph: OmegaGraph | None = None) -> RefinementReport:
+                           bruhat: Poset | None = None) -> RefinementReport:
     """Containment of the intermediate orders as k grows, ending inside
     Bruhat order (`bruhat`, if it is already built): relation(k - 1) is
     a subset of relation(k) for each k <= k_max, and relation(k_max) of
     Bruhat order; and the least k whose relation is Bruhat order.
 
-    Decided on the slices X_k and one arc graph, that of X_{k_max}
-    (`graph`, if it is already built), with no poset of any slice.  The
-    arcs of slice k are its rows a -> t*a, t in X_k, so X_{k-1} <= X_k
-    makes every arc of slice k - 1 one of slice k.  Each arc raises
-    length, so it is a Bruhat relation (Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, Def. 2.1.1); the arcs of X_{k_max} with l(t*a) =
-    l(a) + 1 are tested to be covers of `bruhat`, which catches a poset
-    that is not Bruhat order.  Bruhat order is the closure of its covers
-    (2.2), and in relation(k) a relation between adjacent lengths is a
-    single arc, labelled v*u^-1.  So relation(k) is Bruhat order iff
-    every cover is a unit arc whose label lies in X_k, and the least
-    such k is (max l(label) - 1) // 2; None when some cover is no unit
-    arc of X_{k_max}, or the last row fails.  The unit arcs are distinct
-    pairs, so they are the covers when each is one and there are as
-    many.
+    Decided on the slices X_k and one arc graph, that of X_{k_max}, with
+    no poset of any slice.  The arcs of slice k are its rows a -> t*a, t
+    in X_k, so X_{k-1} <= X_k makes every arc of slice k - 1 one of
+    slice k.  Each arc raises length, so it is a Bruhat relation
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Def. 2.1.1); the
+    arcs of X_{k_max} with l(t*a) = l(a) + 1 are tested to be covers of
+    `bruhat`, which catches a poset that is not Bruhat order.  Bruhat
+    order is the closure of its covers (2.2), and in relation(k) a
+    relation between adjacent lengths is a single arc, labelled v*u^-1.
+    So relation(k) is Bruhat order iff every cover is a unit arc whose
+    label lies in X_k, and the least such k is (max l(label) - 1) // 2;
+    None when some cover is no unit arc of X_{k_max}, or the last row
+    fails.  The unit arcs are distinct pairs, so they are the covers
+    when each is one and there are as many.
     """
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
@@ -475,7 +461,7 @@ def refinement_chain_check(table: ReflectionTable, k_max: int,
     rows = [(k - 1, k, xs[k - 1] <= xs[k]) for k in range(1, k_max + 1)]
     if bruhat is None:
         bruhat = bruhat_poset(ball)
-    g = _arc_graph(ball, xs[-1], graph)
+    g = omega_graph(ball, xs[-1])
     n = len(ball)
     covers = {u * n + v for u, v in bruhat.covers}
     inside, units, top = True, 0, 1

@@ -92,20 +92,33 @@ def poset_to_json_dict(poset: Poset) -> dict:
 
 
 def poset_from_json_dict(data: dict) -> Poset:
-    """Inverse of `poset_to_json_dict`.  DomainError unless every cover
-    joins two node indices, a rank list has one entry per node, and the
-    covers have no cycle and are the covers of the order they generate."""
-    nodes = [tuple(x) if isinstance(x, list) else x for x in data["nodes"]]
+    """Inverse of `poset_to_json_dict`.  DomainError unless the nodes and
+    covers are lists, each node label can be hashed, every cover joins
+    two node indices, a rank list has one integer per node, metadata is
+    an object, and the covers have no cycle and are the covers of the
+    order they generate."""
+    nodes, covers, rank = data.get("nodes"), data.get("covers"), data.get("rank")
+    metadata, seq = data.get("metadata"), (list, tuple)
+    if not (isinstance(nodes, seq) and isinstance(covers, seq)):
+        raise DomainError("nodes and covers must be lists")
+    if not (rank is None or isinstance(rank, seq) and all(type(r) is int for r in rank)):
+        raise DomainError("rank must be a list of integers")
+    if not isinstance(metadata, (dict, type(None))):
+        raise DomainError("metadata must be an object")
+    nodes = [tuple(x) if isinstance(x, list) else x for x in nodes]
+    try:
+        set(nodes)
+    except TypeError as exc:
+        raise DomainError(f"a node label cannot be hashed: {exc}") from None
     n = len(nodes)
-    covers = [tuple(c) for c in data["covers"]]
     for c in covers:
-        if (len(c) != 2 or not all(type(i) is int and 0 <= i < n for i in c)
-                or c[0] == c[1]):
-            raise DomainError(f"cover {list(c)} does not join two of the {n} nodes")
-    rank = data.get("rank")
+        if (not isinstance(c, seq) or len(c) != 2
+                or not all(type(i) is int and 0 <= i < n for i in c) or c[0] == c[1]):
+            raise DomainError(f"cover {_jsonable(c)} does not join two of the {n} nodes")
+    covers = [tuple(c) for c in covers]
     if rank is not None and len(rank) != n:
         raise DomainError(f"rank list has {len(rank)} entries for {n} nodes")
-    poset = Poset.from_relation(nodes, covers, rank=rank, metadata=data.get("metadata"))
+    poset = Poset.from_relation(nodes, covers, rank=rank, metadata=metadata)
     reduced = set(poset.covers)
     for c in covers:
         if c not in reduced:

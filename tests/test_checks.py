@@ -96,7 +96,7 @@ def test_an_order_a_single_breaks_is_tested_for_every_j(monkeypatch):
     # so every P^J is tested on its own although its certificate holds
     ball = _ball("A3")
 
-    def right_weak(ball, X, graph=None):
+    def right_weak(ball, X):
         return Poset(range(len(ball)), [
             (w, x) for w, row in enumerate(ball.right) for x in row
             if x != BOUNDARY and ball.length(x) > ball.length(w)])
@@ -233,7 +233,7 @@ def test_refinement_builds_no_slice_poset_and_no_closure(monkeypatch, name, radi
     ("B3", list(checks.ALL_CHECKS), "tk")])
 def test_each_row_is_built_once_per_run(monkeypatch, name, names, ideal):
     # every slice or order ideal, and refinement's arc graph, read the
-    # run's one arc table
+    # ball's one arc table
     built = []
     build = checks.orders.ArcTable._build
 

@@ -6,9 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from coxkit import checks, cli, enumerate_ball, named_matrix
+from coxkit import DomainError, checks, cli, enumerate_ball, named_matrix
 from coxkit.checks import ALL_CHECKS, run_checks
 from coxkit.cli import main
+from coxkit.serialize import poset_from_json_dict
 
 
 def _run(capsys, argv):
@@ -400,9 +401,10 @@ def test_export_round_trip(tmp_path, capsys):
     code, _o, err = _run(capsys, ["export", "--in", str(path), "--format", "webp"])
     assert code == 2
     bad = tmp_path / "bad.json"
-    bad.write_text('{"hello": 1}')
-    code, _o, err = _run(capsys, ["export", "--in", str(bad)])
-    assert code == 2 and "not a poset" in err
+    for text in ('{"hello": 1}', '["covers"]', "5"):
+        bad.write_text(text)
+        code, _o, err = _run(capsys, ["export", "--in", str(bad)])
+        assert code == 2 and "not a poset" in err
 
 
 @pytest.mark.parametrize("poset,message", [
@@ -419,6 +421,29 @@ def test_export_rejects_a_malformed_poset(tmp_path, capsys, poset, message):
     for fmt in ("dot", "json", "csv"):
         code, out, err = _run(capsys, ["export", "--in", str(path), "--format", fmt])
         assert (code, out) == (2, "") and message in err
+
+
+@pytest.mark.parametrize("poset", [
+    {"covers": []},
+    {"nodes": 3, "covers": []},
+    {"nodes": [{"a": 1}], "covers": []},
+    {"nodes": [0, 1], "covers": 5},
+    {"nodes": [0, 1], "covers": [[0, 1]], "rank": 7},
+    {"nodes": [0, 1], "covers": [5]},
+    {"nodes": [0, 1], "covers": [[0, 1]], "rank": ["a", 1]},
+    {"nodes": [0, 1], "covers": [[0, 1]], "metadata": [1]},
+], ids=["no-nodes", "nodes-not-a-list", "unhashable-label", "covers-not-a-list",
+        "rank-not-a-list", "cover-not-a-pair", "rank-not-integers",
+        "metadata-not-an-object"])
+def test_a_poset_of_the_wrong_shape_is_a_domain_error(tmp_path, capsys, poset):
+    # a domain error (exit 2), not a traceback with the exit code of a
+    # failed theorem check
+    with pytest.raises(DomainError):
+        poset_from_json_dict(poset)
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset))
+    code, out, err = _run(capsys, ["export", "--in", str(path), "--format", "json"])
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

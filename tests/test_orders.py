@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from coxkit import (DomainError, IncompleteSliceError, OutOfBallError,
-                    enumerate_ball, named_matrix, parse_coxeter_matrix)
+from coxkit import (IncompleteSliceError, OutOfBallError, enumerate_ball,
+                    named_matrix, parse_coxeter_matrix)
 from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.matrices import longest_length
 from coxkit.orders import (ArcTable, _pairs_by_definition, bruhat_poset,
@@ -16,7 +16,6 @@ from coxkit.orders import (ArcTable, _pairs_by_definition, bruhat_poset,
 from coxkit.posets import check_graded
 from coxkit.projections import phi_k_image_poset
 from coxkit.reflections import max_k, reflections_in_ball, t_k_set, t_order_poset
-from coxkit.serialize import poset_to_json_dict
 
 from models import longest_first
 from oracles import (brute_closure, brute_covers, brute_k_absolute_covers,
@@ -136,19 +135,29 @@ def test_omega_graph_follows_rows_past_the_radius(spec, radius, monkeypatch):
     assert [(g.arcs, g.boundary_skips) for g in graphs] == expected
 
 
-def test_a_built_arc_graph_is_shared_only_where_it_fits(ball_b3, table_b3):
-    t1 = t_k_set(table_b3, 1)
-    g = omega_graph(ball_b3, t1)
-    assert (poset_to_json_dict(intermediate_poset(ball_b3, t1, g))
-            == poset_to_json_dict(intermediate_poset(ball_b3, t1)))
-    assert (k_absolute_length_all(table_b3, 1, g).lk
-            == k_absolute_length_all(table_b3, 1).lk)
-    with pytest.raises(DomainError):
-        intermediate_poset(ball_b3, t_k_set(table_b3, 0), g)
-    with pytest.raises(DomainError):
-        k_absolute_length_all(table_b3, 2, g)
-    with pytest.raises(DomainError):
-        intermediate_poset(enumerate_ball(named_matrix("B3"), 9), t1, g)
+def test_every_reader_of_a_ball_shares_its_rows(monkeypatch):
+    # the arc graph, the intermediate orders, the k-absolute lengths and
+    # orders and the refinement chain all read the ball's one table:
+    # each reflection's row is built once, and the k-absolute order
+    # multiplies nothing
+    ball, table = _complete("B3")
+    built, multiplied = [], []
+    build, multiply = ArcTable._build, GroupBall.multiply
+    monkeypatch.setattr(ArcTable, "_build",
+                        lambda arcs, t: built.append(t) or build(arcs, t))
+    monkeypatch.setattr(GroupBall, "multiply",
+                        lambda *a: multiplied.append(a) or multiply(*a))
+    k_max = max_k(table)
+    omega_graph(ball, t_k_set(table, 1))
+    for k in range(k_max + 1):
+        intermediate_poset(ball, t_k_set(table, k))
+    for k in range(k_max + 1):
+        alt = k_absolute_length_all(table, k)
+        before = len(multiplied)
+        k_absolute_poset(alt)
+        assert len(multiplied) == before
+    assert refinement_chain_check(table, k_max).ok
+    assert sorted(built) == sorted(table.reflections)
 
 
 def test_k0_is_left_weak_order(ball_a3, table_a3):
@@ -455,7 +464,7 @@ def test_the_sweep_gives_the_closure_of_every_slice(spec, radius, renumber):
     assert len(slices) > 1
     for x_set in slices:
         g = omega_graph(ball, x_set)
-        poset = intermediate_poset(ball, x_set, g)
+        poset = intermediate_poset(ball, x_set)
         assert poset._up is None
         less = brute_closure(n, [(a, b) for a, b, _t in g.arcs])
         assert poset.covers == sorted(brute_covers(less))
@@ -474,18 +483,18 @@ def with_extra_arc(build, t, a, b):
     return patched
 
 
-def test_a_long_arc_outside_the_unit_closure_closes_every_arc(
-        monkeypatch, ball_a3, table_a3):
+def test_a_long_arc_outside_the_unit_closure_closes_every_arc(monkeypatch):
     # s0 -> s1 s2 s1 rises by 2 and lies outside the closure of the unit
-    # arcs: the certificate fails, and the order is closed from every arc
-    ball = ball_a3
+    # arcs: the certificate fails, and the order is closed from every arc.
+    # The ball is built here, since it keeps the patched row
+    ball, table = _complete("A3")
     s0, b = ball.id_of_word([0]), ball.id_of_word([1, 2, 1])
     assert not ball.bruhat_leq(s0, b)
     monkeypatch.setattr(ArcTable, "_build", with_extra_arc(ArcTable._build, s0, s0, b))
-    for k in range(max_k(table_a3) + 1):
-        g = omega_graph(ball, t_k_set(table_a3, k))
+    for k in range(max_k(table) + 1):
+        g = omega_graph(ball, t_k_set(table, k))
         assert g.rows[s0][s0] == b  # was s0 s0 = e: no arc
-        poset = intermediate_poset(ball, g.x_set, g)
+        poset = intermediate_poset(ball, g.x_set)
         assert poset._up is not None  # closed by Poset.from_relation
         less = brute_closure(len(ball), [(a, c) for a, c, _t in g.arcs])
         assert (s0, b) in poset.covers
@@ -494,7 +503,8 @@ def test_a_long_arc_outside_the_unit_closure_closes_every_arc(
 
 def test_unit_steps_read_the_rows(monkeypatch):
     # the k-absolute order of a complete group multiplies nothing: its
-    # unit steps read t u off the rows its length table was read off
+    # unit steps read t u off the ball's rows, and they are the covers
+    # of the definition
     ball, table = _complete("A4")
     for k in range(max_k(table) + 1):
         alt = k_absolute_length_all(table, k)
@@ -504,8 +514,7 @@ def test_unit_steps_read_the_rows(monkeypatch):
         poset = k_absolute_poset(alt)
         assert calls == []
         monkeypatch.undo()
-        multiplied = k_absolute_poset(dataclasses.replace(alt, rows=None))
-        assert poset.covers == multiplied.covers
+        assert set(poset.covers) == brute_k_absolute_covers(ball, t_k_set(table, k))
 
 
 @pytest.mark.parametrize("name,k,covers", [
