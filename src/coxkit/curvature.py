@@ -9,17 +9,24 @@ expected values in the tests come from independent small-instance
 oracles.
 
 The edges of one `curvature_spectrum` call share a `_GraphCache`: each
-vertex's distance ball and boundary verdict is computed once per graph,
-and each transport problem, up to the order of its rows and columns, is
-solved once.  On a complete group whose X holds only involutions of odd
-length, the graph is vertex-transitive, and one transport problem per t
-in X gives every edge.
+vertex's boundary verdict is computed once per graph, and each transport
+problem, up to the order of its rows and columns, is solved once.  On a
+complete group whose X holds only involutions of odd length, the graph
+is vertex-transitive, and one transport problem per t in X gives every
+edge.
+
+When every element of X has odd length (every set of reflections, so
+every T_k slice), every arc joins lengths of opposite parity, so the
+distance between a neighbour u of x and a neighbour v of y, for an edge
+{x, y}, is odd and at most 3, through x and y: 1 if u and v are
+adjacent and 3 otherwise.  The cost matrices are then read off the
+neighbour sets, and a distance ball (a radius-3 BFS) is built only for
+an X with an element of even length.
 
 A problem whose cost matrix is square with entries 1 and 3 is solved as
-a maximum matching (see `_solve`).  Every edge of an arc graph of
-reflections with supports of one size gives one: reflections have odd
-length, so every arc joins lengths of opposite parity, and the distance
-between a neighbour of x and a neighbour of y is odd and at most 3.
+a maximum matching on the entries 1, seeded greedily (see `_solve`).
+Every edge of an arc graph of reflections with supports of one size
+gives one.
 """
 from __future__ import annotations
 
@@ -168,18 +175,25 @@ def wasserstein_1(supports_x, supports_y, dist_fn) -> tuple[Fraction, dict]:
 
 
 class _GraphCache:
-    """What the edges of one graph share: the undirected adjacency, each
-    vertex's distance ball of radius 3 (BFS once per vertex), on a
+    """What the edges of one graph share: the undirected adjacency, on a
     truncated ball each vertex's margin verdict (one radius-4 BFS), and
     the solved transport problems.
+
+    When every element of X has odd length, the cost between a neighbour
+    u of x and a neighbour v of y is 1 if v is a neighbour of u and 3
+    otherwise (see the module docstring), so no distance is searched.
+    Only an X with an element of even length needs each vertex's
+    distance ball of radius 3 (`distances`, one BFS per vertex).
 
     W1 between uniform measures depends only on the p x q cost matrix
     and not on the order of its rows and columns, so the key of a
     problem is its matrix with the rows and the columns sorted; the
-    stored plan is mapped back through the two permutations.  On a
-    complete group only the edges {e, t} reach here; the memo pays on
-    truncated balls, where every edge is solved (affA2 at radius 40,
-    k = 1: 2 solves instead of 4,095, and half the time).
+    stored plan is mapped back through the two permutations.  The memo
+    pays on truncated balls, where every edge is solved (affA2 at radius
+    40, k = 1: 2 solves instead of 4,095, and half the time), and on
+    complete groups too, where only the edges {e, t} reach here: the
+    check-suite batch of the benchmark (A3, B3, A4, H3) solves 62 of its
+    141 problems.
     """
 
     def __init__(self, graph, adj):
@@ -188,6 +202,7 @@ class _GraphCache:
         self.short: dict[int, int | None] = {}
         self.plans: dict[tuple, tuple[Fraction, dict]] = {}
         self.ball = ball = graph.ball
+        self.odd = all(ball.length(t) % 2 for t in graph.x_set)
         self.margin = None
         if not ball.is_complete_group:
             self.margin = max((ball.length(t) for t in graph.x_set), default=0)
@@ -208,9 +223,18 @@ class _GraphCache:
                  if ball.length(v) + margin > ball.radius), None)
         return self.short[x]
 
+    def costs(self, nx, ny):
+        """costs[i][j] = d(nx[i], ny[j]) for the neighbours nx of x and
+        ny of y, an edge: read off the neighbour sets when X is odd, and
+        off the distance balls otherwise, None past distance 3."""
+        if self.odd:
+            adj = self.adj
+            return [[1 if v in near else 3 for v in ny]
+                    for near in (adj[u] for u in nx)]
+        return [[d.get(v) for v in ny] for d in (self.distances(u) for u in nx)]
+
     def transport(self, nx, ny):
-        rows = [self.distances(u) for u in nx]
-        costs = [[d.get(v) for v in ny] for d in rows]
+        costs = self.costs(nx, ny)
         if any(None in row for row in costs):
             # raises DomainError naming the pair; nothing is cached
             return wasserstein_1(nx, ny, lambda u, v: self.distances(u).get(v))
@@ -224,9 +248,9 @@ class _GraphCache:
         col_sig = [sorted(col) for col in cols]
         rp = sorted(range(len(nx)), key=row_sig.__getitem__)
         cp = sorted(range(len(ny)),
-                    key=lambda j: (col_sig[j], [cols[j][i] for i in rp]))
-        rp.sort(key=lambda i: (row_sig[i], [costs[i][j] for j in cp]))
-        key = tuple(tuple(costs[i][j] for j in cp) for i in rp)
+                    key=lambda j: (col_sig[j], list(map(cols[j].__getitem__, rp))))
+        rp.sort(key=lambda i: (row_sig[i], list(map(costs[i].__getitem__, cp))))
+        key = tuple(tuple(map(costs[i].__getitem__, cp)) for i in rp)
         hit = self.plans.get(key)
         if hit is None:
             hit = self.plans[key] = _solve(key)
@@ -240,34 +264,47 @@ def _solve(costs) -> tuple[Fraction, dict]:
 
     A square matrix whose entries are all 1 or 3 is a matching problem,
     and every matrix of an arc graph of reflections is one when its
-    supports have the same size.  Reflections have odd length, so each
-    arc joins lengths of opposite parity; for an edge {x, y}, N(x) and
-    N(y) lie on opposite sides, so every distance between them is odd,
-    and it is at most 3, through x and y.  For uniform measures on p
-    points each, some optimal plan is a permutation (Birkhoff), and one
-    that uses nu entries 1 costs (3p - 2 nu) / p.  So W1 = (3p - 2 nu) / p
-    with nu a maximum matching on the entries 1 (one flow, all costs 0),
+    supports have the same size (see the module docstring).  For uniform
+    measures on p points each, some optimal plan is a permutation
+    (Birkhoff), and one that uses nu entries 1 costs (3p - 2 nu) / p.
+    So W1 = (3p - 2 nu) / p with nu a maximum matching on the entries 1,
     and the plan is the matching with the unmatched rows paired to the
-    unmatched columns at cost 3.  Every other matrix is solved by
+    unmatched columns at cost 3.
+
+    The entries 1 are matched greedily first, row by row.  A perfect
+    greedy matching is maximum, and no flow is run; otherwise it seeds
+    the matching network, and `MinCostFlow.run` augments from it.  That
+    is exact: every cost on the network is 0, so any flow is of least
+    cost for its value.  Every other matrix is solved by
     `wasserstein_1`.
     """
     p = len(costs)
     if p != len(costs[0]) or not {c for row in costs for c in row} <= {1, 3}:
         return wasserstein_1(range(p), range(len(costs[0])),
                              lambda i, j: costs[i][j])
-    mcf = MinCostFlow(2 * p + 2)
-    s, t = 2 * p, 2 * p + 1
-    for i in range(p):
-        mcf.add_edge(s, i, 1, 0)
-        mcf.add_edge(p + i, t, 1, 0)
-    ones = {(i, j): mcf.add_edge(i, p + j, 1, 0)
-            for i, row in enumerate(costs) for j, c in enumerate(row) if c == 1}
-    nu, _cost = mcf.run(s, t)
-    pairs = [ij for ij, e in ones.items() if mcf.edge_flow(e)]
+    ones = [[j for j, c in enumerate(row) if c == 1] for row in costs]
+    pairs, taken = [], set()
+    for i, js in enumerate(ones):
+        for j in js:
+            if j not in taken:
+                taken.add(j)
+                pairs.append((i, j))
+                break
+    if len(pairs) < p:
+        mcf = MinCostFlow(2 * p + 2)
+        s, t = 2 * p, 2 * p + 1
+        source = [mcf.add_edge(s, i, 1, 0) for i in range(p)]
+        sink = [mcf.add_edge(p + j, t, 1, 0) for j in range(p)]
+        edges = {(i, j): mcf.add_edge(i, p + j, 1, 0)
+                 for i, js in enumerate(ones) for j in js}
+        for i, j in pairs:
+            mcf.push((source[i], edges[i, j], sink[j]))
+        mcf.run(s, t)
+        pairs = [ij for ij, e in edges.items() if mcf.edge_flow(e)]
     rows_left = sorted(set(range(p)).difference(i for i, _j in pairs))
     cols_left = sorted(set(range(p)).difference(j for _i, j in pairs))
     mass = Fraction(1, p)
-    return (Fraction(3 * p - 2 * nu, p),
+    return (Fraction(3 * p - 2 * len(pairs), p),
             {ij: mass for ij in pairs + list(zip(rows_left, cols_left))})
 
 

@@ -7,10 +7,12 @@ Hasse diagram: unit augmentations give the chain gains, from which
 every Greene-Kleitman number follows, and the potentials of one more
 run give an h-family witness.  The strong Sperner check runs the flows
 only on the posets that no contained, strongly Sperner poset on the
-same nodes certifies.  The curvature layer runs it once per
-distinct transport problem of a graph: with all costs 0 on the entries
-1 of a square matrix of entries 1 and 3, where a maximum matching gives
-W1, and as a transportation network on any other matrix.
+same nodes certifies.  The curvature layer runs it at most
+once per distinct transport problem of a graph: on a square matrix of
+entries 1 and 3, where a maximum matching on the entries 1 gives W1,
+as a matching network with all costs 0, seeded (`push`) with a greedy
+matching and run only when that matching is not perfect; on any other
+matrix, as a transportation network.
 
 All capacities and costs are integers, so optima are exact.
 """
@@ -96,6 +98,14 @@ class MinCostFlow:
             flow += push
             total_cost += push * dist[t]
         return flow, total_cost
+
+    def push(self, path) -> None:
+        """Push one unit along the path, a list of edge ids from
+        `add_edge`, each with residual capacity."""
+        cap = self.cap
+        for e in path:
+            cap[e] -= 1
+            cap[e ^ 1] += 1
 
     def edge_flow(self, idx: int) -> int:
         return self.cap[idx ^ 1]

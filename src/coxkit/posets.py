@@ -614,6 +614,13 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
     suffix of F's holds around v, less holds[v].  So a test reads the
     used facets against one such set per vertex of F, and ANDs the
     holds of the walls it finds, in O(|F|) big-int operations.
+
+    W(F) is empty unless some used G has |F - G| = 1, so only the
+    frontier, the unused facets in near[g] for some used g (near[g] is
+    the set of facets F with |F - G| = 1), is tested, by increasing
+    index; the frontier of each depth is kept on a stack, pushed on each
+    add and popped on each undo.  A facet outside it fails the test, so
+    the search visits the same nodes in the same order.
     """
     facets = list(dict.fromkeys(complex.facets))
     m = len(facets)
@@ -635,6 +642,13 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
         prefix = list(accumulate(hs[:-1], int.__and__, initial=every))
         suffix = list(accumulate(reversed(hs[1:]), int.__and__, initial=every))[::-1]
         rows.append([(pre & suf & ~h, h) for pre, suf, h in zip(prefix, suffix, hs)])
+    near = [0] * m  # near[g]: the facets F with |F - G| = 1
+    for f, row in enumerate(rows):
+        adjacent = 0  # the facets G with |F - G| = 1
+        for across, _h in row:
+            adjacent |= across
+        for g in _bits(adjacent):
+            near[g] |= 1 << f
 
     def can_add(f, used_set):
         held = used_set  # the used facets that contain the walls found
@@ -655,6 +669,7 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
         searched again."""
         nonlocal nodes
         used, used_set = [first], 1 << first
+        frontier = [near[first]]  # frontier[d]: near[g] over the used g
         stack: list[int] = []
         while True:
             if len(used) == m:
@@ -663,24 +678,34 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
                 if not stack:
                     return None
                 used_set ^= 1 << used.pop()
+                frontier.pop()
             else:
                 nodes += 1
                 if nodes > node_budget:
                     raise ResourceError("shelling search budget exceeded")
                 stack.append(0)
             while True:  # advance the deepest open state, or backtrack
-                f = next((g for g in range(stack[-1], m)
-                          if not used_set >> g & 1 and can_add(g, used_set)), None)
+                # the unused frontier facets from index stack[-1] on
+                todo = frontier[-1] & ~used_set & -(1 << stack[-1])
+                f = None
+                while todo:
+                    g = (todo & -todo).bit_length() - 1
+                    if can_add(g, used_set):
+                        f = g
+                        break
+                    todo ^= 1 << g
                 if f is not None:
                     stack[-1] = f + 1
                     used.append(f)
                     used_set |= 1 << f
+                    frontier.append(frontier[-1] | near[f])
                     break
                 stack.pop()
                 dead.add(used_set)
                 if not stack:
                     return None
                 used_set ^= 1 << used.pop()
+                frontier.pop()
 
     # any facet may start a shelling, so each is tried as a root
     try:

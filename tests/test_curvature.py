@@ -14,6 +14,7 @@ from coxkit import curvature
 from coxkit.curvature import (CONVENTION, curvature_spectrum,
                               ollivier_ricci_edge, undirected_adjacency,
                               wasserstein_1)
+from coxkit.flows import MinCostFlow
 from coxkit.orders import omega_graph
 from coxkit.reflections import reflections_in_ball, t_k_set
 from coxkit.serialize import curvature_to_csv, curvature_to_json_dict
@@ -23,8 +24,10 @@ from oracles import brute_w1
 
 def _stub_graph(edges):
     """A graph object backed by an explicit edge list (complete-group
-    ball stub, so no boundary-margin checks apply)."""
-    ball = SimpleNamespace(is_complete_group=True)
+    ball stub, so no boundary-margin checks apply).  Its X is {0}, of
+    length 0: an even length, so distances are searched, not read off
+    the parity of the arcs."""
+    ball = SimpleNamespace(is_complete_group=True, length=lambda w: 0)
     arcs = [(a, b, 0) for a, b in edges]
     return SimpleNamespace(ball=ball, arcs=arcs, x_set=frozenset({0}))
 
@@ -399,20 +402,138 @@ def test_other_matrices_take_the_general_path(monkeypatch):
     assert len(calls) == 3
 
 
+def _oracle_costs(adj, nx, ny, balls):
+    """The cost matrix between nx and ny by radius-3 BFS, one ball per
+    row vertex, kept in balls."""
+    for u in nx:
+        if u not in balls:
+            balls[u] = curvature._bfs_distances(adj, u, 3)
+    return [[balls[u][v] for v in ny] for u in nx]
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "B4"])
 def test_every_class_edge_is_a_matching_problem(name):
     # reflections have odd length, so the cost matrix of each edge {e, t}
-    # is square with entries 1 and 3, and the matching gives the W1 of
-    # the general solver
+    # is read off the neighbour sets; it is that of the BFS, square with
+    # entries 1 and 3, and the matching gives the W1 of the general solver
     for _k, graph in _complete_slices(name):
         cache = curvature._GraphCache(graph, curvature._RowAdjacency(graph.rows))
+        assert cache.odd
+        balls = {}
         nx = sorted(cache.adj[graph.ball.identity])
         for t in graph.rows:
             ny = sorted(cache.adj[t])
-            costs = [[cache.distances(u)[v] for v in ny] for u in nx]
+            costs = cache.costs(nx, ny)
+            assert costs == _oracle_costs(cache.adj, nx, ny, balls)
             assert len(nx) == len(ny)
             assert {c for row in costs for c in row} <= {1, 3}
             w1, plan = curvature._solve(costs)
             assert w1 == wasserstein_1(range(len(nx)), range(len(ny)),
                                        lambda i, j: costs[i][j])[0]
             assert _coupling_cost(costs, plan) == w1
+
+
+@pytest.mark.parametrize("name,radius", [("affA2", 12), ("affC2", 10), ("B3", 4)])
+def test_every_truncated_edge_cost_is_the_bfs_distance(name, radius):
+    # on a truncated ball the arcs still join lengths of opposite parity,
+    # so every edge's costs read off the neighbour sets are the distances
+    # of the BFS, margin or not
+    ball = enumerate_ball(named_matrix(name), radius)
+    table = reflections_in_ball(ball)
+    for k in range((radius + 1) // 2):  # the slices 2k + 1 <= radius
+        graph = omega_graph(ball, t_k_set(table, k))
+        adj = undirected_adjacency(graph)
+        cache = curvature._GraphCache(graph, adj)
+        assert cache.odd
+        balls = {}
+        for x, y in sorted({(min(a, b), max(a, b)) for a, b, _t in graph.arcs}):
+            nx, ny = sorted(adj[x]), sorted(adj[y])
+            assert cache.costs(nx, ny) == _oracle_costs(adj, nx, ny, balls), (k, x, y)
+
+
+def _bfs_radii(monkeypatch):
+    """The depth cap of each `_bfs_distances` call from here on."""
+    radii = []
+    bfs = curvature._bfs_distances
+    monkeypatch.setattr(curvature, "_bfs_distances",
+                        lambda adj, u, cap: radii.append(cap) or bfs(adj, u, cap))
+    return radii
+
+
+def test_an_odd_set_searches_no_distance(monkeypatch, ball_b3, table_b3):
+    # the class path on a complete group, and the edge path on a
+    # truncated ball, where only the radius-4 margin BFS runs
+    radii = _bfs_radii(monkeypatch)
+    report = curvature_spectrum(omega_graph(ball_b3, t_k_set(table_b3, 1)))
+    assert report.classes is not None and radii == []
+    ball = enumerate_ball(named_matrix("affA2"), 12)
+    report = curvature_spectrum(omega_graph(ball, t_k_set(reflections_in_ball(ball), 0)))
+    assert report.classes is None and report.records and report.errors
+    assert radii and set(radii) == {4}
+
+
+@pytest.mark.parametrize("words,edges", [
+    pytest.param([(0, 2)], 6, id="s0s2"),
+    pytest.param([(0, 2), (1,)], 18, id="s0s2+s1")])
+def test_an_even_involution_still_searches_distances(monkeypatch, ball_a3,
+                                                     words, edges):
+    # s0 s2 of A3 has length 2: its arcs join lengths of one parity, so
+    # the costs are distances of the BFS, with s1 in X as well
+    radii = _bfs_radii(monkeypatch)
+    graph = omega_graph(ball_a3, {ball_a3.id_of_word(w) for w in words})
+    adj = undirected_adjacency(graph)
+    assert not curvature._GraphCache(graph, adj).odd
+    report = curvature_spectrum(graph)
+    assert report.classes is None and len(report.records) == edges
+    assert 3 in radii
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda p: st.lists(
+    st.lists(st.sampled_from([1, 3]), min_size=p, max_size=p),
+    min_size=p, max_size=p)))
+def test_the_seeded_matching_is_exact(costs):
+    _check_seeded_matching(costs)
+
+
+@pytest.mark.parametrize("costs", [
+    [[1, 1], [1, 3]],
+    [[1, 1, 3], [1, 3, 3], [3, 1, 1]],
+    [[1, 1, 1], [1, 3, 3], [1, 3, 3]],
+    [[3, 3], [3, 3]],
+])
+def test_the_seeded_matching_when_greedy_is_not_maximum(costs):
+    assert _greedy_size(costs) < len(costs)
+    _check_seeded_matching(costs)
+
+
+def _greedy_size(costs):
+    """The size of the matching of each row to its first free column of
+    entry 1."""
+    taken = set()
+    for row in costs:
+        free = [j for j, c in enumerate(row) if c == 1 and j not in taken]
+        taken.update(free[:1])
+    return len(taken)
+
+
+def _check_seeded_matching(costs):
+    # W1 is that of the brute force, the plan a coupling of that cost,
+    # and the flow runs once only when the greedy matching is not
+    # perfect, from it: one search per augmentation past the greedy
+    # matching, and one that finds no path
+    runs, searches = [], []
+    run, search = MinCostFlow.run, MinCostFlow.shortest_paths
+    MinCostFlow.run = lambda self, *a, **kw: runs.append(1) or run(self, *a, **kw)
+    MinCostFlow.shortest_paths = (lambda self, s: searches.append(1)
+                                  or search(self, s))
+    try:
+        w1, plan = curvature._solve(costs)
+    finally:
+        MinCostFlow.run, MinCostFlow.shortest_paths = run, search
+    p = len(costs)
+    assert w1 == brute_w1(p, p, costs)
+    assert _coupling_cost(costs, plan) == w1
+    greedy, nu = _greedy_size(costs), (3 * p - w1 * p) / 2
+    assert len(runs) == (0 if greedy == p else 1)
+    assert len(searches) == (0 if greedy == p else nu - greedy + 1)
