@@ -48,6 +48,7 @@ class GroupBall:
         # the roots of the reflections, built on first use by
         # coxkit.reflections when every finite bond is 2, 3, 4 or 6
         self._roots = None
+        self._sweep = None  # the conjugation sweep of coxkit.reflections._sweep
         self._arcs = None  # the ball's table of rows t*a (coxkit.orders.arc_table)
 
     # -- basic accessors ------------------------------------------------
@@ -376,16 +377,17 @@ def enumerate_ball(matrix: CoxeterMatrix, radius: int,
         level = next_level
         if not level:
             break
-    # w^-1 is the identity times w's letters in reverse, read off the parents
+    # left rows and inverses in one pass over the ids: for x = w*s,
+    # t*x = (t*w)*s and x^-1 = s*w^-1.  w and w^-1 are shorter than x, so
+    # their rows come first (ids are sorted by length), and t*w is no
+    # longer than x, so inside the ball
     n = len(lengths)
+    left = [list(right[0])]
     inv = [0] * n
     for x in range(1, n):
-        z, y = 0, x
-        while y:
-            y, s = parent[y]
-            z = right[z][s]
-        inv[x] = z
-    left = _left_from_right(right, inv, rank)
+        w, s = parent[x]
+        left.append([right[y][s] for y in left[w]])
+        inv[x] = left[inv[w]][s]
     # ShortLex normal form: smallest left descent first, recursively
     words = [b""] * n
     for w in range(1, n):  # ids are sorted by length
@@ -395,14 +397,3 @@ def enumerate_ball(matrix: CoxeterMatrix, radius: int,
     elements = [Element(i, words[i], lengths[i]) for i in range(n)]
     return GroupBall(matrix, radius, elements, right, left, inv, complete)
 
-
-def _left_from_right(right, inv, rank):
-    left = []
-    for w in range(len(right)):
-        iw = inv[w]
-        row = []
-        for s in range(rank):
-            t = right[iw][s]
-            row.append(BOUNDARY if t == BOUNDARY else inv[t])
-        left.append(row)
-    return left

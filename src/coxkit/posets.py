@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
 from .errors import DomainError, ResourceError
 from .flows import MinCostFlow
@@ -24,7 +24,9 @@ class Poset:
 
     def __init__(self, nodes, covers, rank=None, metadata=None, _up=None):
         self.nodes = list(nodes)
-        self.covers = sorted(set(covers))
+        covers = sorted(covers)  # then drop the duplicates, adjacent once sorted
+        self.covers = covers[:1] + [c for b, c in zip(covers, islice(covers, 1, None))
+                                     if c != b]
         self.rank = list(rank) if rank is not None else None
         self.metadata = dict(metadata or {})
         self._index = {x: i for i, x in enumerate(self.nodes)}

@@ -1,9 +1,12 @@
 """Reflections of a Coxeter system, length slices, dihedral reflection
 subgroups with canonical generators, and the reflection order.
 
-A reflection is any conjugate w s w^-1 of a generator.  Every
-reflection of length <= L arises with l(w s w^-1) = 2 l(w) + 1, so a
-sweep over the half ball is exhaustive.
+A reflection is any conjugate w s w^-1 of a generator.  The
+reflections of a ball are found by conjugation from the generators up:
+a reflection r of length L >= 3 is s (s r s) s with s its first
+letter and l(s r s) = L - 2, so conjugating each reflection t found by
+each generator s that is not a left descent of t, while l(t) + 2 <= L,
+meets every reflection of length <= L (see `_sweep`).
 
 For two reflections t, t' the subgroup W' = <t, t'> is dihedral, and
 its canonical generating pair is its two reflections of internal length
@@ -125,17 +128,47 @@ class ReflectionSubgroup:
 
 
 def reflections_in_ball(ball: GroupBall) -> ReflectionTable:
-    """All reflections of length <= radius, by the w s w^-1 sweep."""
-    gen_ids = [ball.right[ball.identity][s] for s in ball.matrix.generators]
-    out = set()
-    for e in ball.elements:
-        if 2 * e.length + 1 > ball.radius:
-            continue
-        w_inv = ball.inverse(e.id)
-        for g in gen_ids:
-            ws = ball.multiply(e.id, g)
-            out.add(ball.multiply(ws, w_inv))
+    """All reflections of length <= radius: the generators and every
+    s*t*s of the conjugation sweep (`_sweep`)."""
+    gens, steps = _sweep(ball)
+    out = [g for _s, g in gens] + [y for _t, _s, y in steps]
     return ReflectionTable(ball=ball, reflections=tuple(sorted(out)))
+
+
+def _sweep(ball: GroupBall):
+    """([(s, id of s)] over the generators in the ball, [(t, s, s*t*s)]),
+    the second list holding each reflection of length >= 3 once, level by
+    level from the generators up; built once and kept on the ball.
+
+    For a reflection t of length n <= radius - 2 and s not a left
+    descent of t, s*t*s is t or a reflection of length n + 2, so both
+    products stay in the ball and each is one table lookup of
+    `GroupBall.multiply` by the generator's id.  Every reflection r of
+    length L >= 3 is met, from s*r*s with s its first letter, of length
+    L - 2 (Bjorner and Brenti, Combinatorics of Coxeter Groups, ch. 1).
+    Neither argument rests on the ids being sorted by length."""
+    if ball._sweep is None:
+        left, elements = ball.left, ball.elements
+        gens = [(s, g) for s, g in enumerate(ball.right[ball.identity])
+                if g != BOUNDARY]
+        found = {g for _s, g in gens}
+        level, steps = [g for _s, g in gens], []
+        n = 1
+        while level and n + 2 <= ball.radius:
+            nxt = []
+            for t in level:
+                for s, g in gens:
+                    if elements[left[t][s]].length < n:
+                        continue
+                    y = ball.multiply(ball.multiply(g, t), g)
+                    if y not in found:
+                        found.add(y)
+                        steps.append((t, s, y))
+                        nxt.append(y)
+            level = nxt
+            n += 2
+        ball._sweep = (gens, steps)
+    return ball._sweep
 
 
 def t_k_set(table: ReflectionTable, k: int) -> frozenset[int]:
@@ -200,12 +233,11 @@ def _root_table(ball: GroupBall):
     root is its coordinates on the simple roots; a coroot is kept as its
     pairings with the simple roots, so <t^v, b> is one dot product.
 
-    The table grows by length from the generators: for t of length n
-    and s an ascent of t, s*t*s is t or has length n + 2, and its root
-    and coroot are s applied to t's, both positive since t != s.  Every
-    reflection r of length n + 2 is met, from s*r*s with s its first
-    letter, so the ids in the table are exactly the reflections of the
-    ball, each proven once.
+    The table reads the conjugation sweep (`_sweep`) from the
+    generators up: the root and coroot of a new s*t*s are s applied to
+    t's, both positive since s*t*s != t.  The sweep meets each reflection
+    of the ball once, so the ids in the table are exactly those
+    reflections, each proven once.
 
     The key of a vector b is the integer sum b_i B^i, with B a power of
     two above twice any coordinate of root u - <t^v, root u> root t over
@@ -214,35 +246,16 @@ def _root_table(ball: GroupBall):
     t*u*t with one integer product."""
     if ball._roots is None:
         a = _cartan(ball.matrix)
-        left, right, elements = ball.left, ball.right, ball.elements
         rank = ball.matrix.rank
-        roots = {}
-        level = []
-        for s in range(rank):
-            x = right[ball.identity][s]
-            if x != BOUNDARY:
-                roots[x] = (tuple(int(i == s) for i in range(rank)), a[s])
-                level.append(x)
-        n = 1
-        while level:
-            nxt = []
-            for t in level:
-                root, coroot = roots[t]
-                for s in range(rank):
-                    x = left[t][s]
-                    if x == BOUNDARY or elements[x].length < n:
-                        continue
-                    y = right[x][s]
-                    if y == BOUNDARY or y in roots:
-                        continue
-                    b = list(root)
-                    b[s] -= sum(map(mul, a[s], root))
-                    k = coroot[s]
-                    roots[y] = (tuple(b),
-                                tuple(c - k * d for c, d in zip(coroot, a[s])))
-                    nxt.append(y)
-            level = nxt
-            n += 2
+        gens, steps = _sweep(ball)
+        roots = {g: (tuple(int(i == s) for i in range(rank)), a[s])
+                 for s, g in gens}
+        for t, s, y in steps:
+            root, coroot = roots[t]
+            b = list(root)
+            b[s] -= sum(map(mul, a[s], root))
+            k = coroot[s]
+            roots[y] = (tuple(b), tuple(c - k * d for c, d in zip(coroot, a[s])))
         big = max((abs(c) for root, _ in roots.values() for c in root), default=0)
         co = max((abs(c) for _, coroot in roots.values() for c in coroot),
                  default=0)

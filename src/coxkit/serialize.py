@@ -11,7 +11,7 @@ import csv
 import io
 import json
 
-from .ball import BOUNDARY, Element, GroupBall, _left_from_right
+from .ball import BOUNDARY, Element, GroupBall
 from .errors import DomainError
 from .matrices import CoxeterMatrix
 from .posets import Poset
@@ -64,6 +64,20 @@ def ball_from_json_dict(data: dict) -> GroupBall:
     right = _left_from_right(left, inv, rank)  # the identity is its own mirror
     complete = all(v != BOUNDARY for row in left for v in row)
     return GroupBall(matrix, data["radius"], elements, right, left, inv, complete)
+
+
+def _left_from_right(right, inv, rank):
+    """The left table from the right one and the inverses: s*w =
+    (w^-1 * s)^-1.  Swapping the tables gives the right one back."""
+    left = []
+    for w in range(len(right)):
+        iw = inv[w]
+        row = []
+        for s in range(rank):
+            t = right[iw][s]
+            row.append(BOUNDARY if t == BOUNDARY else inv[t])
+        left.append(row)
+    return left
 
 
 # -- posets -------------------------------------------------------------------

@@ -474,6 +474,21 @@ def brute_w1(p, q, costs):
 # -- reflection order ---------------------------------------------------------
 
 
+def brute_reflections(ball):
+    """Every w s w^-1 with 2 l(w) + 1 <= radius, multiplied out over the
+    half ball, sorted: a reflection of length 2k + 1 has a palindromic
+    reduced word, so it is w s w^-1 with w its first k letters."""
+    gen_ids = [ball.right[ball.identity][s] for s in ball.matrix.generators]
+    out = set()
+    for e in ball.elements:
+        if 2 * e.length + 1 > ball.radius:
+            continue
+        w_inv = ball.inverse(e.id)
+        for g in gen_ids:
+            out.add(ball.multiply(ball.multiply(e.id, g), w_inv))
+    return tuple(sorted(out))
+
+
 def brute_t_order_pairs(table):
     """Label pairs (a, b) with a below b in the dihedral reflection
     subgroup <t, t'> of some pair of reflections, by sweeping every pair:

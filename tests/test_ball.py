@@ -49,21 +49,34 @@ def test_backend_equivalence_truncated():
 
 @pytest.mark.parametrize("spec,radius", [
     ("H3", 15), ("affA2", 8), ("affC2", 8),
-    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, id="hyperbolic-8"), ("F4", 10)])
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, id="hyperbolic-8"), ("F4", 10),
+    ("B3", 0)])
 def test_engine_matches_word_kernel(spec, radius):
     # types without a model: every in-table edge w -> w*s is the ShortLex
-    # form the braid-move oracle gives for word(w) + s
+    # form the braid-move oracle gives for word(w) + s, every left entry
+    # the one of s + word(w) (BOUNDARY when that is longer than the
+    # radius), and the inverse the one of the reversed word
     matrix = parse_coxeter_matrix(spec)
     ball = enumerate_ball(matrix, radius)
+    ids = {ball.word(w): w for w in range(len(ball))}
+
+    def id_of(word):
+        form = bytes(braid_normal_form(matrix, word))
+        assert form in ids or len(form) > radius
+        return ids.get(form, BOUNDARY)
+
     assert ball.word(ball.identity) == b""
     for w in range(len(ball)):
-        assert ball.length(w) == len(ball.word(w))
+        word = ball.word(w)
+        assert ball.length(w) == len(word)
+        assert ball.inv[w] == id_of(word[::-1])
         for s in matrix.generators:
+            assert ball.left[w][s] == id_of(bytes([s]) + word)
             ws = ball.right[w][s]
             if ws == BOUNDARY:
                 assert ball.length(w) == radius
                 continue
-            assert ball.word(ws) == bytes(braid_normal_form(matrix, ball.word(w) + bytes([s])))
+            assert ball.word(ws) == bytes(braid_normal_form(matrix, word + bytes([s])))
             assert ball.right[ws][s] == w
     assert all(ball.id_of_word(ball.word(w)) == w for w in range(len(ball)))
 

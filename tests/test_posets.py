@@ -58,6 +58,14 @@ def test_covers_drop_transitive_edges():
     assert p.leq(0, 2) and p.lt(0, 2) and not p.leq(2, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20)
+       .flatmap(lambda covers: st.permutations(covers + covers[::2])))
+def test_covers_are_stored_sorted_once(covers):
+    # the constructor takes covers as given, unsorted and repeated
+    assert Poset(range(6), covers).covers == sorted(set(covers))
+
+
 @st.composite
 def _messy_dags(draw, graded=False):
     """A DAG on shuffled labels, given as generating pairs with

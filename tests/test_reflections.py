@@ -15,8 +15,9 @@ from coxkit.reflections import (dihedral_subgroup, reflections_in_ball, t_k_set,
                                 t_order_poset)
 
 from models import longest_first
-from oracles import (brute_closure, brute_covers, brute_t_order_pairs,
-                     omega_distance_in_dihedral, reference_dihedral_subgroup)
+from oracles import (brute_closure, brute_covers, brute_reflections,
+                     brute_t_order_pairs, omega_distance_in_dihedral,
+                     reference_dihedral_subgroup)
 
 
 def _ball(spec, radius, renumber=False):
@@ -51,6 +52,29 @@ def test_tk_nested_and_exhaustive(ball_b3, table_b3):
     for a, b in zip(slices, slices[1:]):
         assert a <= b
     assert slices[-1] == set(table_b3.reflections)
+
+
+@pytest.mark.parametrize("renumber", [False, True],
+                         ids=["by-length", "longest-first"])
+@pytest.mark.parametrize("spec,radius", [
+    ("A3", None), ("B3", None), ("H3", None), ("A4", None), ("B4", None),
+    ("F4", None), ("D5", None), ("B3", 4), ("B3", 5), ("affC2", 10),
+    ("affG2", 10), ("I2(inf)", 30), ("B3", 0), ("B3", 1),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10"),
+    pytest.param("1 5 2; 5 1 3; 2 3 1", 9, id="cycle-5-2-3-9")])
+def test_reflections_match_the_half_ball_sweep(spec, radius, renumber):
+    ball = _ball(spec, radius, renumber)
+    assert reflections_in_ball(ball).reflections == brute_reflections(ball)
+
+
+def test_reflections_take_one_lookup_per_product(monkeypatch):
+    # two products for each (t, s) with s not a left descent of t, where
+    # the half-ball sweep takes 2 * rank per element of the half ball
+    ball = _ball("B5", None)
+    calls = _calls(monkeypatch, GroupBall, "multiply")
+    found = reflections_in_ball(ball).reflections
+    assert len(found) == 25
+    assert len(calls) <= 2 * ball.matrix.rank * len(found)
 
 
 def test_tk_incomplete_slice_error():
