@@ -12,9 +12,10 @@ from a radius-0 ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import OutOfBallError, ResourceError
-from .matrices import CoxeterMatrix
+from .matrices import INF, CoxeterMatrix
 
 BOUNDARY = -1
 
@@ -40,7 +41,7 @@ class GroupBall:
         # len(elements) on: their right rows (None = not yet known),
         # lengths and right-descent masks; `_rim` holds w*s for the top
         # level's ascents
-        self._bonds = _bonds(matrix)
+        self._bonds = _bonds(matrix.entries)
         self._rows: list[list] = []
         self._lengths: list[int] = []
         self._descents: list[int] = []
@@ -192,60 +193,83 @@ class GroupBall:
         n = len(self.elements)
         return self.elements[x].length if x < n else self._lengths[x - n]
 
-    def _is_descent(self, x: int, s: int) -> bool:
-        n = len(self.elements)
-        if x >= n:
-            return bool(self._descents[x - n] >> s & 1)
-        y = self.right[x][s]
-        return y != BOUNDARY and self.elements[y].length < self.elements[x].length
-
     def _times(self, x: int, s: int) -> int:
-        """x*s for x in the ball or beyond it; a new element is added as in
-        `enumerate_ball`, from elements of smaller length."""
+        """x*s for x in the ball or beyond it.  A new z = x*s is added as
+        in `enumerate_ball`, from elements of smaller length: the {s, t}
+        part of x is stripped by its descent test, written out in two
+        branches (inside the ball, a right product that is shorter;
+        beyond it, the kept descent mask), and only the tail letters,
+        which climb back to z*t, take a `_times` step, the only step that
+        can create an element."""
         n = len(self.elements)
+        right, rows = self.right, self._rows
         if x < n:
-            y = self.right[x][s]
+            y = right[x][s]
             if y != BOUNDARY:
                 return y
             z = self._rim.get((x, s))
         else:
-            z = self._rows[x - n][s]
+            z = rows[x - n][s]
         if z is not None:
             return z
         # z is new: had it been met before, it would have been linked from
         # every z*t with t a right descent, x included
-        below = _below(self._bonds, x, s, self._is_descent, self._times)
-        z = n + len(self._rows)
+        elements, descents = self.elements, self._descents
+        lx = elements[x].length if x < n else self._lengths[x - n]
+        below = [(s, x)]  # (t, z*t) over the right descents t of z
+        for t, strip, tail in self._bonds[s]:
+            y = x
+            for a in strip:
+                if y < n:
+                    ya = right[y][a]
+                    if ya == BOUNDARY or elements[ya].length > elements[y].length:
+                        break
+                elif descents[y - n] >> a & 1:
+                    ya = rows[y - n][a]
+                else:
+                    break
+                y = ya
+            else:
+                for a in tail:
+                    y = self._times(y, a)
+                below.append((t, y))
+        z = n + len(rows)
         row = [None] * self.matrix.rank
-        for t, y in below.items():
+        mask = 0
+        for t, y in below:  # z is y*t
             row[t] = y
-        self._rows.append(row)
-        self._lengths.append(self._length(x) + 1)
-        self._descents.append(sum(1 << t for t in below))
-        for t, y in below.items():  # z is y*t
+            mask |= 1 << t
             if y < n:
                 self._rim[(y, t)] = z
             else:
-                self._rows[y - n][t] = z
+                rows[y - n][t] = z
+        rows.append(row)
+        self._lengths.append(lx + 1)
+        descents.append(mask)
         return z
 
     def _shortlex(self, letters) -> bytes:
         """ShortLex-least reduced word of the element of `letters`, any
         word over the generators: the reversed letters are walked to w^-1
-        with `_times`, then the smallest right descent of w^-1 is peeled
-        off until the identity; the peeled letters, in order, are the
-        smallest left descents of w, w' = s*w, ... (as in
+        with `_times`, then the smallest right descent of w^-1, the lowest
+        bit of its descent mask, is peeled off while w^-1 lies beyond the
+        radius.  The peeled letters, in order, are the smallest left
+        descents of w, w' = s*w, ...; once the walk is back in the ball
+        at x, the rest is the ShortLex word of x^-1 (as in
         `enumerate_ball`)."""
         x = self.identity
+        times = self._times
         for s in reversed(letters):
-            x = self._times(x, s)
-        gens = self.matrix.generators
+            x = times(x, s)
+        n = len(self.elements)
+        rows, descents = self._rows, self._descents
         peeled = []
-        while x != self.identity:
-            s = next(s for s in gens if self._is_descent(x, s))
+        while x >= n:
+            d = descents[x - n]
+            s = (d & -d).bit_length() - 1
             peeled.append(s)
-            x = self._times(x, s)
-        return bytes(peeled)
+            x = rows[x - n][s]
+        return bytes(peeled) + self.elements[self.inv[x]].word
 
     def inverse(self, w: int) -> int:
         return self.inv[w]
@@ -290,31 +314,15 @@ def _alternating(a: int, b: int, n: int) -> tuple[int, ...]:
     return tuple((a, b)[i % 2] for i in range(n))
 
 
-def _bonds(matrix: CoxeterMatrix):
+@lru_cache(maxsize=64)
+def _bonds(entries: tuple[tuple[int, ...], ...]):
     """For each s and each t finitely bonded to it: (t, the letters t, s,
-    t, ... to strip, the word of length m(s, t) - 1 ending in s)."""
-    return [[(t, _alternating(t, s, matrix.m(s, t) - 1),
-              _alternating(s, t, matrix.m(s, t) - 1)[::-1])
-             for t in range(matrix.rank) if t != s and matrix.is_finite_bond(s, t)]
-            for s in range(matrix.rank)]
-
-
-def _below(bonds, x: int, s: int, is_descent, times) -> dict[int, int]:
-    """{t: z*t} over the right descents t of z = x*s, for s not a right
-    descent of x, given the descents and right products of elements no
-    longer than x (see `enumerate_ball`)."""
-    below = {s: x}
-    for t, strip, tail in bonds[s]:
-        y = x
-        for a in strip:
-            if not is_descent(y, a):
-                break
-            y = times(y, a)
-        else:
-            for a in tail:
-                y = times(y, a)
-            below[t] = y
-    return below
+    t, ... to strip, the word of length m(s, t) - 1 ending in s).  Built
+    once per matrix (keyed on its entries) and shared by every ball of
+    it, radius-0 balls of `coxkit.wordcore` included."""
+    return tuple(tuple((t, _alternating(t, s, m - 1), _alternating(s, t, m - 1)[::-1])
+                       for t, m in enumerate(row) if t != s and m != INF)
+                 for s, row in enumerate(entries))
 
 
 def enumerate_ball(matrix: CoxeterMatrix, radius: int,
@@ -325,28 +333,22 @@ def enumerate_ball(matrix: CoxeterMatrix, radius: int,
     When s is not a right descent of w, x = w*s is one level up, and
     for t != s with m = m(s, t) finite, t is a right descent of x iff
     the {s, t}-parabolic part of w (stripped off as alternating right
-    descents t, s, t, ...) has length m - 1; then x*t = y * (s t ...)
-    with y the stripped w and the alternating word of length m - 1
-    ending in s (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-    2.3-2.4).  A new x is linked from every x*t at once, so a pair (w, s)
-    whose product is already known is skipped.
+    descents t, s, t, ..., read off the descent masks and the right
+    table) has length m - 1; then x*t = y * (s t ...) with y the
+    stripped w and the alternating word of length m - 1 ending in s
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.3-2.4).  A new
+    x is linked from every x*t at once, as its row and descent mask are
+    filled, so a pair (w, s) whose product is already known is skipped.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     rank = matrix.rank
-    bonds = _bonds(matrix)
+    bonds = _bonds(matrix.entries)
     right: list[list] = [[None] * rank]
     lengths = [0]
     descents = [0]  # bit t set iff t is a right descent
     parent = [(0, 0)]  # (w, s) with element = w*s
     level = [0]
-
-    def is_descent(y, a):
-        return descents[y] >> a & 1
-
-    def times(y, a):
-        return right[y][a]
-
     complete = True
     for length in range(radius + 1):
         next_level = []
@@ -364,14 +366,25 @@ def enumerate_ball(matrix: CoxeterMatrix, radius: int,
                     raise ResourceError(
                         f"element cap {cap} exceeded at length {length + 1} "
                         f"(partial size {x})")
-                below = _below(bonds, w, s, is_descent, times)
                 row = [None] * rank
-                for t, y in below.items():
-                    row[t] = y
-                    right[y][t] = x
+                row[s] = w
+                rw[s] = x
+                mask = 1 << s
+                for t, strip, tail in bonds[s]:
+                    y = w
+                    for a in strip:
+                        if not descents[y] >> a & 1:
+                            break
+                        y = right[y][a]
+                    else:
+                        for a in tail:
+                            y = right[y][a]
+                        row[t] = y
+                        right[y][t] = x
+                        mask |= 1 << t
                 right.append(row)
                 lengths.append(length + 1)
-                descents.append(sum(1 << t for t in below))
+                descents.append(mask)
                 parent.append((w, s))
                 next_level.append(x)
         level = next_level

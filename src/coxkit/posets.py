@@ -594,6 +594,62 @@ class ShellingVerdict:
     order: list | None = None
 
 
+def _shelling_tables(facets):
+    """(rows, near) for the distinct facets, as sets of facet indices
+    (bit g for facet g).  rows[f] lists, for each vertex v of F (facet
+    f), the facets G with F - G = {v} and holds[v], the facets that
+    contain v; near[g] is the set of facets F with |F - G| = 1.
+
+    A facet G of F's size with F - G = {v} is F - v + w: it shares the
+    ridge F - v with F.  So one pass that groups the facets by their
+    ridges (vertex bitmasks) gives the same-size part of each row.  The
+    facets of other sizes, none when the complex is pure, are found as
+    those that hold every other vertex of F and not v: the AND of the
+    prefix and the suffix of F's holds around v, less holds[v].  When
+    the complex is pure, |F - G| = 1 is symmetric, so near[f] is the
+    union of F's row."""
+    m = len(facets)
+    vertex = {}
+    members = [[vertex.setdefault(v, len(vertex)) for v in f] for f in facets]
+    holds = [0] * len(vertex)
+    size = {}  # facet size -> the facets of that size
+    ridges = {}  # vertex mask of F - v -> the facets that have that ridge
+    masks = []
+    for f, vs in enumerate(members):
+        bit, mask = 1 << f, 0
+        for v in vs:
+            holds[v] |= bit
+            mask |= 1 << v
+        masks.append(mask)
+        size[len(vs)] = size.get(len(vs), 0) | bit
+        for v in vs:
+            ridge = mask ^ 1 << v
+            ridges[ridge] = ridges.get(ridge, 0) | bit
+    every = (1 << m) - 1
+    rows, adjacent = [], []
+    for f, vs in enumerate(members):
+        bit, mask = 1 << f, masks[f]
+        hs = [holds[v] for v in vs]
+        across = [ridges[mask ^ 1 << v] ^ bit for v in vs]  # the G of F's size
+        other = every ^ size[len(vs)]  # the facets of other sizes
+        if other:
+            prefix = list(accumulate(hs[:-1], int.__and__, initial=other))
+            suffix = list(accumulate(reversed(hs[1:]), int.__and__, initial=other))[::-1]
+            across = [a | pre & suf & ~h for a, pre, suf, h in zip(across, prefix, suffix, hs)]
+        rows.append(list(zip(across, hs)))
+        union = 0
+        for a in across:
+            union |= a
+        adjacent.append(union)
+    if len(size) == 1:
+        return rows, adjacent
+    near = [0] * m
+    for f, union in enumerate(adjacent):
+        for g in _bits(union):
+            near[g] |= 1 << f
+    return rows, near
+
+
 def shellability(complex: OrderComplex, facet_cap: int = 5000,
                  node_budget: int = 500_000) -> ShellingVerdict:
     """Search for a (possibly nonpure) shelling order: every added facet
@@ -611,11 +667,10 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
     duplicate, or a larger facet) contains W(F) too, as W(F) lies in F.
 
     holds[v] is the set of facets that contain vertex v.  For each
-    vertex v of F, the facets G with F - G = {v} are those that hold
-    every other vertex of F and not v: the AND of the prefix and the
-    suffix of F's holds around v, less holds[v].  So a test reads the
-    used facets against one such set per vertex of F, and ANDs the
-    holds of the walls it finds, in O(|F|) big-int operations.
+    vertex v of F, `_shelling_tables` gives the facets G with
+    F - G = {v}, so a test reads the used facets against one such set
+    per vertex of F, and ANDs the holds of the walls it finds, in
+    O(|F|) big-int operations.
 
     W(F) is empty unless some used G has |F - G| = 1, so only the
     frontier, the unused facets in near[g] for some used g (near[g] is
@@ -630,27 +685,7 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
         raise ResourceError(f"facet count {m} exceeds cap {facet_cap}")
     if m <= 1:
         return ShellingVerdict("shellable", order=list(facets))
-    vertex = {}
-    members = [[vertex.setdefault(v, len(vertex)) for v in f] for f in facets]
-    holds = [0] * len(vertex)
-    for f, vs in enumerate(members):
-        for v in vs:
-            holds[v] |= 1 << f
-    # rows[f] = (facets G with F - G = {v}, holds[v]) for each vertex v of F
-    rows = []
-    every = (1 << m) - 1
-    for vs in members:
-        hs = [holds[v] for v in vs]
-        prefix = list(accumulate(hs[:-1], int.__and__, initial=every))
-        suffix = list(accumulate(reversed(hs[1:]), int.__and__, initial=every))[::-1]
-        rows.append([(pre & suf & ~h, h) for pre, suf, h in zip(prefix, suffix, hs)])
-    near = [0] * m  # near[g]: the facets F with |F - G| = 1
-    for f, row in enumerate(rows):
-        adjacent = 0  # the facets G with |F - G| = 1
-        for across, _h in row:
-            adjacent |= across
-        for g in _bits(adjacent):
-            near[g] |= 1 << f
+    rows, near = _shelling_tables(facets)
 
     def can_add(f, used_set):
         held = used_set  # the used facets that contain the walls found

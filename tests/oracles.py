@@ -5,9 +5,9 @@ search spaces, no shared code with the implementations under test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
-from coxkit.ball import BOUNDARY
+from coxkit.ball import BOUNDARY, Element, GroupBall
 from coxkit.errors import OutOfBallError
 from coxkit.reflections import dihedral_subgroup
 
@@ -430,6 +430,38 @@ def reference_shellability(facets, node_budget=500_000):
     return "not_shellable", None
 
 
+def reference_shelling_tables(facets):
+    """(rows, near) of `posets._shelling_tables` for distinct facets, by
+    the vertex holds alone: for each vertex v of F, the facets that hold
+    every other vertex of F and not v (the AND of the prefix and the
+    suffix of F's holds around v, less holds[v]), and near as the
+    transpose of the unions of the rows, whether or not the complex is
+    pure."""
+    m = len(facets)
+    vertex = {}
+    members = [[vertex.setdefault(v, len(vertex)) for v in f] for f in facets]
+    holds = [0] * len(vertex)
+    for f, vs in enumerate(members):
+        for v in vs:
+            holds[v] |= 1 << f
+    rows = []
+    every = (1 << m) - 1
+    for vs in members:
+        hs = [holds[v] for v in vs]
+        prefix = list(accumulate(hs[:-1], int.__and__, initial=every))
+        suffix = list(accumulate(reversed(hs[1:]), int.__and__, initial=every))[::-1]
+        rows.append([(pre & suf & ~h, h) for pre, suf, h in zip(prefix, suffix, hs)])
+    near = [0] * m
+    for f, row in enumerate(rows):
+        adjacent = 0
+        for across, _h in row:
+            adjacent |= across
+        for g in range(m):
+            if adjacent >> g & 1:
+                near[g] |= 1 << f
+    return rows, near
+
+
 # -- optimal transport --------------------------------------------------------
 
 
@@ -607,3 +639,163 @@ def reference_dihedral_subgroup(ball, t, tp):
                     nxt.append(z)
         frontier = nxt
     return sorted(internal), internal, (x, y), escaped
+
+
+# -- the per-letter ball engine -----------------------------------------------
+
+
+def _reference_bonds(matrix):
+    """For each s and each t finitely bonded to it: (t, the letters t, s,
+    t, ... to strip, the word of length m(s, t) - 1 ending in s)."""
+    def alternating(a, b, n):
+        return tuple((a, b)[i % 2] for i in range(n))
+
+    return [[(t, alternating(t, s, matrix.m(s, t) - 1),
+              alternating(s, t, matrix.m(s, t) - 1)[::-1])
+             for t in range(matrix.rank) if t != s and matrix.is_finite_bond(s, t)]
+            for s in range(matrix.rank)]
+
+
+def _reference_below(bonds, x, s, is_descent, times):
+    """{t: z*t} over the right descents t of z = x*s, for s not a right
+    descent of x, each letter stripped through the two closures."""
+    below = {s: x}
+    for t, strip, tail in bonds[s]:
+        y = x
+        for a in strip:
+            if not is_descent(y, a):
+                break
+            y = times(y, a)
+        else:
+            for a in tail:
+                y = times(y, a)
+            below[t] = y
+    return below
+
+
+def reference_is_descent(ball, x, s):
+    """Whether s is a right descent of x, in the ball or beyond it."""
+    n = len(ball.elements)
+    if x >= n:
+        return bool(ball._descents[x - n] >> s & 1)
+    y = ball.right[x][s]
+    return y != BOUNDARY and ball.elements[y].length < ball.elements[x].length
+
+
+class ReferenceBall(GroupBall):
+    """A GroupBall whose steps beyond the radius go letter by letter:
+    each letter of a strip is one `reference_is_descent` test and one
+    `_times` call, and `_shortlex` tests the generators in order for the
+    smallest descent at every step.  `_walk`, `multiply` and the arc
+    table reach these steps through `self`, so the same reads on a ball
+    and on its `ReferenceBall` copy must leave the same state."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._bonds = _reference_bonds(self.matrix)
+
+    def _times(self, x, s):
+        n = len(self.elements)
+        if x < n:
+            y = self.right[x][s]
+            if y != BOUNDARY:
+                return y
+            z = self._rim.get((x, s))
+        else:
+            z = self._rows[x - n][s]
+        if z is not None:
+            return z
+        below = _reference_below(self._bonds, x, s,
+                                 lambda y, a: reference_is_descent(self, y, a),
+                                 self._times)
+        z = n + len(self._rows)
+        row = [None] * self.matrix.rank
+        for t, y in below.items():
+            row[t] = y
+        self._rows.append(row)
+        self._lengths.append(self._length(x) + 1)
+        self._descents.append(sum(1 << t for t in below))
+        for t, y in below.items():  # z is y*t
+            if y < n:
+                self._rim[(y, t)] = z
+            else:
+                self._rows[y - n][t] = z
+        return z
+
+    def _shortlex(self, letters):
+        x = self.identity
+        for s in reversed(letters):
+            x = self._times(x, s)
+        peeled = []
+        while x != self.identity:
+            s = next(s for s in self.matrix.generators
+                     if reference_is_descent(self, x, s))
+            peeled.append(s)
+            x = self._times(x, s)
+        return bytes(peeled)
+
+
+def reference_copy(ball):
+    """A `ReferenceBall` with copies of the ball's tables (its ids kept)
+    and nothing yet met beyond the radius."""
+    return ReferenceBall(ball.matrix, ball.radius, list(ball.elements),
+                         [list(r) for r in ball.right], [list(r) for r in ball.left],
+                         list(ball.inv), ball.is_complete_group)
+
+
+def reference_enumerate_ball(matrix, radius):
+    """The ball of `enumerate_ball`, as a `ReferenceBall`, built level by
+    level with each stripped letter read through the closures
+    `is_descent` and `times`; the left table and inverses from the
+    parents, and the ShortLex words from the smallest left descents."""
+    rank = matrix.rank
+    bonds = _reference_bonds(matrix)
+    right, lengths, descents, parent = [[None] * rank], [0], [0], [(0, 0)]
+    level = [0]
+
+    def is_descent(y, a):
+        return descents[y] >> a & 1
+
+    def times(y, a):
+        return right[y][a]
+
+    complete = True
+    for length in range(radius + 1):
+        next_level = []
+        for w in level:
+            rw = right[w]
+            for s in range(rank):
+                if rw[s] is not None:
+                    continue
+                if length == radius:
+                    rw[s] = BOUNDARY
+                    complete = False
+                    continue
+                x = len(lengths)
+                below = _reference_below(bonds, w, s, is_descent, times)
+                row = [None] * rank
+                for t, y in below.items():
+                    row[t] = y
+                    right[y][t] = x
+                right.append(row)
+                lengths.append(length + 1)
+                descents.append(sum(1 << t for t in below))
+                parent.append((w, s))
+                next_level.append(x)
+        level = next_level
+        if not level:
+            break
+    n = len(lengths)
+    left = [list(right[0])]
+    inv = [0] * n
+    for x in range(1, n):
+        w, s = parent[x]
+        left.append([right[y][s] for y in left[w]])
+        inv[x] = left[inv[w]][s]
+    words = [b""] * n
+    for w in range(1, n):
+        d = descents[inv[w]]
+        s = (d & -d).bit_length() - 1
+        words[w] = bytes((s,)) + words[left[w][s]]
+    elements = [Element(i, words[i], lengths[i]) for i in range(n)]
+    return ReferenceBall(matrix, radius, elements, right, left, inv, complete)

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from coxkit import (OutOfBallError, ResourceError, enumerate_ball,
-                    named_matrix, normal_form, parse_coxeter_matrix)
-from coxkit.ball import BOUNDARY
+                    named_matrix, normal_form, parse_coxeter_matrix,
+                    reflections_in_ball)
+from coxkit.ball import BOUNDARY, _bonds
+from coxkit.orders import arc_table
 
-from models import model_ball, model_for
+from models import longest_first, model_ball, model_for
 from oracles import (braid_normal_form, bruhat_subword_leq, perm_of_word,
-                     reference_walk)
+                     reference_copy, reference_enumerate_ball,
+                     reference_is_descent, reference_walk)
 
 
 def _ball_signature(ball):
@@ -324,7 +327,7 @@ def _reduced_word(ball, x):
     nothing)."""
     out = []
     while x != ball.identity:
-        s = next(s for s in ball.matrix.generators if ball._is_descent(x, s))
+        s = next(s for s in ball.matrix.generators if reference_is_descent(ball, x, s))
         out.append(s)
         x = ball._times(x, s)
     return tuple(reversed(out))
@@ -353,3 +356,89 @@ def test_walk_stops_before_it_creates(spec, radius):
         assert len(ball._rows) <= len(ref._rows)
     assert stopped
     assert len(ball._rows) < len(ref._rows)
+
+
+def _tables(ball):
+    return ball.right, ball.left, ball.inv, [e.word for e in ball.elements]
+
+
+def _beyond(ball):
+    """A copy of the state beyond the radius."""
+    return ([list(r) for r in ball._rows], list(ball._lengths), list(ball._descents),
+            dict(ball._rim))
+
+
+@pytest.mark.parametrize("name", ["A5", "D5", "B5", "F4", "H4", "E6"])
+def test_engine_matches_the_per_letter_engine_on_complete_groups(name):
+    from coxkit.matrices import longest_length
+    matrix = named_matrix(name)
+    top = longest_length(matrix)
+    assert _tables(enumerate_ball(matrix, top)) == _tables(reference_enumerate_ball(matrix, top))
+
+
+BEYOND = [pytest.param("1 3 inf; 3 1 3; inf 3 1", 14, id="hyperbolic-14"),
+          ("affC2", 12), ("affG2", 12), ("I2(inf)", 30), ("affA3", 8), ("B4", 7),
+          ("H3", 9)]
+
+
+def _reads(ball, seed):
+    """The same reads past the radius on any ball: the reflections and
+    their arc rows, walks from random ids, and ShortLex words of random
+    words; what each returns, and the state beyond the radius after
+    each kind of read."""
+    matrix, radius = ball.matrix, ball.radius
+    rng = random.Random(seed)
+    table = reflections_in_ball(ball)
+    arcs = arc_table(ball)
+    out = [table.reflections, [arcs.row(t) for t in table.reflections]]
+    out.append(_beyond(ball))
+    for _ in range(300):
+        x = rng.randrange(len(ball))
+        letters = bytes(rng.randrange(matrix.rank) for _ in range(rng.randrange(2 * radius)))
+        out.append(ball._walk(x, letters, rng.randrange(2 * radius + 1)))
+    out.append(_beyond(ball))
+    for _ in range(100):
+        out.append(ball._shortlex(bytes(rng.randrange(matrix.rank)
+                                        for _ in range(rng.randrange(3 * radius)))))
+    out.append(_beyond(ball))
+    return out
+
+
+@pytest.mark.parametrize("spec,radius", BEYOND)
+def test_engine_matches_the_per_letter_engine_beyond_the_radius(spec, radius):
+    # the tables, and every product, verdict and word read past the radius
+    # with the elements met there, ids and all, in the order the ball
+    # numbers them and with its ids renumbered longest first
+    matrix = parse_coxeter_matrix(spec)
+    ball = enumerate_ball(matrix, radius)
+    ref = reference_enumerate_ball(matrix, radius)
+    assert _tables(ball) == _tables(ref)
+    assert _reads(ball, radius) == _reads(ref, radius)
+    renumbered = longest_first(enumerate_ball(matrix, radius))
+    assert _reads(renumbered, radius) == _reads(reference_copy(renumbered), radius)
+
+
+@pytest.mark.parametrize("spec,radius", BEYOND)
+def test_normal_form_matches_the_per_letter_engine(spec, radius):
+    # normal_form walks on a radius-0 ball; the reference does the same
+    # walk letter by letter and leaves the same elements behind
+    matrix = parse_coxeter_matrix(spec)
+    rng = random.Random(radius)
+    for _ in range(40):
+        word = bytes(rng.randrange(matrix.rank) for _ in range(rng.randrange(3 * radius)))
+        ball, ref = enumerate_ball(matrix, 0), reference_enumerate_ball(matrix, 0)
+        got = ball._shortlex(word)
+        assert got == ref._shortlex(word) == bytes(normal_form(matrix, word))
+        assert _beyond(ball) == _beyond(ref)
+
+
+def test_bonds_are_built_once_per_matrix():
+    matrix = parse_coxeter_matrix("1 3 inf; 3 1 3; inf 3 1")
+    _bonds.cache_clear()
+    for i in range(100):
+        normal_form(matrix, (0, 1, 2) * (i % 7))
+    assert _bonds.cache_info().misses == 1
+    # a matrix equal in its entries is the same matrix to the cache
+    a, b = enumerate_ball(matrix, 3), enumerate_ball(parse_coxeter_matrix(str(matrix)), 5)
+    assert a._bonds is b._bonds
+    assert _bonds.cache_info().misses == 1

@@ -25,7 +25,7 @@ from coxkit.reflections import reflections_in_ball, t_k_set, t_order_poset
 from oracles import (brute_closure, brute_covers, brute_is_meet_semilattice,
                      brute_max_h_family, brute_shellable, is_shelling_order,
                      is_union_of_h_antichains, reference_order_complex,
-                     reference_shellability)
+                     reference_shellability, reference_shelling_tables)
 
 
 def _chain(n):
@@ -588,8 +588,26 @@ def test_shellability_matches_the_frozenset_search_on_check_suite_intervals():
             verdict = shellability(complex)
             assert ((verdict.status, verdict.order)
                     == reference_shellability(complex.facets)), name
+            facets = list(dict.fromkeys(complex.facets))
+            assert len({len(f) for f in facets}) <= 1  # pure: near by ridges alone
+            assert (posets_mod._shelling_tables(facets)
+                    == reference_shelling_tables(facets)), name
             count += 1
     assert count == 176
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.frozensets(st.integers(0, 6), min_size=3, max_size=3), max_size=10),
+    st.lists(st.frozensets(st.integers(0, 6), max_size=4), max_size=10)))
+@example([frozenset({1, 2, 3}), frozenset({1, 2}), frozenset({1, 2, 3})])  # nested, repeated
+@example([frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}), frozenset({3, 4, 5})])
+@example([frozenset(), frozenset({1})])
+def test_shelling_tables_match_the_holds_reference(facets):
+    # the same-size part of each row read off the ridges gives the rows
+    # and near of the holds alone, on pure and non-pure facet lists
+    facets = list(dict.fromkeys(facets))
+    assert posets_mod._shelling_tables(facets) == reference_shelling_tables(facets)
 
 
 _LABELS = st.sampled_from([0, 1, 2, 3, "a", "b", (0, 1), frozenset({5})])
