@@ -7,7 +7,7 @@ and k-absolute orders, parabolic projections, poset analytics
 (gradedness, Sperner, shellability), distance generating polynomials,
 and exploratory Ollivier-Ricci curvature.
 """
-from .ball import Element, GroupBall, enumerate_ball
+from .ball import GroupBall, enumerate_ball
 from .curvature import curvature_spectrum, ollivier_ricci_edge
 from .errors import (CoxkitError, DomainError, IncompleteSliceError,
                      OutOfBallError, ResourceError)
@@ -31,7 +31,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CoxeterMatrix", "INF", "named_matrix", "parse_coxeter_matrix",
-    "Element", "GroupBall", "enumerate_ball", "reduce_word", "normal_form",
+    "GroupBall", "enumerate_ball", "reduce_word", "normal_form",
     "is_reduced", "reflections_in_ball", "t_k_set", "dihedral_subgroup",
     "t_order_poset", "omega_graph", "intermediate_poset",
     "k_absolute_length_all", "k_absolute_poset", "refinement_chain_check",

@@ -11,8 +11,7 @@ from a radius-0 ball.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import OutOfBallError, ResourceError
 from .matrices import INF, CoxeterMatrix
@@ -20,25 +19,21 @@ from .matrices import INF, CoxeterMatrix
 BOUNDARY = -1
 
 
-@dataclass(frozen=True)
-class Element:
-    id: int
-    word: bytes  # ShortLex-least reduced word
-    length: int
-
-
 class GroupBall:
-    def __init__(self, matrix: CoxeterMatrix, radius: int, elements, right, left,
-                 inv, is_complete_group: bool):
+    """`words`, `lengths` and `levels` are read by every layer itself: not to be mutated."""
+
+    def __init__(self, matrix: CoxeterMatrix, radius: int, words, lengths, right,
+                 left, inv, is_complete_group: bool):
         self.matrix = matrix
         self.radius = radius
-        self.elements: list[Element] = elements
+        self.words: list[bytes] = words  # ShortLex-least reduced words
+        self.lengths: list[int] = lengths
         self.right = right  # right[w][s] = id of w*s, or BOUNDARY
         self.left = left    # left[w][s]  = id of s*w, or BOUNDARY
         self.inv = inv
         self.is_complete_group = is_complete_group
         # elements beyond the radius met by lookups, with ids from
-        # len(elements) on: their right rows (None = not yet known),
+        # len(self) on: their right rows (None = not yet known),
         # lengths and right-descent masks; `_rim` holds w*s for the top
         # level's ascents
         self._bonds = _bonds(matrix.entries)
@@ -55,17 +50,26 @@ class GroupBall:
     # -- basic accessors ------------------------------------------------
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.lengths)
 
     @property
     def identity(self) -> int:
         return 0
 
     def length(self, w: int) -> int:
-        return self.elements[w].length
+        return self.lengths[w]
 
     def word(self, w: int) -> bytes:
-        return self.elements[w].word
+        return self.words[w]
+
+    @cached_property
+    def levels(self) -> list[list[int]]:
+        """levels[l]: the ids of length l, increasing; built on first read
+        (a ball read from JSON may number its ids in any order)."""
+        levels = [[] for _ in range(max(self.lengths) + 1)]
+        for w, lw in enumerate(self.lengths):
+            levels[lw].append(w)
+        return levels
 
     def id_of_word(self, letters) -> int:
         """Element id of an arbitrary word, if inside the ball."""
@@ -87,24 +91,18 @@ class GroupBall:
         return x
 
     def left_descents(self, w: int) -> frozenset[int]:
-        lw = self.left[w]
-        n = self.elements[w].length
-        return frozenset(s for s in self.matrix.generators
-                         if lw[s] != BOUNDARY and self.elements[lw[s]].length < n)
+        return self._descent_set(self.left[w], w)
 
     def right_descents(self, w: int) -> frozenset[int]:
-        rw = self.right[w]
-        n = self.elements[w].length
+        return self._descent_set(self.right[w], w)
+
+    def _descent_set(self, row, w):
+        lengths, n = self.lengths, self.lengths[w]
         return frozenset(s for s in self.matrix.generators
-                         if rw[s] != BOUNDARY and self.elements[rw[s]].length < n)
+                         if row[s] != BOUNDARY and lengths[row[s]] < n)
 
     def rank_sizes(self) -> list[int]:
-        sizes = [0] * (self.radius + 1)
-        for e in self.elements:
-            sizes[e.length] += 1
-        while sizes and sizes[-1] == 0:
-            sizes.pop()
-        return sizes
+        return [len(level) for level in self.levels]
 
     # -- group operations -------------------------------------------------
 
@@ -118,18 +116,18 @@ class GroupBall:
         radius).  Otherwise v's letters go down the right table from u,
         and a walk that leaves it goes on with `_walk` from the partial
         product: u*v = (u v_1 ... v_i) v_(i+1) ... v_m."""
-        eu, ev = self.elements[u], self.elements[v]
-        if eu.length <= ev.length:
+        words = self.words
+        if self.lengths[u] <= self.lengths[v]:
             left = self.left
             x = v
-            for letter in reversed(eu.word):
+            for letter in reversed(words[u]):
                 x = left[x][letter]
                 if x == BOUNDARY:
-                    return self._walk_or_raise(u, ev.word, u, v)
+                    return self._walk_or_raise(u, words[v], u, v)
             return x
         right = self.right
         x = u
-        letters = iter(ev.word)
+        letters = iter(words[v])
         for letter in letters:
             y = right[x][letter]
             if y == BOUNDARY:  # walk this letter and the ones still to come
@@ -160,8 +158,8 @@ class GroupBall:
         so no element beyond the radius is built only to be dropped.
         The verdict is the one of walking to the end, l(x * letters) >
         limit."""
-        n = len(self.elements)
-        right, elements = self.right, self.elements
+        n = len(self.lengths)
+        right, lengths = self.right, self.lengths
         rows, descents = self._rows, self._descents
         todo = len(letters)
         lx = self._length(x)
@@ -172,7 +170,7 @@ class GroupBall:
             if x < n:
                 y = right[x][s]
                 if y != BOUNDARY:
-                    ly = elements[y].length
+                    ly = lengths[y]
                     if ly > lx and lx - todo >= limit:
                         return None
                     x, lx = y, ly
@@ -190,8 +188,8 @@ class GroupBall:
         return x
 
     def _length(self, x: int) -> int:
-        n = len(self.elements)
-        return self.elements[x].length if x < n else self._lengths[x - n]
+        n = len(self.lengths)
+        return self.lengths[x] if x < n else self._lengths[x - n]
 
     def _times(self, x: int, s: int) -> int:
         """x*s for x in the ball or beyond it.  A new z = x*s is added as
@@ -201,7 +199,7 @@ class GroupBall:
         beyond it, the kept descent mask), and only the tail letters,
         which climb back to z*t, take a `_times` step, the only step that
         can create an element."""
-        n = len(self.elements)
+        n = len(self.lengths)
         right, rows = self.right, self._rows
         if x < n:
             y = right[x][s]
@@ -214,15 +212,15 @@ class GroupBall:
             return z
         # z is new: had it been met before, it would have been linked from
         # every z*t with t a right descent, x included
-        elements, descents = self.elements, self._descents
-        lx = elements[x].length if x < n else self._lengths[x - n]
+        lengths, descents = self.lengths, self._descents
+        lx = lengths[x] if x < n else self._lengths[x - n]
         below = [(s, x)]  # (t, z*t) over the right descents t of z
         for t, strip, tail in self._bonds[s]:
             y = x
             for a in strip:
                 if y < n:
                     ya = right[y][a]
-                    if ya == BOUNDARY or elements[ya].length > elements[y].length:
+                    if ya == BOUNDARY or lengths[ya] > lengths[y]:
                         break
                 elif descents[y - n] >> a & 1:
                     ya = rows[y - n][a]
@@ -261,7 +259,7 @@ class GroupBall:
         times = self._times
         for s in reversed(letters):
             x = times(x, s)
-        n = len(self.elements)
+        n = len(self.lengths)
         rows, descents = self._rows, self._descents
         peeled = []
         while x >= n:
@@ -269,7 +267,7 @@ class GroupBall:
             s = (d & -d).bit_length() - 1
             peeled.append(s)
             x = rows[x - n][s]
-        return bytes(peeled) + self.elements[self.inv[x]].word
+        return bytes(peeled) + self.words[self.inv[x]]
 
     def inverse(self, w: int) -> int:
         return self.inv[w]
@@ -277,14 +275,15 @@ class GroupBall:
     def bruhat_leq(self, u: int, v: int) -> bool:
         """Bruhat order, via the descent recursion u <= v iff
         (su <= sv if s in D_L(u) else u <= sv) for s in D_L(v); it is a
-        tail call, so a loop of at most l(v) steps."""
-        elements, left = self.elements, self.left
+        tail call, so a loop of at most l(v) steps.  s is the smallest left
+        descent of v, the first letter of its ShortLex word."""
+        lengths, words, left = self.lengths, self.words, self.left
         while u != v:
-            if elements[u].length >= elements[v].length:
+            if lengths[u] >= lengths[v]:
                 return False
-            s = min(self.left_descents(v))
+            s = words[v][0]
             su = left[u][s]
-            if elements[su].length < elements[u].length:
+            if lengths[su] < lengths[u]:
                 u = su
             v = left[v][s]
         return True
@@ -407,6 +406,5 @@ def enumerate_ball(matrix: CoxeterMatrix, radius: int,
         d = descents[inv[w]]
         s = (d & -d).bit_length() - 1
         words[w] = bytes((s,)) + words[left[w][s]]
-    elements = [Element(i, words[i], lengths[i]) for i in range(n)]
-    return GroupBall(matrix, radius, elements, right, left, inv, complete)
+    return GroupBall(matrix, radius, words, lengths, right, left, inv, complete)
 

@@ -50,7 +50,7 @@ class _Group:
     def __init__(self, ball):
         self.ball, self.table = ball, reflections.reflections_in_ball(ball)
         self.projection = cache(partial(projections.projection_map, ball))
-        self.length = [e.length for e in ball.elements]
+        self.length = ball.lengths
         self._graded, self._composite = {}, {}
 
     bruhat = cached_property(lambda g: orders.bruhat_poset(g.ball))
@@ -58,13 +58,12 @@ class _Group:
     def graded(self, J):
         """(rank, minreps) for the frozenset J: the list w -> l(w) - l(Q^J w),
         which is `self.length` itself when Q^J sends every w to e (J = S),
-        and the number of w with no left descent in J."""
+        and the number of w with no left descent in J, the fixed points
+        of Q^J."""
         if J not in self._graded:
-            ball, length = self.ball, self.length
-            rank = [lw - length[q] for lw, q in
-                    zip(length, self.projection(J, "Q").images)]
-            minreps = sum(1 for w in range(len(ball))
-                          if not (ball.left_descents(w) & J))
+            length, images = self.length, self.projection(J, "Q").images
+            rank = [lw - length[q] for lw, q in zip(length, images)]
+            minreps = sum(w == q for w, q in enumerate(images))
             self._graded[J] = (length if rank == length else rank), minreps
         return self._graded[J]
 

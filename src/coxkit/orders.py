@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, IncompleteSliceError
@@ -53,7 +53,7 @@ class OmegaGraph:
     def arcs(self) -> list:
         """The sorted (a, b, t) with b = t*a in the ball and l(b) > l(a),
         derived from the rows on each read."""
-        length = self.table.length
+        length = self.ball.lengths
         return sorted((a, b, t) for t, row in self.rows.items()
                       for a, b in enumerate(row)
                       if b >= 0 and length[b] > length[a])
@@ -65,7 +65,8 @@ class ArcTable:
     set X is a view of it (`graph`), so the readers of many sets, such
     as the T_k slices or the order ideals of `coxkit check`, build each
     row once.  One table is kept on each ball (`arc_table`).  No reader
-    mutates what the table holds."""
+    mutates what the table holds.  The lengths and the ids of each length
+    are the ball's own (`GroupBall.lengths`, `GroupBall.levels`)."""
 
     def __init__(self, ball: GroupBall):
         self.ball = ball
@@ -74,26 +75,13 @@ class ArcTable:
         self._rises: dict[int, tuple[list, list]] = {}
 
     @cached_property
-    def length(self) -> list[int]:
-        return [self.ball.length(w) for w in range(len(self.ball))]
-
-    @cached_property
-    def levels(self) -> list[list[int]]:
-        """levels[l]: the ids of length l, increasing."""
-        levels = [[] for _ in range(max(self.length) + 1)]
-        for a, la in enumerate(self.length):
-            levels[la].append(a)
-        return levels
-
-    @cached_property
     def _steps(self):
         """(a, a s, s, 2 radius - l(a)) for the ids a but the identity,
         by length, s the last letter of a's ShortLex word."""
         ball = self.ball
-        right, elements = ball.right, ball.elements
-        return [(a, right[a][elements[a].word[-1]], elements[a].word[-1],
-                 2 * ball.radius - la)
-                for la, level in enumerate(self.levels[1:], 1) for a in level]
+        right, words = ball.right, ball.words
+        return [(a, right[a][words[a][-1]], words[a][-1], 2 * ball.radius - la)
+                for la, level in enumerate(ball.levels[1:], 1) for a in level]
 
     def row(self, t: int) -> list[int]:
         """row[a] = t*a, or BOUNDARY where t*a lies outside the ball.
@@ -148,9 +136,9 @@ class ArcTable:
         a -> t*a is a unit arc, l(t*a) = l + 1, and longer[l] those with
         l(t*a) > l + 1; built on first read."""
         if t not in self._rises:
-            row, length = self.row(t), self.length
+            row, length = self.row(t), self.ball.lengths
             unit, longer = [], []
-            for la, level in enumerate(self.levels):
+            for la, level in enumerate(self.ball.levels):
                 unit.append([a for a in level if row[a] >= 0 and length[row[a]] == la + 1])
                 longer.append([a for a in level if row[a] >= 0 and length[row[a]] > la + 1])
             self._rises[t] = unit, longer
@@ -191,7 +179,7 @@ def intermediate_poset(ball: GroupBall, x_set) -> Poset:
     orders are graded by length is tested here, not assumed.
     """
     g = omega_graph(ball, x_set)
-    rank = g.table.length
+    rank = ball.lengths
     metadata = {"kind": "intermediate-order", "x_size": len(g.x_set),
                 "boundary_skips": g.boundary_skips}
     nodes = list(range(len(ball)))
@@ -222,14 +210,14 @@ def _unit_covers(g: OmegaGraph):
     of each t are read off the table sorted by rise and tail length
     (`ArcTable.rises`), so the sweep reads only arcs.
     """
-    table = g.table
+    table, levels = g.table, g.ball.levels
     arcs = [(row, *table.rises(t)) for t, row in g.rows.items()]
     covers = [(a, row[a]) for row, unit, _longer in arcs for level in unit for a in level]
     if not any(any(longer) for _row, _unit, longer in arcs):
         return covers
     above = {}
-    for la in reversed(range(len(table.levels))):
-        here = {a: 1 << a for a in table.levels[la]}
+    for la in reversed(range(len(levels))):
+        here = {a: 1 << a for a in levels[la]}
         for row, unit, _longer in arcs:
             for a in unit[la]:
                 here[a] |= above[row[a]]
@@ -258,17 +246,17 @@ def bruhat_poset(ball: GroupBall) -> Poset:
 
     Every cover lies in the ball, which is a lower set of Bruhat order,
     so this holds on truncated balls too.  The ids are visited by
-    length, since a ball read from JSON may number them in any order.
+    length (`GroupBall.levels`), since a ball read from JSON may number
+    them in any order, and s is the first letter of v's ShortLex word.
     The pairs found are the covers, so the poset is built from them
     with no closure.
     """
     n = len(ball)
-    rank = [ball.length(w) for w in range(n)]
-    left = ball.left
+    rank, left, words = ball.lengths, ball.left, ball.words
     below = [()] * n  # the elements each id covers
     covers = []
-    for v in sorted(range(1, n), key=rank.__getitem__):
-        s = min(ball.left_descents(v))
+    for v in chain.from_iterable(ball.levels[1:]):
+        s = words[v][0]
         sv = left[v][s]
         below[v] = [sv] + [left[u][s] for u in below[sv]
                            if rank[left[u][s]] > rank[u]]
@@ -292,8 +280,7 @@ def k_absolute_length_all(table: ReflectionTable, k: int) -> AbsoluteLengthTable
     ball = table.ball
     tk = t_k_set(table, k)  # raises when the slice is incomplete
     rows = list(omega_graph(ball, tk).rows.items())
-    n = len(ball)
-    length = [ball.length(w) for w in range(n)]
+    n, length = len(ball), ball.lengths
     dist = [-1] * n
     pred = [-1] * n
     arc = [-1] * n
@@ -394,12 +381,10 @@ def _pairs_by_definition(ball: GroupBall, lk):
     <= l(v) - 1 + l(u) < radius.  On a complete group every pair is
     visited.
     """
-    n = len(ball)
-    length = [ball.length(w) for w in range(n)]
-    order = sorted(range(n), key=length.__getitem__)  # the identity first
-    left, inv, elements = ball.left, ball.inv, ball.elements
-    steps = [(v, left[v][elements[v].word[0]], elements[v].word[0])
-             for v in order[1:]]
+    n, length, words = len(ball), ball.lengths, ball.words
+    left, inv = ball.left, ball.inv
+    steps = [(v, left[v][words[v][0]], words[v][0])
+             for v in chain.from_iterable(ball.levels[1:])]
     truncated = not ball.is_complete_group
     below = list(accumulate(ball.rank_sizes()))  # ids of length <= r
     # reach[l]: how many of the v are visited for a u of length l

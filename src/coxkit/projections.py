@@ -10,7 +10,7 @@ never increases length and therefore never leaves the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, ResourceError
@@ -105,11 +105,9 @@ def projection_map(ball: GroupBall, J, kind: str = "P") -> SelfMapTable:
     for s in J:
         if s not in ball.matrix.generators:
             raise DomainError(f"generator {s} not in the system")
-    length = [e.length for e in ball.elements]
+    length = ball.lengths
     images = list(range(len(length)))
-    # `enumerate_ball` numbers by length already; a ball read from JSON
-    # need not
-    for w in sorted(range(len(length)), key=length.__getitem__):
+    for w in chain.from_iterable(ball.levels):
         row = steps[w]
         for s in J:
             x = row[s]
@@ -199,7 +197,7 @@ def _single_projections(ball: GroupBall) -> dict:
     """{images of P^{s}: s} for each generator s of a complete group:
     P^{s} sends w to w s when s is a right descent of w, and fixes w
     otherwise."""
-    length = [e.length for e in ball.elements]
+    length = ball.lengths
     out = {}
     for s in ball.matrix.generators:
         column = (row[s] for row in ball.right)

@@ -148,7 +148,7 @@ def _sweep(ball: GroupBall):
     L - 2 (Bjorner and Brenti, Combinatorics of Coxeter Groups, ch. 1).
     Neither argument rests on the ids being sorted by length."""
     if ball._sweep is None:
-        left, elements = ball.left, ball.elements
+        left, lengths = ball.left, ball.lengths
         gens = [(s, g) for s, g in enumerate(ball.right[ball.identity])
                 if g != BOUNDARY]
         found = {g for _s, g in gens}
@@ -158,7 +158,7 @@ def _sweep(ball: GroupBall):
             nxt = []
             for t in level:
                 for s, g in gens:
-                    if elements[left[t][s]].length < n:
+                    if lengths[left[t][s]] < n:
                         continue
                     y = ball.multiply(ball.multiply(g, t), g)
                     if y not in found:
@@ -405,13 +405,13 @@ def _check_reflection(ball: GroupBall, x: int) -> None:
     reflection t != s with s a left descent, s*t*s != t, so l(sts) =
     l(t) - 2 (Bjorner and Brenti, Combinatorics of Coxeter Groups, ch.
     1); an involution such as a central w0 is left as it is."""
-    elements, left, right = ball.elements, ball.left, ball.right
-    if 0 <= x < len(elements) and ball.inverse(x) == x:
-        y, n = x, elements[x].length
+    lengths, left, right = ball.lengths, ball.left, ball.right
+    if 0 <= x < len(ball) and ball.inverse(x) == x:
+        y, n = x, lengths[x]
         while n > 1:
-            s = elements[y].word[0]
+            s = ball.words[y][0]
             z = right[left[y][s]][s]
-            if elements[z].length != n - 2:
+            if lengths[z] != n - 2:
                 break
             y, n = z, n - 2
         if n == 1:

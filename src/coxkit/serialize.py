@@ -11,8 +11,8 @@ import csv
 import io
 import json
 
-from .ball import BOUNDARY, Element, GroupBall
-from .errors import DomainError
+from .ball import BOUNDARY, GroupBall, enumerate_ball
+from .errors import DomainError, ResourceError
 from .matrices import CoxeterMatrix
 from .posets import Poset
 
@@ -33,51 +33,70 @@ def ball_to_json_dict(ball: GroupBall) -> dict:
         "inf_token": 0,
         "matrix": [list(row) for row in ball.matrix.entries],
         "radius": ball.radius,
-        "elements": [{"id": e.id, "word": list(e.word), "length": e.length}
-                     for e in ball.elements],
+        "elements": [{"id": w, "word": list(word), "length": length}
+                     for w, (word, length) in enumerate(zip(ball.words, ball.lengths))],
         # cayley[w][s] = id of s*w (left multiplication), -1 at the boundary
         "cayley": [list(row) for row in ball.left],
     }
 
 
 def ball_from_json_dict(data: dict) -> GroupBall:
-    if data.get("inf_token", 0) != 0:
-        raise DomainError("unsupported infinity token")
-    matrix = CoxeterMatrix(rank=len(data["matrix"]),
-                           entries=tuple(tuple(r) for r in data["matrix"]))
-    elements = [Element(d["id"], bytes(d["word"]), d["length"])
-                for d in sorted(data["elements"], key=lambda d: d["id"])]
-    for i, e in enumerate(elements):
-        if e.id != i or e.length != len(e.word):
-            raise DomainError(f"inconsistent element record at id {i}")
-    left = [list(row) for row in data["cayley"]]
-    # inverse of w: left-multiply e by the letters of w's word in order
-    inv = []
-    for e in elements:
-        x = 0
-        for s in e.word:
-            x = left[x][s]
-            if x == BOUNDARY:
-                raise DomainError(f"cayley table broken along word of id {e.id}")
-        inv.append(x)
-    rank = matrix.rank
-    right = _left_from_right(left, inv, rank)  # the identity is its own mirror
-    complete = all(v != BOUNDARY for row in left for v in row)
-    return GroupBall(matrix, data["radius"], elements, right, left, inv, complete)
+    """Inverse of `ball_to_json_dict`, the ids in any order that keeps the
+    identity at 0.  The file is checked against the ball `enumerate_ball`
+    gives for its matrix and radius, whose tables are taken, renumbered:
+    DomainError unless each record holds the ShortLex word and the length
+    of a distinct element, the identity has id 0, and `cayley` is that
+    ball's left table under the file's ids."""
+    if not isinstance(data, dict) or data.get("inf_token", 0) != 0:
+        raise DomainError("not a ball, or an unsupported infinity token")
+    try:
+        matrix = CoxeterMatrix(len(data["matrix"]), tuple(map(tuple, data["matrix"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"no Coxeter matrix: {exc}") from None
+    radius, records, cayley = data.get("radius"), data.get("elements"), data.get("cayley")
+    if type(radius) is not int or radius < 0:
+        raise DomainError(f"radius {radius!r} is not an integer >= 0")
+    if not (isinstance(records, list) and isinstance(cayley, list)):
+        raise DomainError("elements and cayley must be lists")
+    try:
+        ref = enumerate_ball(matrix, radius, cap=len(records) + 1)
+    except ResourceError:
+        raise DomainError(f"{len(records)} element records for a larger ball") from None
+    n = len(ref)
+    if len(records) != n or len(cayley) != n:
+        raise DomainError(f"{len(records)} records and {len(cayley)} cayley rows for {n} elements")
+    where = {tuple(word): w for w, word in enumerate(ref.words)}
+    new = [None] * n  # new[w]: the file's id of the element w of `ref`
+    for d in records:
+        try:
+            i, word, w = d["id"], d["word"], where.get(tuple(d["word"]))
+        except (KeyError, TypeError):
+            raise DomainError(f"element record {d!r} needs an id and a word") from None
+        if w is None:
+            raise DomainError(f"word {word} is no ShortLex word of the ball")
+        if new[w] is not None:
+            raise DomainError(f"word {word} has two records")
+        if d.get("length") != ref.lengths[w]:
+            raise DomainError(f"word {word} has length {ref.lengths[w]}, not {d.get('length')!r}")
+        if type(i) is not int or not 0 <= i < n:
+            raise DomainError(f"id {i!r} of word {word} is not in 0..{n - 1}")
+        new[w] = i
+    if sorted(new) != list(range(n)):
+        raise DomainError("two records share an id")
+    if new[0] != 0:
+        raise DomainError(f"the identity has id {new[0]}, not 0")
+    old = sorted(range(n), key=new.__getitem__)  # old[i]: the element with the file's id i
 
+    def renumbered(table):
+        return [[x if x == BOUNDARY else new[x] for x in table[w]] for w in old]
 
-def _left_from_right(right, inv, rank):
-    """The left table from the right one and the inverses: s*w =
-    (w^-1 * s)^-1.  Swapping the tables gives the right one back."""
-    left = []
-    for w in range(len(right)):
-        iw = inv[w]
-        row = []
-        for s in range(rank):
-            t = right[iw][s]
-            row.append(BOUNDARY if t == BOUNDARY else inv[t])
-        left.append(row)
-    return left
+    left = renumbered(ref.left)
+    for i, row in enumerate(cayley):
+        if row != left[i]:
+            raise DomainError(f"cayley row {i} is not the left table of the ball")
+    return GroupBall(matrix, radius, [ref.words[w] for w in old],
+                     [ref.lengths[w] for w in old], renumbered(ref.right), left,
+                     [new[ref.inv[w]] for w in old], ref.is_complete_group)
 
 
 # -- posets -------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from coxkit.ball import BOUNDARY, Element, GroupBall
+from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.matrices import CoxeterMatrix
 from coxkit.serialize import ball_from_json_dict, ball_to_json_dict
 
@@ -185,8 +185,7 @@ def model_ball(matrix: CoxeterMatrix, radius: int) -> GroupBall:
         s = min(s for s in range(rank)
                 if left[w][s] != BOUNDARY and lengths[left[w][s]] < lengths[w])
         words[w] = bytes([s]) + words[left[w][s]]
-    elements = [Element(i, words[i], lengths[i]) for i in range(n)]
-    return GroupBall(matrix, radius, elements, right, left, inv, complete)
+    return GroupBall(matrix, radius, words, lengths, right, left, inv, complete)
 
 
 def longest_first(ball: GroupBall) -> GroupBall:

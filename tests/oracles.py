@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 
-from coxkit.ball import BOUNDARY, Element, GroupBall
+from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.errors import OutOfBallError
 from coxkit.reflections import dihedral_subgroup
 
@@ -512,12 +512,12 @@ def brute_reflections(ball):
     reduced word, so it is w s w^-1 with w its first k letters."""
     gen_ids = [ball.right[ball.identity][s] for s in ball.matrix.generators]
     out = set()
-    for e in ball.elements:
-        if 2 * e.length + 1 > ball.radius:
+    for w in range(len(ball)):
+        if 2 * ball.length(w) + 1 > ball.radius:
             continue
-        w_inv = ball.inverse(e.id)
+        w_inv = ball.inverse(w)
         for g in gen_ids:
-            out.add(ball.multiply(ball.multiply(e.id, g), w_inv))
+            out.add(ball.multiply(ball.multiply(w, g), w_inv))
     return tuple(sorted(out))
 
 
@@ -675,11 +675,11 @@ def _reference_below(bonds, x, s, is_descent, times):
 
 def reference_is_descent(ball, x, s):
     """Whether s is a right descent of x, in the ball or beyond it."""
-    n = len(ball.elements)
+    n = len(ball)
     if x >= n:
         return bool(ball._descents[x - n] >> s & 1)
     y = ball.right[x][s]
-    return y != BOUNDARY and ball.elements[y].length < ball.elements[x].length
+    return y != BOUNDARY and ball.length(y) < ball.length(x)
 
 
 class ReferenceBall(GroupBall):
@@ -695,7 +695,7 @@ class ReferenceBall(GroupBall):
         self._bonds = _reference_bonds(self.matrix)
 
     def _times(self, x, s):
-        n = len(self.elements)
+        n = len(self)
         if x < n:
             y = self.right[x][s]
             if y != BOUNDARY:
@@ -738,7 +738,7 @@ class ReferenceBall(GroupBall):
 def reference_copy(ball):
     """A `ReferenceBall` with copies of the ball's tables (its ids kept)
     and nothing yet met beyond the radius."""
-    return ReferenceBall(ball.matrix, ball.radius, list(ball.elements),
+    return ReferenceBall(ball.matrix, ball.radius, list(ball.words), list(ball.lengths),
                          [list(r) for r in ball.right], [list(r) for r in ball.left],
                          list(ball.inv), ball.is_complete_group)
 
@@ -797,5 +797,4 @@ def reference_enumerate_ball(matrix, radius):
         d = descents[inv[w]]
         s = (d & -d).bit_length() - 1
         words[w] = bytes((s,)) + words[left[w][s]]
-    elements = [Element(i, words[i], lengths[i]) for i in range(n)]
-    return ReferenceBall(matrix, radius, elements, right, left, inv, complete)
+    return ReferenceBall(matrix, radius, words, lengths, right, left, inv, complete)

@@ -274,8 +274,8 @@ def test_criterion_14_backend_equivalence():
             ball = enumerate_ball(matrix, r)
             model = model_ball(matrix, r)
             assert len(ball) == len(model)
-            assert [e.word for e in ball.elements] == [e.word for e in model.elements]
-            assert [e.length for e in ball.elements] == [e.length for e in model.elements]
+            assert ball.words == model.words
+            assert ball.lengths == model.lengths
             assert ball.right == model.right and ball.left == model.left
             assert ball.inv == model.inv
             assert ball.is_complete_group == model.is_complete_group == (r == radius)

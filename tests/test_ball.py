@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 
 from coxkit import (OutOfBallError, ResourceError, enumerate_ball,
                     named_matrix, normal_form, parse_coxeter_matrix,
                     reflections_in_ball)
-from coxkit.ball import BOUNDARY, _bonds
-from coxkit.orders import arc_table
+from coxkit.ball import BOUNDARY, GroupBall, _bonds
+from coxkit.checks import run_checks
+from coxkit.matrices import longest_length
+from coxkit.orders import (arc_table, bruhat_poset, intermediate_poset,
+                           k_absolute_length_all, k_absolute_poset)
+from coxkit.reflections import t_k_set
 
 from models import longest_first, model_ball, model_for
 from oracles import (braid_normal_form, bruhat_subword_leq, perm_of_word,
@@ -19,8 +25,8 @@ from oracles import (braid_normal_form, bruhat_subword_leq, perm_of_word,
 def _ball_signature(ball):
     return (
         len(ball),
-        [e.word for e in ball.elements],
-        [e.length for e in ball.elements],
+        ball.words,
+        ball.lengths,
         ball.right,
         ball.left,
         ball.inv,
@@ -96,7 +102,7 @@ NAMED_ORDERS = {
 
 @pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
 def test_named_types_close_at_group_order(name):
-    from coxkit.matrices import group_order, longest_length
+    from coxkit.matrices import group_order
     order, top = NAMED_ORDERS[name]
     matrix = named_matrix(name)
     assert (group_order(matrix), longest_length(matrix)) == (order, top)
@@ -359,7 +365,7 @@ def test_walk_stops_before_it_creates(spec, radius):
 
 
 def _tables(ball):
-    return ball.right, ball.left, ball.inv, [e.word for e in ball.elements]
+    return ball.right, ball.left, ball.inv, ball.words
 
 
 def _beyond(ball):
@@ -370,7 +376,6 @@ def _beyond(ball):
 
 @pytest.mark.parametrize("name", ["A5", "D5", "B5", "F4", "H4", "E6"])
 def test_engine_matches_the_per_letter_engine_on_complete_groups(name):
-    from coxkit.matrices import longest_length
     matrix = named_matrix(name)
     top = longest_length(matrix)
     assert _tables(enumerate_ball(matrix, top)) == _tables(reference_enumerate_ball(matrix, top))
@@ -442,3 +447,59 @@ def test_bonds_are_built_once_per_matrix():
     a, b = enumerate_ball(matrix, 3), enumerate_ball(parse_coxeter_matrix(str(matrix)), 5)
     assert a._bonds is b._bonds
     assert _bonds.cache_info().misses == 1
+
+
+# every ball the tests renumber with `longest_first`
+RENUMBERED = [
+    ("A3", None), ("B3", None), ("H3", None), ("A4", None), ("B4", None),
+    ("F4", None), ("D5", None), ("B3", 0), ("B3", 1), ("B3", 4), ("B3", 5),
+    ("B4", 7), ("H3", 7), ("H3", 9), ("I2(5)", 3), ("I2(7)", 5), ("I2(8)", 5),
+    ("I2(inf)", 30), ("affA2", 8), ("affA3", 8), ("affC2", 7), ("affC2", 10),
+    ("affC2", 12), ("affG2", 10), ("affG2", 12),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 8, id="hyperbolic-8"),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10"),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 14, id="hyperbolic-14"),
+    pytest.param("1 4 inf; 4 1 3; inf 3 1", 8, id="cycle-4-3-inf-8"),
+    pytest.param("1 4 4; 4 1 4; 4 4 1", 8, id="cycle-4-4-4-8"),
+    pytest.param("1 5 3; 5 1 3; 3 3 1", 7, id="hyp533-7"),
+    pytest.param("1 5 2; 5 1 3; 2 3 1", 9, id="hyp523-9")]
+
+
+@pytest.mark.parametrize("spec,radius", RENUMBERED)
+def test_levels_and_first_letters_with_any_numbering(spec, radius):
+    # levels is a stable sort of the ids by length and rank_sizes a
+    # count of each length; the first letter of each ShortLex word is the
+    # smallest left descent, which Bruhat order reads.  Both as built and
+    # renumbered longest first
+    matrix = parse_coxeter_matrix(spec)
+    ball = enumerate_ball(matrix, longest_length(matrix) if radius is None else radius)
+    for b in (ball, longest_first(ball)):
+        n = len(b)
+        assert [w for level in b.levels for w in level] == sorted(range(n), key=b.length)
+        assert all(b.length(w) == lw for lw, level in enumerate(b.levels) for w in level)
+        counts = Counter(b.lengths)
+        assert b.rank_sizes() == [counts[lw] for lw in range(max(counts) + 1)]
+        assert all(b.words[v][0] == min(b.left_descents(v)) for v in range(1, n))
+
+
+def test_levels_are_built_once_per_ball_and_not_for_normal_forms(monkeypatch):
+    # every reader of a ball reads its one `levels`; the radius-0 balls
+    # of normal_form never build it
+    built, build = [], GroupBall.levels.func
+    levels = cached_property(lambda ball: built.append(ball) or build(ball))
+    levels.__set_name__(GroupBall, "levels")
+    monkeypatch.setattr(GroupBall, "levels", levels)
+    matrix = named_matrix("B3")
+    for word in ([0, 1, 0, 1, 0], [2, 1, 2, 1, 0, 0], [1] * 7, [2, 1, 0] * 4):
+        normal_form(matrix, word)
+    assert built == []
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    run_checks(ball, ["graded", "projections", "refinement", "monoid"])
+    bruhat_poset(ball)
+    assert ball.rank_sizes() == [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]
+    truncated = enumerate_ball(named_matrix("affC2"), 7)
+    table = reflections_in_ball(truncated)
+    for k in (0, 1):
+        k_absolute_poset(k_absolute_length_all(table, k))
+        intermediate_poset(truncated, t_k_set(table, k))
+    assert built == [ball, truncated]

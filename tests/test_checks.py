@@ -4,6 +4,7 @@ per-J graded lists, and the one loop over the order ideals; and that
 `refinement` builds no slice poset."""
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, combinations
 
 import pytest
@@ -129,25 +130,29 @@ def test_projections_and_monoid_test_each_single_once_per_slice(monkeypatch):
 
 
 @pytest.mark.parametrize("ideal", ["tk", "all"])
-def test_graded_reads_left_descents_once_per_j(monkeypatch, ideal):
+def test_graded_counts_minimal_representatives_off_one_q_table_per_j(monkeypatch, ideal):
+    # the w with no left descent in J are the fixed points of the table
+    # of Q^J, which graded builds once per J for its ranks: no descent
+    # set is read
     ball = _ball("B3")
-    calls, js = [], set()
-    descents = ball.left_descents
-    graded = checks._Group.graded
+    calls, tables, js = [], [], set()
+    build, graded = checks.projections.projection_map, checks._Group.graded
 
-    def counted(w):
-        calls.append(w)
-        return descents(w)
+    def built(ball, J, kind="P"):
+        tables.append((frozenset(J), kind))
+        return build(ball, J, kind)
 
     def recorded(group, J):
         js.add(J)
         return graded(group, J)
 
-    monkeypatch.setattr(ball, "left_descents", counted)
+    monkeypatch.setattr(ball, "left_descents", calls.append)
+    monkeypatch.setattr(checks.projections, "projection_map", built)
     monkeypatch.setattr(checks._Group, "graded", recorded)
     out = run_checks(ball, ["graded"], ideal=ideal)["graded"]
     assert out["ok"]
-    assert len(calls) == len(ball) * len(js)
+    assert calls == []
+    assert Counter(J for J, kind in tables if kind == "Q") == Counter(js)
     # on the T_k slices J = S throughout; over the ideals it varies
     assert (len(js) == 1) == (ideal == "tk")
     assert out["ideals_checked"] > len(js)

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
-from coxkit import (IncompleteSliceError, OutOfBallError, enumerate_ball,
-                    named_matrix, parse_coxeter_matrix)
+from coxkit import (IncompleteSliceError, OutOfBallError, checks, enumerate_ball,
+                    named_matrix, orders, parse_coxeter_matrix)
 from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.matrices import longest_length
 from coxkit.orders import (ArcTable, _pairs_by_definition, bruhat_poset,
@@ -14,7 +15,7 @@ from coxkit.orders import (ArcTable, _pairs_by_definition, bruhat_poset,
                            k_absolute_poset, omega_graph,
                            refinement_chain_check)
 from coxkit.posets import check_graded
-from coxkit.projections import phi_k_image_poset
+from coxkit.projections import phi_k_image_poset, projection_map
 from coxkit.reflections import max_k, reflections_in_ball, t_k_set, t_order_poset
 
 from models import longest_first
@@ -158,6 +159,49 @@ def test_every_reader_of_a_ball_shares_its_rows(monkeypatch):
         assert len(multiplied) == before
     assert refinement_chain_check(table, k_max).ok
     assert sorted(built) == sorted(table.reflections)
+
+
+def _locals_on_return(func, call):
+    """The locals of each call of `func` as it returns, over `call()`."""
+    seen = []
+
+    def profile(frame, event, _arg):
+        if event == "return" and frame.f_code is func.__code__:
+            seen.append(dict(frame.f_locals))
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_readers_share_the_balls_lengths_and_levels():
+    # the arc table, the orders, the projection tables, the pairs of the
+    # k-absolute order and the check run hold the ball's own lists, not
+    # copies; the arc table keeps none of its own
+    ball = enumerate_ball(named_matrix("affC2"), 7)
+    table = reflections_in_ball(ball)
+    x_set = t_k_set(table, 1)
+    for func, name, shared, call in [
+            (ArcTable.rises, "length", ball.lengths,
+             lambda: intermediate_poset(ball, x_set)),
+            (intermediate_poset, "rank", ball.lengths,
+             lambda: intermediate_poset(ball, x_set)),
+            (orders._unit_covers, "levels", ball.levels,
+             lambda: intermediate_poset(ball, x_set)),
+            (bruhat_poset, "rank", ball.lengths, lambda: bruhat_poset(ball)),
+            (projection_map, "length", ball.lengths,
+             lambda: projection_map(ball, [0, 2], "Q")),
+            (k_absolute_length_all, "length", ball.lengths,
+             lambda: k_absolute_length_all(table, 1)),
+            (_pairs_by_definition, "length", ball.lengths,
+             lambda: k_absolute_poset(k_absolute_length_all(table, 0)))]:
+        frames = _locals_on_return(func, call)
+        assert frames and all(f[name] is shared for f in frames), func.__name__
+    assert not hasattr(ArcTable, "length") and not hasattr(ArcTable, "levels")
+    assert checks._Group(ball).length is ball.lengths
 
 
 def test_k0_is_left_weak_order(ball_a3, table_a3):

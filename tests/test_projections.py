@@ -237,7 +237,7 @@ def test_projection_map_on_ids_out_of_length_order(name, radius):
     ball = enumerate_ball(named_matrix(name), radius)
     n = len(ball)
     shuffled = longest_first(ball)
-    assert shuffled.length(1) == max(e.length for e in ball.elements)
+    assert shuffled.length(1) == max(ball.lengths)
     for J in _subsets(shuffled.matrix.generators):
         p = projection_map(shuffled, J, "P")
         q = projection_map(shuffled, J, "Q")

@@ -15,7 +15,7 @@ from coxkit.serialize import (ball_from_json_dict, ball_to_json_dict,
 
 
 def _ball_signature(ball):
-    return (len(ball), [e.word for e in ball.elements], ball.right, ball.left,
+    return (len(ball), ball.words, ball.lengths, ball.right, ball.left,
             ball.inv, ball.is_complete_group, ball.radius,
             ball.matrix.entries)
 
@@ -46,6 +46,41 @@ def test_ball_json_rejects_corruption(ball_a2):
         ball_from_json_dict(data)
     data = ball_to_json_dict(ball_a2)
     data["inf_token"] = 7
+    with pytest.raises(DomainError):
+        ball_from_json_dict(data)
+
+
+def _identity_not_at_0(data):
+    # ids 0 and 1 swapped everywhere, so the file is a consistent
+    # renumbering but for the place of the identity
+    swap = {0: 1, 1: 0}
+    for d in data["elements"]:
+        d["id"] = swap.get(d["id"], d["id"])
+    rows = data["cayley"]
+    rows[0], rows[1] = rows[1], rows[0]
+    data["cayley"] = [[swap.get(x, x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("fault", [
+    lambda d: d["cayley"].pop(),
+    _identity_not_at_0,
+    lambda d: d["elements"][4].update(word=d["elements"][3]["word"]),
+    lambda d: d.update(radius=-1),
+    lambda d: d.update(radius="3"),
+    lambda d: d.pop("elements"),
+    lambda d: d["cayley"][2].pop(),
+    lambda d: d["elements"][1].update(word=[5]),
+    lambda d: d["elements"][5].update(word=[1, 0, 1]),
+    lambda d: d["cayley"][3].reverse(),
+], ids=["cayley-missing-row", "identity-not-at-0", "repeated-word",
+        "negative-radius", "string-radius", "no-elements", "short-cayley-row",
+        "letter-out-of-range", "word-not-shortlex", "cayley-row-wrong"])
+def test_ball_json_refuses_what_is_not_a_ball(ball_a2, fault):
+    # each file is read against the ball of its matrix and radius; the
+    # untouched file reads back
+    data = ball_to_json_dict(ball_a2)
+    assert _ball_signature(ball_from_json_dict(data)) == _ball_signature(ball_a2)
+    fault(data)
     with pytest.raises(DomainError):
         ball_from_json_dict(data)
 
