@@ -24,6 +24,19 @@ run as the composite of the singles in J.  `refinement` reads no slice:
 it decides the chain on the reflection sets and the ball's arc graph of
 X_{max k} when it reports.  Each check keeps only its own rows (and
 Sperner its certified first slice).
+
+Some work is done once per orbit of the Coxeter graph's automorphisms.
+Such a permutation pi of the generators extends to a length-preserving
+automorphism phi of W, which maps T_k, each intermediate order, each
+k-absolute order and the reflection order onto themselves, and [e, c]
+onto [e, phi(c)]; `_Group.automorphisms` keeps each phi only once it is
+certified on the ball's right table.  So `shellability` shells one
+Coxeter element per orbit for each slice and flavour and gives the
+images its status, but never passes on `inconclusive`, since another
+numbering of the facets may decide the search.  Under `--ideal all` an
+image of an ideal that passed every check adds that ideal's counts,
+cut components included, and builds no poset; an image of an ideal
+with a failure is checked on its own, so the rows name its own covers.
 """
 from __future__ import annotations
 
@@ -33,7 +46,7 @@ from itertools import combinations
 
 from . import curvature, orders, polynomials, posets, projections, reflections
 from .ball import BOUNDARY
-from .errors import DomainError, OutOfBallError, ResourceError
+from .errors import DomainError, ResourceError
 
 __all__ = ["THEOREM_CHECKS", "CONJECTURE_CHECKS", "ALL_CHECKS", "run_checks"]
 
@@ -54,6 +67,50 @@ class _Group:
         self._graded, self._composite = {}, {}
 
     bruhat = cached_property(lambda g: orders.bruhat_poset(g.ball))
+
+    @cached_property
+    def automorphisms(self):
+        """The ball's non-identity diagram automorphisms, each as the list
+        phi with phi[w] the id of the image of w.
+
+        A permutation pi of the generators that keeps every bond m(s, t)
+        extends to a length-preserving automorphism of W (Bjorner-Brenti,
+        Combinatorics of Coxeter Groups, 2005).  The pi are found by a
+        backtracking search over the images of 0, 1, ..., each image kept
+        only while the bonds to the generators placed so far hold.  phi
+        is built level by level from phi(w s) = phi(w) pi(s), s the last
+        letter of the word of w s, and kept only if it permutes the ids
+        and commutes with the right table on every (w, s), BOUNDARY to
+        BOUNDARY: a wrong table certifies none.
+        """
+        ball, entries = self.ball, self.ball.matrix.entries
+        right, words, n = ball.right, ball.words, len(ball)
+        perms = []
+
+        def extend(pi):
+            s = len(pi)
+            if s == len(entries):
+                perms.append(pi)
+                return
+            for p in range(len(entries)):
+                if p not in pi and all(entries[p][q] == entries[s][t]
+                                       for t, q in enumerate(pi)):
+                    extend(pi + (p,))
+
+        extend(())
+        out = []
+        for pi in perms[1:]:  # the first is the identity
+            phi = [BOUNDARY] * (n + 1)  # and phi[BOUNDARY], the last, is BOUNDARY
+            phi[ball.identity] = ball.identity
+            for level in ball.levels[1:]:
+                for x in level:
+                    s = words[x][-1]
+                    phi[x] = right[phi[right[x][s]]][pi[s]]
+            if sorted(phi[:n]) == list(range(n)) and all(
+                    [phi[x] for x in row] == [right[phi[w]][p] for p in pi]
+                    for w, row in enumerate(right)):
+                out.append(phi[:n])
+        return out
 
     def graded(self, J):
         """(rank, minreps) for the frozenset J: the list w -> l(w) - l(Q^J w),
@@ -148,8 +205,23 @@ def run_checks(ball, names, ks=None, ideal="tk", deadline=None) -> dict:
 
     def every_ideal(checks):
         tpos = reflections.t_order_poset(group.table)
-        for i in posets.order_ideals(tpos):  # each ideal's slice dropped after it
-            hand(checks, _Slice(group, None, frozenset(tpos.nodes[j] for j in i)))
+        passed = {}  # each image of an ideal that passed every check: its counts
+        for i in posets.order_ideals(tpos):
+            X = frozenset(tpos.nodes[j] for j in i)
+            if X in passed:  # an automorphism maps the checked ideal onto X
+                for name, check in checks.items():
+                    count, cut = passed[X][name]
+                    check.count += count
+                    check.cut += cut
+                continue
+            before = {n: (c.count, c.cut, len(c.rows)) for n, c in checks.items()}
+            hand(checks, _Slice(group, None, X))  # each ideal's slice dropped after it
+            if checks.keys() == before.keys() and all(
+                    len(c.rows) == before[n][2] for n, c in checks.items()):
+                counts = {n: (c.count - before[n][0], c.cut - before[n][1])
+                          for n, c in checks.items()}
+                passed.update((frozenset(phi[t] for t in X), counts)
+                              for phi in group.automorphisms)
 
     if ideal == "all":
         per_ideal = {n: live.pop(n) for n in ("graded", "projections") if n in live}
@@ -236,38 +308,59 @@ def _components_isomorphic(ball, poset, comps):
     """Whether each of the given components of an intermediate poset
     (nodes: the ball ids) is isomorphic to the first, the identity's.
 
-    Component c is first tried with x -> x m, m its element of least
-    length.  When X lies in W_J the components are the cosets W_J m, and
-    l(u m) = l(u) + l(m) takes each arc a -> t a to a m -> t a m; but
-    the verdict is the check's, and where the map is no isomorphism, or
-    leaves the ball, the search decides.
+    Components of different sizes or cover counts are not.  Component c
+    is first tried with x -> x m, m its element of least length, walked
+    down the right table: a map that is one to one into c and takes
+    each cover of the first component to a cover (ids i n + j, one set
+    for the poset) maps the covers onto c's, so it is an isomorphism.
+    When X lies in W_J the components are the cosets W_J m, and l(u m) =
+    l(u) + l(m) takes each arc a -> t a to a m -> t a m; but the verdict
+    is the check's, and where the map is no isomorphism, or leaves the
+    ball, the search decides.
     """
+    n = poset.n
+    cover_ids = {i * n + j for i, j in poset.covers}
     where = {x: c for c, comp in enumerate(comps) for x in comp}
-    covers = [[] for _ in comps]
+    count = [0] * len(comps)
+    base = []  # the covers of the first component
     for i, j in poset.covers:
-        if i in where:
-            covers[where[i]].append((i, j))
-
-    def part(c):
-        pos = {x: k for k, x in enumerate(comps[c])}
-        return posets.Poset(comps[c], [(pos[i], pos[j]) for i, j in covers[c]])
-
-    base = part(0)
+        c = where.get(i)
+        if c is not None:
+            count[c] += 1
+            if c == 0:
+                base.append((i, j))
     for c in range(1, len(comps)):
+        if len(comps[c]) != len(comps[0]) or count[c] != count[0]:
+            return False
         m = min(comps[c], key=ball.length)
-        try:
-            iso = posets.is_isomorphism(
-                base, part(c), {x: ball.multiply(x, m) for x in comps[0]})
-        except OutOfBallError:
-            iso = False
-        if not iso and not posets.poset_isomorphic(
-                poset.subposet(comps[0]), poset.subposet(comps[c]))[0]:
+        image = dict(zip(comps[0], _times(ball, comps[0], m)))
+        if (all(where.get(y) == c for y in image.values())
+                and len(set(image.values())) == len(image)
+                and all(image[i] * n + image[j] in cover_ids for i, j in base)):
+            continue
+        if not posets.poset_isomorphic(poset.subposet(comps[0]),
+                                       poset.subposet(comps[c]))[0]:
             return False
     return True
 
 
+def _times(ball, xs, m):
+    """x m for each x in xs, walked down the right table along the word
+    of m; BOUNDARY where a walk leaves the ball."""
+    right, word, out = ball.right, ball.words[m], []
+    for x in xs:
+        for s in word:
+            x = right[x][s]
+            if x == BOUNDARY:
+                break
+        out.append(x)
+    return out
+
+
 class _Projections(_Check):
-    count = 0  # over the T_k slices or every order ideal; rows: failures
+    # over the T_k slices or every order ideal (cut: none, kept as graded's
+    # for the ideals passed over); rows: failures
+    count = cut = 0
 
     def step(self, s):
         group = self.group
@@ -385,14 +478,24 @@ class _Shellability(_Check):
     def step(self, s):
         ball, absol = self.group.ball, orders.k_absolute_poset(s.absolute_length)
         for flavor, poset in (("intermediate", s.intermediate), ("absolute", absol)):
+            decided = {}  # each image of a decided c: its status, None if not above e
             for c in self.coxeter_elements:
-                try:
-                    open_interval = posets.order_complex(poset, ball.identity, c)
-                except DomainError:
-                    continue  # c is not above e in this order
-                self.rows.append({"k": s.k, "order": flavor,
-                                  "coxeter_element": list(ball.word(c)),
-                                  "status": posets.shellability(open_interval).status})
+                if c in decided:
+                    status = decided[c]
+                else:
+                    try:
+                        open_interval = posets.order_complex(poset, ball.identity, c)
+                    except DomainError:
+                        status = None  # c is not above e in this order
+                    else:
+                        status = posets.shellability(open_interval).status
+                    if status != "inconclusive":  # another numbering may decide it
+                        decided.update((phi[c], status)
+                                       for phi in self.group.automorphisms)
+                if status is not None:
+                    self.rows.append({"k": s.k, "order": flavor,
+                                      "coxeter_element": list(ball.word(c)),
+                                      "status": status})
 
 
 class _Curvature(_Check):

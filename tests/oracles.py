@@ -7,9 +7,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 
+from coxkit import checks
 from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.errors import OutOfBallError
-from coxkit.reflections import dihedral_subgroup
+from coxkit.posets import order_ideals
+from coxkit.reflections import dihedral_subgroup, t_order_poset
 
 
 # -- words and Bruhat order ---------------------------------------------------
@@ -798,3 +800,22 @@ def reference_enumerate_ball(matrix, radius):
         s = (d & -d).bit_length() - 1
         words[w] = bytes((s,)) + words[left[w][s]]
     return ReferenceBall(matrix, radius, words, lengths, right, left, inv, complete)
+
+
+# -- checks -------------------------------------------------------------------
+
+
+def reference_ideal_records(ball, names):
+    """The records of the named per-ideal checks ("graded",
+    "projections") of `coxkit.checks` with every order ideal of the
+    reflection order handed to each check in turn: no ideal is skipped
+    as the image of another under an automorphism.  It shares the
+    checks' own steps and stands in only for the loop of `run_checks`."""
+    group = checks._Group(ball)
+    live = [checks._CHECKS[name](group) for name in names]
+    tpos = t_order_poset(group.table)
+    for ideal in order_ideals(tpos):
+        s = checks._Slice(group, None, frozenset(tpos.nodes[j] for j in ideal))
+        for check in live:
+            check.step(s)
+    return {name: check.report() for name, check in zip(names, live)}

@@ -1,9 +1,12 @@
 """The W_J data `coxkit.checks` holds for a run: the composite
 certificate of P^J, the per-slice order test of each single P^{s}, the
-per-J graded lists, and the one loop over the order ideals; and that
-`refinement` builds no slice poset."""
+per-J graded lists, and the one loop over the order ideals; that
+`refinement` builds no slice poset; and the diagram automorphisms, by
+which `shellability` and the loop over the ideals decide each orbit
+once."""
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from itertools import chain, combinations
 
@@ -12,11 +15,13 @@ import pytest
 from coxkit import checks, enumerate_ball, named_matrix
 from coxkit.ball import BOUNDARY
 from coxkit.checks import run_checks
+from coxkit.errors import DomainError
 from coxkit.matrices import longest_length
-from coxkit.orders import intermediate_poset
-from coxkit.posets import Poset, check_graded
+from coxkit.orders import intermediate_poset, k_absolute_length_all, k_absolute_poset
+from coxkit.posets import Poset, ShellingVerdict, check_graded, order_complex, shellability
 from coxkit.projections import SelfMapTable, is_order_preserving, projection_map
 from coxkit.reflections import max_k, reflections_in_ball, t_k_set
+from oracles import reference_ideal_records
 
 
 def _ball(name, radius=None):
@@ -304,3 +309,130 @@ def test_a_long_arc_outside_the_unit_closure_fails_graded(monkeypatch):
         expected += [{"X_size": len(X), "bad_covers": bad[:5]},
                      {"X_size": len(X), "length_gap_cover": list(bad[0])}]
     assert failures == expected
+
+
+@pytest.mark.parametrize("name,radius,count", [
+    ("A3", None, 1), ("A5", None, 1), ("D5", None, 1), ("E6", None, 1),
+    ("F4", None, 1), ("I2(5)", None, 1), ("affC2", 7, 1), ("D4", None, 5),
+    ("affA2", 6, 5), ("affA3", 6, 7), ("B3", None, 0), ("B4", None, 0),
+    ("H3", None, 0), ("H4", None, 0)])
+def test_diagram_automorphisms_are_certified_on_the_ball(name, radius, count):
+    ball = _ball(name, radius)
+    autos = checks._Group(ball).automorphisms
+    assert len(autos) == count
+    for phi in autos:
+        # a permutation of the ids that keeps lengths and maps the
+        # generators onto the generators
+        assert sorted(phi) == list(range(len(ball)))
+        assert [ball.length(phi[w]) for w in range(len(ball))] == ball.lengths
+        gens = [ball.right[ball.identity][s] for s in ball.matrix.generators]
+        assert sorted(phi[g] for g in gens) == sorted(gens)
+
+
+def test_a_wrong_table_certifies_no_automorphism(monkeypatch):
+    # w0 s0 moved to w0 s1 in the top row of A4's right table: every
+    # interval is then shelled, where the intact ball shells one Coxeter
+    # element of each of its 4 orbits
+    ball = _ball("A4")
+    slices = max_k(reflections_in_ball(ball)) + 1
+    calls, search = [], checks.posets.shellability
+    monkeypatch.setattr(checks.posets, "shellability",
+                        lambda cx: calls.append(cx) or search(cx))
+    intact = run_checks(ball, ["shellability"])["shellability"]["intervals"]
+    assert len(intact) == 8 * slices * 2 and len(calls) == 4 * slices * 2
+    broken = copy.copy(ball)
+    broken.right = [row[:] for row in ball.right]
+    w0 = max(range(len(ball)), key=ball.length)
+    broken.right[w0][0] = ball.right[w0][1]
+    assert checks._Group(broken).automorphisms == []
+    calls.clear()
+    rows = run_checks(broken, ["shellability"])["shellability"]["intervals"]
+    assert len(rows) == len(calls) == 8 * slices * 2
+
+
+def test_an_inconclusive_interval_is_not_passed_on(monkeypatch):
+    # the interval [e, c], c the first Coxeter element of A3, is forced
+    # inconclusive: its image under the flip is searched, and the rest
+    # of the orbits are still decided once
+    ball = _ball("A3")
+    c = ball.coxeter_elements()[0]
+    (phi,) = checks._Group(ball).automorphisms
+    searched = []
+    build, search = checks.posets.order_complex, checks.posets.shellability
+
+    def recorded(poset, bottom, top):
+        searched.append(top)
+        return build(poset, bottom, top)
+
+    monkeypatch.setattr(checks.posets, "order_complex", recorded)
+    monkeypatch.setattr(checks.posets, "shellability", lambda cx: (
+        ShellingVerdict("inconclusive") if searched[-1] == c else search(cx)))
+    rows = run_checks(ball, ["shellability"])["shellability"]["intervals"]
+    slices = max_k(reflections_in_ball(ball)) + 1
+    for k in range(slices):
+        for flavor in ("intermediate", "absolute"):
+            status = {tuple(r["coxeter_element"]): r["status"] for r in rows
+                      if r["k"] == k and r["order"] == flavor}
+            assert status[tuple(ball.word(c))] == "inconclusive"
+            assert status[tuple(ball.word(phi[c]))] == "shellable"
+    assert phi[c] != c and Counter(searched)[phi[c]] == 2 * slices
+    # 4 Coxeter elements in 3 orbits, one of them searched twice
+    assert len(searched) == 4 * 2 * slices
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("A3", None), ("A4", None), ("D4", None), ("B3", None), ("affA2", 8)])
+def test_shellability_rows_are_each_intervals_own_status(name, radius):
+    ball = _ball(name, radius)
+    table = reflections_in_ball(ball)
+    expected = []
+    for k in range(max_k(table) + 1):
+        orders = (("intermediate", intermediate_poset(ball, t_k_set(table, k))),
+                  ("absolute", k_absolute_poset(k_absolute_length_all(table, k))))
+        for flavor, poset in orders:
+            for c in ball.coxeter_elements():
+                try:
+                    interval = order_complex(poset, ball.identity, c)
+                except DomainError:
+                    continue
+                expected.append({"k": k, "order": flavor,
+                                 "coxeter_element": list(ball.word(c)),
+                                 "status": shellability(interval).status})
+    assert run_checks(ball, ["shellability"])["shellability"]["intervals"] == expected
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("A3", None), ("A4", None), ("D4", None), ("B3", None), ("affC2", 7),
+    ("affA2", 6)])
+def test_ideal_records_match_a_loop_over_every_ideal(monkeypatch, name, radius):
+    # an image of an ideal that passed adds its counts, cut components
+    # included, and builds no poset
+    ball = _ball(name, radius)
+    names = ["graded", "projections"]
+    expected = reference_ideal_records(ball, names)
+    built = []
+    build = checks.orders.intermediate_poset
+    monkeypatch.setattr(checks.orders, "intermediate_poset",
+                        lambda *args: built.append(args[1]) or build(*args))
+    assert run_checks(ball, names, ideal="all") == expected
+    ideals = expected["graded"]["ideals_checked"]
+    if checks._Group(ball).automorphisms:
+        assert len(built) < ideals
+    else:
+        assert len(built) == ideals
+
+
+def test_a_component_with_an_extra_cover_is_not_isomorphic():
+    # X = the reflections of W_J, J = {0, 1}, in A3: the components are
+    # the 4 cosets W_J m; one extra cover in the second makes the map
+    # x -> x m one to one and cover-preserving, but not onto its covers
+    ball = _ball("A3")
+    X = frozenset(ball.id_of_word(w) for w in ([0], [1], [0, 1, 0]))
+    poset = intermediate_poset(ball, X)
+    comps = poset.components()
+    assert len(comps) == 4 and comps[0][0] == ball.identity
+    assert checks._components_isomorphic(ball, poset, comps)
+    bottom, top = min(comps[1], key=ball.length), max(comps[1], key=ball.length)
+    extra = Poset(poset.nodes, poset.covers + [(bottom, top)])
+    assert extra.components() == comps
+    assert not checks._components_isomorphic(ball, extra, comps)

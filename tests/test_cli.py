@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from coxkit import DomainError, checks, cli, enumerate_ball, named_matrix
+from coxkit.ball import BOUNDARY
 from coxkit.checks import ALL_CHECKS, run_checks
 from coxkit.cli import main
 from coxkit.serialize import poset_from_json_dict
@@ -86,6 +87,8 @@ def test_failed_candidate_falls_back_to_the_search(capsys, monkeypatch, argv):
         searches.append(p.n)
         return search(p, q)
 
+    # graded's candidate x -> x m walks off the ball, phi's is no isomorphism
+    monkeypatch.setattr(checks, "_times", lambda ball, xs, m: [BOUNDARY] * len(xs))
     monkeypatch.setattr(cli.posets, "is_isomorphism", lambda p, q, f: False)
     monkeypatch.setattr(cli.posets, "poset_isomorphic", counted_search)
     assert _run(capsys, argv)[:2] == (code, out)
@@ -122,7 +125,7 @@ def test_graded_still_fails_on_whole_cosets_that_differ(capsys, monkeypatch):
         return isomorphic(ball, poset, comps)
 
     monkeypatch.setattr(checks, "_components_isomorphic", counted)
-    monkeypatch.setattr(cli.posets, "is_isomorphism", lambda p, q, f: False)
+    monkeypatch.setattr(checks, "_times", lambda ball, xs, m: [BOUNDARY] * len(xs))
     monkeypatch.setattr(cli.posets, "poset_isomorphic",
                         lambda p, q: (False, None))
     code, out, _e = _run(capsys, ["check", "--type", "affA2", "--radius", "6",
