@@ -65,10 +65,13 @@ class GroupBall:
     @cached_property
     def levels(self) -> list[list[int]]:
         """levels[l]: the ids of length l, increasing; built on first read
-        (a ball read from JSON may number its ids in any order)."""
+        (a ball read from JSON may number its ids in any order).  It
+        holds no int of its own: each id is the object the inverse table
+        already holds, inv[inv[w]], so readers that keep ids share them."""
+        inv = self.inv
         levels = [[] for _ in range(max(self.lengths) + 1)]
         for w, lw in enumerate(self.lengths):
-            levels[lw].append(w)
+            levels[lw].append(inv[inv[w]])
         return levels
 
     def id_of_word(self, letters) -> int:

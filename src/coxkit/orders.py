@@ -97,7 +97,9 @@ class ArcTable:
         ball has j <= radius - l(a), so l(t*a') >= l(t*a) - j > radius,
         and the entries of every extension are BOUNDARY in turn.  When
         the row is done, the ids beyond the radius become BOUNDARY too.
-        Each entry outside the ball is one boundary skip.
+        Each entry outside the ball is one boundary skip.  The row of a
+        generator s is column s of the left table, s*a = left[a][s],
+        BOUNDARY exactly where s*a leaves the ball, with no step taken.
         """
         if t not in self.rows:
             self.rows[t], self.skips[t] = self._build(t)
@@ -105,6 +107,10 @@ class ArcTable:
 
     def _build(self, t):
         ball = self.ball
+        if ball.lengths[t] == 1:
+            s = ball.words[t][0]
+            row = [r[s] for r in ball.left]
+            return row, row.count(BOUNDARY)
         n = len(ball)
         right = ball.right
         times, beyond = ball._times, ball._lengths  # beyond[x - n] = l(x)

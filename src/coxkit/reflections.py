@@ -476,6 +476,14 @@ def t_order_poset(table: ReflectionTable, restrict_to=None) -> Poset:
         internal length in W'' is a strictly increasing function of
         internal length in W' (the Bruhat order of W'' implies that of
         W'), so the comparisons of W'' are among those of W'.
+    (c) On a truncated ball with a root table, a pair (t, t') is skipped
+        when t*t'*t and t'*t*t' both miss the table, with no subgroup
+        built.  Then the descent of step 1 stops at once, and both
+        sequences of step 3 stop at their first miss, so t, t' are the
+        only reflections of <t, t'> in the ball, both of internal length
+        1: the sweep would add no comparison, and its marks would only
+        skip (t, t') itself, which the loop visits once.  On a complete
+        group every conjugate is in the ball, so nothing is tested.
     """
     ball = table.ball
     if restrict_to is None:
@@ -489,11 +497,21 @@ def t_order_poset(table: ReflectionTable, restrict_to=None) -> Poset:
     order = sorted(table.reflections, key=lambda t: (ball.length(t), t))
     bit = {t: 1 << i for i, t in enumerate(order)}
     seen = dict.fromkeys(order, 0)  # bits of the reflections swept with t
+    lonely = not ball.is_complete_group and _cartan(ball.matrix) is not None
+    if lonely:
+        roots, ids = _root_table(ball)
     pairs = set()
     for i, t in enumerate(order):
+        if lonely:
+            rt, ct, kt = roots[t]
         for tp in order[i + 1:]:
             if seen[t] & bit[tp]:
                 continue
+            if lonely:  # (c): t*t'*t and t'*t*t' both beyond the radius
+                ru, cu, ku = roots[tp]
+                if (ku - sum(map(mul, ct, ru)) * kt not in ids
+                        and kt - sum(map(mul, cu, rt)) * ku not in ids):
+                    continue
             sub = dihedral_subgroup(ball, t, tp)
             met = sum(bit[r] for r in sub.reflection_ids)
             for r in sub.reflection_ids:

@@ -10,7 +10,7 @@ from itertools import accumulate, combinations, permutations
 from coxkit import checks
 from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.errors import OutOfBallError
-from coxkit.posets import order_ideals
+from coxkit.posets import Poset, order_ideals
 from coxkit.reflections import dihedral_subgroup, t_order_poset
 
 
@@ -539,6 +539,34 @@ def brute_t_order_pairs(table):
     return less
 
 
+def reference_t_order_poset(table, restrict_to=None):
+    """The reflection order by the sweep with no pair skipped by its
+    conjugates: every pair (t, t') by (length, id) that no swept
+    subgroup holds goes through `dihedral_subgroup`."""
+    ball = table.ball
+    nodes = list(table.reflections) if restrict_to is None else sorted(restrict_to)
+    pos = {t: i for i, t in enumerate(nodes)}
+    order = sorted(table.reflections, key=lambda t: (ball.length(t), t))
+    bit = {t: 1 << i for i, t in enumerate(order)}
+    seen = dict.fromkeys(order, 0)
+    pairs = set()
+    for i, t in enumerate(order):
+        for tp in order[i + 1:]:
+            if seen[t] & bit[tp]:
+                continue
+            sub = dihedral_subgroup(ball, t, tp)
+            met = sum(bit[r] for r in sub.reflection_ids)
+            for r in sub.reflection_ids:
+                seen[r] |= met
+            il = sub.reflection_lengths
+            pairs |= {(pos[a], pos[b]) for a in sub.reflection_ids
+                      for b in sub.reflection_ids
+                      if a in pos and b in pos and il[b] > il[a]}
+    return Poset.from_relation(
+        nodes, sorted(pairs), rank=None,
+        metadata={"kind": "reflection-order", "radius": ball.radius})
+
+
 def omega_distance_in_dihedral(sub, t, tp):
     """Directed distance t -> t' in the Bruhat graph of a dihedral
     reflection subgroup (arcs a -> ra for subgroup reflections r that
@@ -563,6 +591,34 @@ def omega_distance_in_dihedral(sub, t, tp):
                     nxt.append(b)
         frontier = nxt
     return dist.get(tp)
+
+
+# -- arc rows -----------------------------------------------------------------
+
+
+def reference_arc_row(ball, t):
+    """(row, skips) for row[a] = t*a, built one step at a time: with s
+    the last letter of a's ShortLex word, t*a = (t*(a s)) s, the ids
+    visited by length, each step a right-table lookup or `_times`
+    beyond the radius; an entry is BOUNDARY once l(t*a) + l(a) > 2
+    radius, and every entry outside the ball is one skip."""
+    n = len(ball)
+    skips = 0
+    row = [BOUNDARY] * n
+    row[ball.identity] = t
+    for a in sorted(range(1, n), key=ball.length):
+        s = ball.word(a)[-1]
+        x = row[ball.right[a][s]]
+        if x == BOUNDARY:
+            skips += 1
+            continue
+        b = ball._times(x, s)
+        if b >= n:
+            skips += 1
+            if ball._length(b) + ball.length(a) > 2 * ball.radius:
+                b = BOUNDARY
+        row[a] = b
+    return [BOUNDARY if b >= n else b for b in row], skips
 
 
 # -- products beyond the radius -----------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from functools import cached_property
 
@@ -480,6 +481,23 @@ def test_levels_and_first_letters_with_any_numbering(spec, radius):
         counts = Counter(b.lengths)
         assert b.rank_sizes() == [counts[lw] for lw in range(max(counts) + 1)]
         assert all(b.words[v][0] == min(b.left_descents(v)) for v in range(1, n))
+
+
+def test_levels_hold_no_int_of_their_own():
+    # each id in `levels` is the object the inverse table holds, so on E6
+    # (51,840 ids, nearly all past the small-int cache) the levels take
+    # little more than their list pointers; an int object would be 28 B
+    matrix = named_matrix("E6")
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    tracemalloc.start()
+    try:
+        levels = ball.levels
+        size, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size / len(ball) < 10
+    assert [list(level) for level in levels] == [
+        [w for w in range(len(ball)) if ball.length(w) == lw] for lw in range(37)]
 
 
 def test_levels_are_built_once_per_ball_and_not_for_normal_forms(monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -10,18 +11,20 @@ from coxkit import (IncompleteSliceError, OutOfBallError, checks, enumerate_ball
                     named_matrix, orders, parse_coxeter_matrix)
 from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.matrices import longest_length
-from coxkit.orders import (ArcTable, _pairs_by_definition, bruhat_poset,
+from coxkit.orders import (ArcTable, _pairs_by_definition, arc_table, bruhat_poset,
                            intermediate_poset, k_absolute_length_all,
                            k_absolute_poset, omega_graph,
                            refinement_chain_check)
 from coxkit.posets import check_graded
 from coxkit.projections import phi_k_image_poset, projection_map
 from coxkit.reflections import max_k, reflections_in_ball, t_k_set, t_order_poset
+from coxkit.serialize import ball_from_json_dict, ball_to_json_dict
 
 from models import longest_first
 from oracles import (brute_closure, brute_covers, brute_k_absolute_covers,
                      brute_k_absolute_pairs, brute_omega_graph, perm_of_word,
-                     refinement_by_relation_pairs, t_k_word_metric)
+                     reference_arc_row, refinement_by_relation_pairs,
+                     t_k_word_metric)
 
 
 def _complete(name):
@@ -134,6 +137,47 @@ def test_omega_graph_follows_rows_past_the_radius(spec, radius, monkeypatch):
     graphs = [omega_graph(ball, x_set) for x_set in slices]
     assert calls == []
     assert [(g.arcs, g.boundary_skips) for g in graphs] == expected
+
+
+@pytest.mark.parametrize("form", ["enumerated", "json", "longest-first"])
+@pytest.mark.parametrize("spec,radius", [
+    ("B3", None), ("H3", None), ("B4", None), ("affC2", 12),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10"),
+    ("affA3", 8)])
+def test_generator_rows_are_columns_of_the_left_table(spec, radius, form):
+    # the row of a generator s is s*a = left[a][s], with a skip for each
+    # BOUNDARY entry: what the step build gives, with no step taken, also
+    # on a ball read back from JSON in any numbering
+    ball = _ball(spec, radius, form == "longest-first")
+    if form == "json":
+        ball = ball_from_json_dict(ball_to_json_dict(ball))
+    table = ArcTable(ball)
+    for g in ball.right[ball.identity]:
+        row = table.row(g)
+        assert (row, table.skips[g]) == reference_arc_row(ball, g)
+    assert "_steps" not in vars(table)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("B3", None), ("affC2", 12),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10")])
+def test_a_k0_intermediate_poset_takes_no_step(spec, radius, monkeypatch):
+    # T_0 is the generators, whose rows are left-table columns: the step
+    # list is never built, and `_times` never runs; k = 1 builds it once
+    ball = _ball(spec, radius, False)
+    table = reflections_in_ball(ball)
+    built, steps = [], ArcTable._steps.func
+    counted = cached_property(lambda arcs: built.append(arcs) or steps(arcs))
+    counted.__set_name__(ArcTable, "_steps")
+    monkeypatch.setattr(ArcTable, "_steps", counted)
+    times = []
+    monkeypatch.setattr(GroupBall, "_times", lambda self, x, s: times.append(x))
+    intermediate_poset(ball, t_k_set(table, 0))
+    assert built == times == []
+    monkeypatch.undo()
+    monkeypatch.setattr(ArcTable, "_steps", counted)
+    intermediate_poset(ball, t_k_set(table, 1))
+    assert built == [arc_table(ball)]
 
 
 def test_every_reader_of_a_ball_shares_its_rows(monkeypatch):

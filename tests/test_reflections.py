@@ -17,7 +17,7 @@ from coxkit.reflections import (dihedral_subgroup, reflections_in_ball, t_k_set,
 from models import longest_first
 from oracles import (brute_closure, brute_covers, brute_reflections,
                      brute_t_order_pairs, omega_distance_in_dihedral,
-                     reference_dihedral_subgroup)
+                     reference_dihedral_subgroup, reference_t_order_poset)
 
 
 def _ball(spec, radius, renumber=False):
@@ -307,14 +307,38 @@ def test_t_order_relation_matches_the_sweep_of_every_pair(
 
 @pytest.mark.parametrize("renumber", [False, True],
                          ids=["by-length", "longest-first"])
+@pytest.mark.parametrize("spec,radius", [
+    ("affC2", 12), ("affG2", 12), ("affA3", 8),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 10, id="hyperbolic-10"),
+    pytest.param("1 3 inf; 3 1 3; inf 3 1", 14, id="hyperbolic-14"),
+    pytest.param("1 4 inf; 4 1 3; inf 3 1", 12, id="cycle-4-3-inf-12"),
+    ("affA2", 9), ("B3", 5), ("I2(inf)", 30),
+    pytest.param("1 5 2; 5 1 3; 2 3 1", 9, id="cycle-5-2-3-9")])
+def test_t_order_matches_the_sweep_with_no_pair_skipped(spec, radius, renumber):
+    # a pair whose two conjugates both lie beyond the radius is skipped
+    # with no subgroup built; the reference builds the subgroup of every
+    # pair that no swept subgroup holds.  Same nodes and covers, on the
+    # whole table and on a slice
+    ball = _ball(spec, radius, renumber)
+    table = reflections_in_ball(ball)
+    for subset in (None, t_k_set(table, 1)):
+        got = t_order_poset(table, restrict_to=subset)
+        ref = reference_t_order_poset(table, restrict_to=subset)
+        assert (got.nodes, got.covers) == (ref.nodes, ref.covers)
+
+
+@pytest.mark.parametrize("renumber", [False, True],
+                         ids=["by-length", "longest-first"])
 @pytest.mark.parametrize("spec,radius,calls", [
-    ("I2(inf)", 30, 1), ("H3", None, 31), ("affC2", 12, 70),
-    ("1 3 inf; 3 1 3; inf 3 1", 10, 500)],
+    ("I2(inf)", 30, 1), ("H3", None, 31), ("affC2", 12, 42),
+    ("1 3 inf; 3 1 3; inf 3 1", 10, 52)],
     ids=["I2(inf)-30", "H3", "affC2-12", "hyperbolic-10"])
 def test_t_order_sweeps_only_canonical_pairs(spec, radius, calls, renumber,
                                              monkeypatch):
     # a pair that is not the canonical pair of its subgroup lies in a
-    # subgroup swept before it, so it is never swept itself
+    # subgroup swept before it, so it is never swept itself; on a
+    # truncated ball with roots, neither is a pair whose two conjugates
+    # both lie beyond the radius
     ball = _ball(spec, radius, renumber)
     inputs = []
     sweep = reflections.dihedral_subgroup
