@@ -30,13 +30,13 @@ gives one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .ball import GroupBall
 from .errors import DomainError, OutOfBallError
 from .flows import MinCostFlow
+from .records import Record
 
 CONVENTION = {
     "graph": "undirected",
@@ -51,15 +51,17 @@ __all__ = ["CurvatureRecord", "CurvatureReport", "undirected_adjacency",
            "CONVENTION"]
 
 
-@dataclass
-class CurvatureRecord:
+class CurvatureRecord(Record):
     """The curvature kappa of the edge {x, y} and an optimal transport
     plan, (u, v) -> Fraction mass."""
 
-    x: int
-    y: int
-    kappa: Fraction
-    transport_plan: dict
+    _fields = ("x", "y", "kappa", "transport_plan")
+
+    def __init__(self, x: int, y: int, kappa: Fraction, transport_plan: dict):
+        self.x = x
+        self.y = y
+        self.kappa = kappa
+        self.transport_plan = transport_plan
 
 
 class CurvatureReport:

@@ -7,8 +7,9 @@ entry is the literal order m(s, t) of the product st.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import prod
+
+from .records import Frozen
 
 INF = 0  # matrix encoding of an infinite bond
 
@@ -17,27 +18,37 @@ class MatrixError(ValueError):
     """Raised for malformed or invalid Coxeter matrix input."""
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    rank: int
-    entries: tuple[tuple[int, ...], ...]
-    name: str | None = field(default=None, compare=False)
+class CoxeterMatrix(Frozen):
+    """An immutable, validated Coxeter matrix.  `name` is shown by repr
+    but left out of `==` and the hash."""
 
-    def __post_init__(self):
-        if self.rank < 1:
+    _fields = ("rank", "entries", "name")
+
+    def __init__(self, rank: int, entries: tuple[tuple[int, ...], ...],
+                 name: str | None = None):
+        if rank < 1:
             raise MatrixError("rank must be a positive integer")
-        if len(self.entries) != self.rank or any(len(r) != self.rank for r in self.entries):
-            raise MatrixError(f"entries must form a {self.rank}x{self.rank} array")
-        for i in range(self.rank):
-            if self.entries[i][i] != 1:
-                raise MatrixError(f"diagonal entry ({i},{i}) is {self.entries[i][i]}, must be 1")
-            for j in range(self.rank):
-                if self.entries[i][j] != self.entries[j][i]:
+        if len(entries) != rank or any(len(r) != rank for r in entries):
+            raise MatrixError(f"entries must form a {rank}x{rank} array")
+        for i in range(rank):
+            if entries[i][i] != 1:
+                raise MatrixError(f"diagonal entry ({i},{i}) is {entries[i][i]}, must be 1")
+            for j in range(rank):
+                if entries[i][j] != entries[j][i]:
                     raise MatrixError(f"entry ({i},{j}) is not symmetric")
-                if i != j and self.entries[i][j] != INF and self.entries[i][j] < 2:
+                if i != j and entries[i][j] != INF and entries[i][j] < 2:
                     raise MatrixError(
-                        f"off-diagonal entry ({i},{j}) is {self.entries[i][j]}, must be >= 2 or inf"
+                        f"off-diagonal entry ({i},{j}) is {entries[i][j]}, must be >= 2 or inf"
                     )
+        self._set(rank=rank, entries=entries, name=name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.entries))
 
     def m(self, i: int, j: int) -> int:
         """Bond order m(s_i, s_j); 0 means infinity."""

@@ -20,13 +20,13 @@ where it fails, the order is closed from every arc.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 
 from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, IncompleteSliceError
 from .posets import Poset
+from .records import Record
 from .reflections import ReflectionTable, t_k_set
 
 __all__ = [
@@ -36,18 +36,22 @@ __all__ = [
 ]
 
 
-@dataclass
-class OmegaGraph:
+class OmegaGraph(Record):
     """The arc graph of a set X on a ball, stored as its rows: rows[t][a]
     is the id of t*a for t in X (in increasing order), or BOUNDARY where
     t*a lies outside the ball.  The arcs are a -> t*a where l(t*a) > l(a).
     The rows are those of `table`, which also sorts each t's arcs by the
-    length of their tails."""
-    ball: GroupBall
-    x_set: frozenset[int]
-    rows: dict[int, list[int]]
-    boundary_skips: int   # products t*a that left the ball
-    table: ArcTable = field(repr=False, compare=False)
+    length of their tails; `table` is left out of `==` and repr."""
+
+    _fields = ("ball", "x_set", "rows", "boundary_skips")
+
+    def __init__(self, ball: GroupBall, x_set: frozenset[int],
+                 rows: dict[int, list[int]], boundary_skips: int, table: ArcTable):
+        self.ball = ball
+        self.x_set = x_set
+        self.rows = rows
+        self.boundary_skips = boundary_skips  # products t*a that left the ball
+        self.table = table
 
     @property
     def arcs(self) -> list:
@@ -270,13 +274,16 @@ def bruhat_poset(ball: GroupBall) -> Poset:
     return Poset(list(range(n)), covers, rank=rank, metadata={"kind": "bruhat"})
 
 
-@dataclass
-class AbsoluteLengthTable:
-    ball: GroupBall
-    k: int
-    lk: list[int]                 # distance from the identity in the arc graph
-    witness_pred: list[int]       # BFS predecessor (smallest id), -1 at source
-    witness_arc: list[int]        # reflection used to enter each node, -1 at source
+class AbsoluteLengthTable(Record):
+    _fields = ("ball", "k", "lk", "witness_pred", "witness_arc")
+
+    def __init__(self, ball: GroupBall, k: int, lk: list[int],
+                 witness_pred: list[int], witness_arc: list[int]):
+        self.ball = ball
+        self.k = k
+        self.lk = lk                      # distance from the identity in the arc graph
+        self.witness_pred = witness_pred  # BFS predecessor (smallest id), -1 at source
+        self.witness_arc = witness_arc    # reflection used to enter each node, -1 at source
 
 
 def k_absolute_length_all(table: ReflectionTable, k: int) -> AbsoluteLengthTable:
@@ -416,11 +423,14 @@ def _pairs_by_definition(ball: GroupBall, lk):
     return pairs, flagged
 
 
-@dataclass
-class RefinementReport:
-    ok: bool
-    containments: list = field(default_factory=list)  # (a, b, holds)
-    equals_bruhat_at: int | None = None
+class RefinementReport(Record):
+    _fields = ("ok", "containments", "equals_bruhat_at")
+
+    def __init__(self, ok: bool, containments: list | None = None,
+                 equals_bruhat_at: int | None = None):
+        self.ok = ok
+        self.containments = [] if containments is None else containments  # (a, b, holds)
+        self.equals_bruhat_at = equals_bruhat_at
 
 
 def refinement_chain_check(table: ReflectionTable, k_max: int,

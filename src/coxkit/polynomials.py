@@ -6,11 +6,11 @@ All arithmetic is exact integer arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError
 from .orders import AbsoluteLengthTable
+from .records import Frozen
 
 __all__ = [
     "CoeffVector", "gen_poly", "is_log_concave", "is_unimodal",
@@ -18,14 +18,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoeffVector:
-    coeffs: tuple[int, ...]  # index = exponent; trailing coefficient nonzero
-    truncated: bool = False  # derived from an incomplete ball
+class CoeffVector(Frozen):
+    _fields = ("coeffs", "truncated")
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...], truncated: bool = False):
+        if coeffs and coeffs[-1] == 0:
             raise DomainError("coefficient vector not in canonical form")
+        self._set(coeffs=coeffs,        # index = exponent; trailing coefficient nonzero
+                  truncated=truncated)  # derived from an incomplete ball
 
     @staticmethod
     def of(seq, truncated: bool = False) -> "CoeffVector":
@@ -71,14 +71,15 @@ def is_unimodal(v: CoeffVector) -> bool:
     return i == len(c) - 1
 
 
-@dataclass(frozen=True)
-class DihedralFormulaRecord:
-    m: int
-    k: int
-    pi: int   # m mod (2k+1)
-    a: int    # coefficient at exponent D+1
-    b: int    # coefficient at exponent D+2
-    poly: CoeffVector
+class DihedralFormulaRecord(Frozen):
+    _fields = ("m", "k", "pi", "a", "b", "poly")
+
+    def __init__(self, m: int, k: int, pi: int, a: int, b: int, poly: CoeffVector):
+        self._set(m=m, k=k,
+                  pi=pi,  # m mod (2k+1)
+                  a=a,    # coefficient at exponent D+1
+                  b=b,    # coefficient at exponent D+2
+                  poly=poly)
 
 
 def dihedral_formula_poly(m: int, k: int) -> DihedralFormulaRecord:

@@ -6,11 +6,11 @@ lattice.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate, combinations, islice
 
 from .errors import DomainError, ResourceError
 from .flows import MinCostFlow
+from .records import Record
 
 
 class Poset:
@@ -277,10 +277,12 @@ def _bits(mask):
 # -- gradedness -------------------------------------------------------------
 
 
-@dataclass
-class GradedReport:
-    ok: bool
-    bad_covers: list = field(default_factory=list)
+class GradedReport(Record):
+    _fields = ("ok", "bad_covers")
+
+    def __init__(self, ok: bool, bad_covers: list | None = None):
+        self.ok = ok
+        self.bad_covers = [] if bad_covers is None else bad_covers
 
 
 def check_graded(poset: Poset, rank_fn) -> GradedReport:
@@ -469,18 +471,22 @@ def max_h_family(poset: Poset, h: int):
     return value, witness
 
 
-@dataclass
-class SpernerRow:
-    h: int
-    flow_value: int
-    top_rank_sum: int
-    ok: bool
+class SpernerRow(Record):
+    _fields = ("h", "flow_value", "top_rank_sum", "ok")
+
+    def __init__(self, h: int, flow_value: int, top_rank_sum: int, ok: bool):
+        self.h = h
+        self.flow_value = flow_value
+        self.top_rank_sum = top_rank_sum
+        self.ok = ok
 
 
-@dataclass
-class SpernerReport:
-    ok: bool
-    rows: list
+class SpernerReport(Record):
+    _fields = ("ok", "rows")
+
+    def __init__(self, ok: bool, rows: list):
+        self.ok = ok
+        self.rows = rows
 
 
 def strong_sperner_check(poset: Poset, weaker=None) -> SpernerReport:
@@ -497,10 +503,10 @@ def strong_sperner_check(poset: Poset, weaker=None) -> SpernerReport:
     """
     if poset.rank is None:
         raise DomainError("strong Sperner check needs a graded poset with ranks")
-    ranks = poset.rank
-    rep = check_graded(poset, lambda x: ranks[poset.index(x)])
-    if not rep.ok:
-        raise DomainError(f"poset is not graded by the given rank: {rep.bad_covers[:3]}")
+    ranks, nodes = poset.rank, poset.nodes
+    bad = [(nodes[i], nodes[j]) for i, j in poset.covers if ranks[j] - ranks[i] != 1]
+    if bad:
+        raise DomainError(f"poset is not graded by the given rank: {bad[:3]}")
     tops = list(accumulate(sorted(Counter(ranks).values(), reverse=True)))
     if weaker is not None and _certifies(weaker, poset, tops):
         values = tops
@@ -528,10 +534,12 @@ def _certifies(weaker: Poset, poset: Poset, tops) -> bool:
 # -- order complexes and shellability ----------------------------------------
 
 
-@dataclass
-class OrderComplex:
-    vertices: list
-    facets: list  # list of frozensets of vertices (maximal chains)
+class OrderComplex(Record):
+    _fields = ("vertices", "facets")
+
+    def __init__(self, vertices: list, facets: list):
+        self.vertices = vertices
+        self.facets = facets  # list of frozensets of vertices (maximal chains)
 
 
 def order_complex(poset: Poset, bottom=None, top=None) -> OrderComplex:
@@ -588,10 +596,12 @@ def _reach(adj, start, within=None):
     return seen
 
 
-@dataclass
-class ShellingVerdict:
-    status: str  # "shellable" | "not_shellable" | "inconclusive"
-    order: list | None = None
+class ShellingVerdict(Record):
+    _fields = ("status", "order")
+
+    def __init__(self, status: str, order: list | None = None):
+        self.status = status  # "shellable" | "not_shellable" | "inconclusive"
+        self.order = order
 
 
 def _shelling_tables(facets):
@@ -839,11 +849,13 @@ def poset_isomorphic(p: Poset, q: Poset, size_cap: int = 5000):
 # -- noncrossing partitions ----------------------------------------------------
 
 
-@dataclass
-class NCLattice:
-    n: int
-    elements: list  # frozensets of frozensets (blocks)
-    poset: Poset    # refinement order: finer <= coarser
+class NCLattice(Record):
+    _fields = ("n", "elements", "poset")
+
+    def __init__(self, n: int, elements: list, poset: Poset):
+        self.n = n
+        self.elements = elements  # frozensets of frozensets (blocks)
+        self.poset = poset        # refinement order: finer <= coarser
 
 
 def _is_noncrossing(blocks) -> bool:

@@ -9,12 +9,12 @@ never increases length and therefore never leaves the ball.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, ResourceError
 from .posets import Poset
+from .records import Record
 
 __all__ = [
     "ParabolicDecomposition", "SelfMapTable", "parabolic_decompose",
@@ -24,19 +24,24 @@ __all__ = [
 ]
 
 
-@dataclass
-class ParabolicDecomposition:
-    w: int
-    J: frozenset[int]
-    side: str            # "right" or "left"
-    coset_rep: int       # w^J (right) or ^Jw (left)
-    parabolic_part: int  # w_J (right) or w'_J (left)
+class ParabolicDecomposition(Record):
+    _fields = ("w", "J", "side", "coset_rep", "parabolic_part")
+
+    def __init__(self, w: int, J: frozenset[int], side: str, coset_rep: int,
+                 parabolic_part: int):
+        self.w = w
+        self.J = J
+        self.side = side                      # "right" or "left"
+        self.coset_rep = coset_rep            # w^J (right) or ^Jw (left)
+        self.parabolic_part = parabolic_part  # w_J (right) or w'_J (left)
 
 
-@dataclass
-class SelfMapTable:
-    descriptor: str
-    images: tuple[int, ...]
+class SelfMapTable(Record):
+    _fields = ("descriptor", "images")
+
+    def __init__(self, descriptor: str, images: tuple[int, ...]):
+        self.descriptor = descriptor
+        self.images = images
 
     def __call__(self, w: int) -> int:
         return self.images[w]
@@ -118,10 +123,12 @@ def projection_map(ball: GroupBall, J, kind: str = "P") -> SelfMapTable:
     return SelfMapTable(descriptor=f"{kind}^{{{label}}}", images=tuple(images))
 
 
-@dataclass
-class OrderPreservationReport:
-    ok: bool
-    violations: list = field(default_factory=list)  # (u, v) covers broken
+class OrderPreservationReport(Record):
+    _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: list | None = None):
+        self.ok = ok
+        self.violations = [] if violations is None else violations  # (u, v) covers broken
 
 
 def is_order_preserving(table: SelfMapTable, poset: Poset) -> OrderPreservationReport:
@@ -186,11 +193,13 @@ def phi_k_image_poset(ball: GroupBall, order_poset: Poset,
                               metadata={"kind": "projection-image-poset"})
 
 
-@dataclass
-class MonoidReport:
-    size: int
-    idempotent: bool
-    braid_ok: bool
+class MonoidReport(Record):
+    _fields = ("size", "idempotent", "braid_ok")
+
+    def __init__(self, size: int, idempotent: bool, braid_ok: bool):
+        self.size = size
+        self.idempotent = idempotent
+        self.braid_ok = braid_ok
 
 
 def _single_projections(ball: GroupBall) -> dict:

@@ -64,7 +64,6 @@ and step 3 is a BFS over right multiplication by the canonical pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import combinations
 from operator import mul
@@ -73,6 +72,7 @@ from .ball import BOUNDARY, GroupBall
 from .errors import DomainError, IncompleteSliceError, OutOfBallError
 from .matrices import INF
 from .posets import Poset
+from .records import Record
 
 __all__ = [
     "ReflectionTable", "ReflectionSubgroup", "reflections_in_ball",
@@ -80,10 +80,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class ReflectionTable:
-    ball: GroupBall
-    reflections: tuple[int, ...]  # element ids, sorted
+class ReflectionTable(Record):
+    _fields = ("ball", "reflections")
+
+    def __init__(self, ball: GroupBall, reflections: tuple[int, ...]):
+        self.ball = ball
+        self.reflections = reflections  # element ids, sorted
 
 
 class ReflectionSubgroup:

@@ -7,8 +7,6 @@ outputs are byte-stable for a given object.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 from .ball import BOUNDARY, GroupBall, enumerate_ball
@@ -213,11 +211,9 @@ def omega_to_dot(graph, label_fn=None) -> str:
 
 
 def _csv(rows, header) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    """CSV lines joined by "," and ended by "\n".  Every field is an int
+    or a plain word, which the csv module would not quote either."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 def lk_table_to_csv(table) -> str:

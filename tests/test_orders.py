@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 import sys
 from functools import cached_property
@@ -11,7 +10,8 @@ from coxkit import (IncompleteSliceError, OutOfBallError, checks, enumerate_ball
                     named_matrix, orders, parse_coxeter_matrix)
 from coxkit.ball import BOUNDARY, GroupBall
 from coxkit.matrices import longest_length
-from coxkit.orders import (ArcTable, _pairs_by_definition, arc_table, bruhat_poset,
+from coxkit.orders import (AbsoluteLengthTable, ArcTable, _pairs_by_definition,
+                           arc_table, bruhat_poset,
                            intermediate_poset, k_absolute_length_all,
                            k_absolute_poset, omega_graph,
                            refinement_chain_check)
@@ -442,7 +442,8 @@ def test_k_absolute_poset_without_a_word_metric(ball_a3, table_a3):
     alt = k_absolute_length_all(table_a3, 1)
     lk = list(alt.lk)
     lk[max(range(n), key=ball.length)] += 1
-    poset = k_absolute_poset(dataclasses.replace(alt, lk=lk))
+    poset = k_absolute_poset(AbsoluteLengthTable(alt.ball, alt.k, lk, alt.witness_pred,
+                                                 alt.witness_arc))
     less, _flagged = brute_k_absolute_pairs(ball, lk)
     expected = brute_covers(brute_closure(n, less))
     assert set(poset.covers) == expected

@@ -363,6 +363,13 @@ def test_strong_sperner_requires_graded():
     p = Poset.from_relation([0, 1, 2], [(0, 1), (1, 2), (0, 2)], rank=[0, 1, 3])
     with pytest.raises(DomainError):
         strong_sperner_check(p)
+    # the message names the labels of the first three bad covers
+    p = Poset.from_relation(["a", "b", "c", "d", "e"], [(0, 1), (0, 2), (0, 3), (0, 4)],
+                            rank=[0, 2, 2, 2, 2])
+    with pytest.raises(DomainError) as caught:
+        strong_sperner_check(p)
+    assert str(caught.value) == ("poset is not graded by the given rank: "
+                                 "[('a', 'b'), ('a', 'c'), ('a', 'd')]")
 
 
 @pytest.mark.parametrize("name,radius", [

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
 
 from coxkit import DomainError, enumerate_ball, named_matrix
-from coxkit.orders import k_absolute_length_all, omega_graph
-from coxkit.posets import Poset, strong_sperner_check
+from coxkit.curvature import curvature_spectrum
+from coxkit.matrices import longest_length
+from coxkit.orders import intermediate_poset, k_absolute_length_all, omega_graph
+from coxkit.posets import Poset, SpernerReport, SpernerRow, strong_sperner_check
 from coxkit.reflections import reflections_in_ball, t_k_set
 from coxkit.serialize import (ball_from_json_dict, ball_to_json_dict,
-                              lk_table_to_csv, omega_to_dot,
+                              curvature_to_csv, lk_table_to_csv, omega_to_dot,
                               omega_to_json_dict, poset_from_json_dict,
                               poset_to_dot, poset_to_json_dict, sperner_to_csv)
 
@@ -142,3 +146,32 @@ def test_sperner_csv(ball_a2, table_a2):
     lines = csv_text.strip().split("\n")
     assert lines[0] == "h,flow_value,top_rank_sum,verdict"
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def _csv_module(header, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("spec", ["A3", "H3"])
+def test_csv_exports_match_the_csv_module(spec):
+    # the exports join their fields by hand; the csv module is the reference
+    matrix = named_matrix(spec)
+    ball = enumerate_ball(matrix, longest_length(matrix))
+    table = reflections_in_ball(ball)
+    tk = t_k_set(table, 1)
+    lk = k_absolute_length_all(table, 1)
+    assert lk_table_to_csv(lk) == _csv_module(
+        ("id", "length", "lk"), [(w, ball.length(w), lk.lk[w]) for w in range(len(ball))])
+    report = curvature_spectrum(omega_graph(ball, tk))
+    kappas = [(x, y, kappa.numerator, kappa.denominator) for x, y, kappa in report.kappas()]
+    assert curvature_to_csv(report) == _csv_module(
+        ("x", "y", "kappa_num", "kappa_den"), kappas)
+    header = ("h", "flow_value", "top_rank_sum", "verdict")
+    sperner = strong_sperner_check(intermediate_poset(ball, tk))
+    failing = SpernerReport(False, [*sperner.rows, SpernerRow(4, 5, 6, False)])
+    for rep in (sperner, failing):
+        assert sperner_to_csv(rep) == _csv_module(
+            header, [(r.h, r.flow_value, r.top_rank_sum, "pass" if r.ok else "fail")
+                     for r in rep.rows])
