@@ -30,13 +30,21 @@ Such a permutation pi of the generators extends to a length-preserving
 automorphism phi of W, which maps T_k, each intermediate order, each
 k-absolute order and the reflection order onto themselves, and [e, c]
 onto [e, phi(c)]; `_Group.automorphisms` keeps each phi only once it is
-certified on the ball's right table.  So `shellability` shells one
-Coxeter element per orbit for each slice and flavour and gives the
-images its status, but never passes on `inconclusive`, since another
-numbering of the facets may decide the search.  Under `--ideal all` an
-image of an ideal that passed every check adds that ideal's counts,
-cut components included, and builds no poset; an image of an ideal
-with a failure is checked on its own, so the rows name its own covers.
+certified on the ball's right table.  Under `--ideal all` an image of an
+ideal that passed every check adds that ideal's counts, cut components
+included, and builds no poset; an image of an ideal with a failure is
+checked on its own, so the rows name its own covers.
+
+`shellability` decides each class of Coxeter elements once for each
+slice and flavour.  A class is an orbit under the certified phi and, in
+the k-absolute order of a complete group, under each conjugation x ->
+s x s by a generator s that keeps lk: the order is defined by lk alone,
+so such a map is an automorphism of it that fixes e (an orbit may pass
+through elements that are not Coxeter elements).  Each member of a
+class has an isomorphic interval, so the class is searched member by
+member until one search decides, and every member takes that status; a
+member is `inconclusive` only when every member's search was, since
+another numbering of the facets may decide the search.
 """
 from __future__ import annotations
 
@@ -111,6 +119,24 @@ class _Group:
                     for w, row in enumerate(right)):
                 out.append(phi[:n])
         return out
+
+    @cached_property
+    def conjugation(self):
+        """For each generator s, the list x -> s x s of ids: none on a
+        truncated ball, where s x s may leave it."""
+        ball = self.ball
+        if not ball.is_complete_group:
+            return []
+        return [[ball.left[row[s]][s] for row in ball.right]
+                for s in ball.matrix.generators]
+
+    def conjugations(self, lk):
+        """The conjugations that keep the length list lk: lk(s x s) = lk(x)
+        for every x.  The k-absolute order is u <= v iff lk(v) = lk(u) +
+        lk(v u^-1), and s v s (s u s)^-1 = s (v u^-1) s, so each of them
+        is an automorphism of that order which fixes e, and maps [e, c]
+        onto [e, s c s]."""
+        return [phi for phi in self.conjugation if [lk[y] for y in phi] == lk]
 
     def graded(self, J):
         """(rank, minreps) for the frozenset J: the list w -> l(w) - l(Q^J w),
@@ -476,26 +502,48 @@ class _Shellability(_Check):
     coxeter_elements = cached_property(lambda c: c.group.ball.coxeter_elements())
 
     def step(self, s):
-        ball, absol = self.group.ball, orders.k_absolute_poset(s.absolute_length)
-        for flavor, poset in (("intermediate", s.intermediate), ("absolute", absol)):
-            decided = {}  # each image of a decided c: its status, None if not above e
-            for c in self.coxeter_elements:
-                if c in decided:
-                    status = decided[c]
-                else:
-                    try:
-                        open_interval = posets.order_complex(poset, ball.identity, c)
-                    except DomainError:
-                        status = None  # c is not above e in this order
-                    else:
-                        status = posets.shellability(open_interval).status
-                    if status != "inconclusive":  # another numbering may decide it
-                        decided.update((phi[c], status)
-                                       for phi in self.group.automorphisms)
+        group, ball, cox = self.group, self.group.ball, self.coxeter_elements
+        absol = orders.k_absolute_poset(s.absolute_length)
+        autos = group.automorphisms
+        for flavor, poset, maps in (
+                ("intermediate", s.intermediate, autos),
+                ("absolute", absol, autos + group.conjugations(s.absolute_length.lk))):
+            first = _classes(cox, maps)
+            decided = {}  # first member of a class -> its status, None if not above e
+            for c in cox:  # each class searched member by member until one decides
+                if first[c] in decided:
+                    continue
+                try:
+                    open_interval = posets.order_complex(poset, ball.identity, c)
+                except DomainError:
+                    decided[first[c]] = None  # c is not above e in this order
+                    continue
+                status = posets.shellability(open_interval).status
+                if status != "inconclusive":  # another numbering may decide it
+                    decided[first[c]] = status
+            for c in cox:
+                status = decided.get(first[c], "inconclusive")
                 if status is not None:
                     self.rows.append({"k": s.k, "order": flavor,
                                       "coxeter_element": list(ball.word(c)),
                                       "status": status})
+
+
+def _classes(elements, maps):
+    """{x: the first of `elements` in the orbit of x} for every x in the
+    orbits of `elements` under the permutations `maps` (lists of ids);
+    an orbit may pass through ids that are not in `elements`."""
+    first = {}
+    for c in elements:
+        if c not in first:
+            first[c], todo = c, [c]
+            while todo:
+                x = todo.pop()
+                for phi in maps:
+                    if phi[x] not in first:
+                        first[phi[x]] = c
+                        todo.append(phi[x])
+    return first
 
 
 class _Curvature(_Check):

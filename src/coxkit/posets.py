@@ -660,6 +660,25 @@ def _shelling_tables(facets):
     return rows, near
 
 
+def _edge_order(edges):
+    """Edge 0, then each time the lowest-index edge that meets one
+    already placed, until none is left that meets one: the order of
+    the component of edge 0."""
+    holds = {}  # vertex -> the edges at it (bit f for edge f)
+    for f, e in enumerate(edges):
+        for v in e:
+            holds[v] = holds.get(v, 0) | 1 << f
+    order, placed, todo = [], 0, 1
+    while todo:
+        low = todo & -todo
+        order.append(low.bit_length() - 1)
+        placed |= low
+        for v in edges[order[-1]]:
+            todo |= holds.pop(v, 0)
+        todo &= ~placed
+    return order
+
+
 def shellability(complex: OrderComplex, facet_cap: int = 5000,
                  node_budget: int = 500_000) -> ShellingVerdict:
     """Search for a (possibly nonpure) shelling order: every added facet
@@ -688,6 +707,15 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
     index; the frontier of each depth is kept on a stack, pushed on each
     add and popped on each undo.  A facet outside it fails the test, so
     the search visits the same nodes in the same order.
+
+    A connected graph (every facet an edge) gets the search's result
+    with no search and no tables: a graph is shellable iff it is
+    connected (Bjorner-Wachs, Trans. AMS 348, 1996), and an unused edge
+    F that meets a used one passes the test (W(F) is its end outside
+    the used edges, or both ends, and no other edge holds both), so the
+    search places facet 0 and then each time the lowest-index edge that
+    meets a placed one, in m - 1 nodes, and never backtracks.  A
+    disconnected graph is searched.
     """
     facets = list(dict.fromkeys(complex.facets))
     m = len(facets)
@@ -695,6 +723,12 @@ def shellability(complex: OrderComplex, facet_cap: int = 5000,
         raise ResourceError(f"facet count {m} exceeds cap {facet_cap}")
     if m <= 1:
         return ShellingVerdict("shellable", order=list(facets))
+    if all(len(f) == 2 for f in facets):
+        order = _edge_order(facets)
+        if len(order) == m:  # connected
+            if m - 1 > node_budget:
+                return ShellingVerdict("inconclusive")
+            return ShellingVerdict("shellable", order=[facets[i] for i in order])
     rows, near = _shelling_tables(facets)
 
     def can_add(f, used_set):

@@ -159,7 +159,7 @@ def phi_k_image_poset(ball: GroupBall, order_poset: Poset,
         gens = list(ball.matrix.generators)
         maps = [projection_map(ball, [s for s in gens if s != i], "P")
                 for i in gens]
-    tuples = sorted({tuple(m(w) for m in maps) for w in range(len(ball))})
+    tuples = sorted(set(zip(*(m.images for m in maps))))
     # above[c][x]: bitmask of the tuples whose c-th entry is >= x, for
     # each x that occurs as a c-th entry; the tuples >= a are then the
     # AND over c of above[c][a[c]].  It is the OR of at[j] over the bits

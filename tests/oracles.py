@@ -9,9 +9,11 @@ from itertools import accumulate, combinations, permutations
 
 from coxkit import checks
 from coxkit.ball import BOUNDARY, GroupBall
-from coxkit.errors import OutOfBallError
-from coxkit.posets import Poset, order_ideals
-from coxkit.reflections import dihedral_subgroup, t_order_poset
+from coxkit.errors import DomainError, OutOfBallError
+from coxkit.orders import intermediate_poset, k_absolute_length_all, k_absolute_poset
+from coxkit.posets import Poset, order_complex, order_ideals, shellability
+from coxkit.reflections import (dihedral_subgroup, max_k, reflections_in_ball,
+                                t_k_set, t_order_poset)
 
 
 # -- words and Bruhat order ---------------------------------------------------
@@ -875,3 +877,25 @@ def reference_ideal_records(ball, names):
         for check in live:
             check.step(s)
     return {name: check.report() for name, check in zip(names, live)}
+
+
+def reference_shellability_rows(ball):
+    """The "intervals" of the `shellability` check with every Coxeter
+    element c searched on its own: for each k, the intermediate and then
+    the k-absolute order, a row per c above e with the status of
+    [e, c], and no status passed from one interval to another."""
+    table = reflections_in_ball(ball)
+    rows = []
+    for k in range(max_k(table) + 1):
+        orders = (("intermediate", intermediate_poset(ball, t_k_set(table, k))),
+                  ("absolute", k_absolute_poset(k_absolute_length_all(table, k))))
+        for flavor, poset in orders:
+            for c in ball.coxeter_elements():
+                try:
+                    interval = order_complex(poset, ball.identity, c)
+                except DomainError:
+                    continue
+                rows.append({"k": k, "order": flavor,
+                             "coxeter_element": list(ball.word(c)),
+                             "status": shellability(interval).status})
+    return rows

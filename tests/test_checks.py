@@ -1,9 +1,9 @@
 """The W_J data `coxkit.checks` holds for a run: the composite
 certificate of P^J, the per-slice order test of each single P^{s}, the
 per-J graded lists, and the one loop over the order ideals; that
-`refinement` builds no slice poset; and the diagram automorphisms, by
-which `shellability` and the loop over the ideals decide each orbit
-once."""
+`refinement` builds no slice poset; and the diagram automorphisms and
+the conjugations that keep lk, by which `shellability` decides each
+class of intervals once and the loop over the ideals each orbit."""
 from __future__ import annotations
 
 import copy
@@ -15,13 +15,12 @@ import pytest
 from coxkit import checks, enumerate_ball, named_matrix
 from coxkit.ball import BOUNDARY
 from coxkit.checks import run_checks
-from coxkit.errors import DomainError
 from coxkit.matrices import longest_length
-from coxkit.orders import intermediate_poset, k_absolute_length_all, k_absolute_poset
-from coxkit.posets import Poset, ShellingVerdict, check_graded, order_complex, shellability
+from coxkit.orders import intermediate_poset, k_absolute_length_all
+from coxkit.posets import Poset, ShellingVerdict, check_graded
 from coxkit.projections import SelfMapTable, is_order_preserving, projection_map
 from coxkit.reflections import max_k, reflections_in_ball, t_k_set
-from oracles import reference_ideal_records
+from oracles import reference_ideal_records, reference_multiply, reference_shellability_rows
 
 
 def _ball(name, radius=None):
@@ -329,76 +328,135 @@ def test_diagram_automorphisms_are_certified_on_the_ball(name, radius, count):
         assert sorted(phi[g] for g in gens) == sorted(gens)
 
 
+def _searched(monkeypatch):
+    """The (order kind, c) of each interval [e, c] the checks build, in
+    the order they build them."""
+    searched, build = [], checks.posets.order_complex
+
+    def recorded(poset, bottom, top):
+        searched.append((poset.metadata["kind"], top))
+        return build(poset, bottom, top)
+
+    monkeypatch.setattr(checks.posets, "order_complex", recorded)
+    return searched
+
+
 def test_a_wrong_table_certifies_no_automorphism(monkeypatch):
     # w0 s0 moved to w0 s1 in the top row of A4's right table: every
-    # interval is then shelled, where the intact ball shells one Coxeter
-    # element of each of its 4 orbits
+    # interval of the intermediate orders is then shelled, where the
+    # intact ball shells one Coxeter element of each of its 4 orbits;
+    # the k-absolute orders still join the conjugates whose lk agree
     ball = _ball("A4")
     slices = max_k(reflections_in_ball(ball)) + 1
-    calls, search = [], checks.posets.shellability
-    monkeypatch.setattr(checks.posets, "shellability",
-                        lambda cx: calls.append(cx) or search(cx))
+    searched = _searched(monkeypatch)
     intact = run_checks(ball, ["shellability"])["shellability"]["intervals"]
-    assert len(intact) == 8 * slices * 2 and len(calls) == 4 * slices * 2
+    assert len(intact) == 8 * slices * 2
+    assert Counter(kind for kind, _ in searched) == {
+        "intermediate-order": 4 * slices, "k-absolute-order": 4 + 4 + 2 + 1}
     broken = copy.copy(ball)
     broken.right = [row[:] for row in ball.right]
     w0 = max(range(len(ball)), key=ball.length)
     broken.right[w0][0] = ball.right[w0][1]
     assert checks._Group(broken).automorphisms == []
-    calls.clear()
+    searched.clear()
     rows = run_checks(broken, ["shellability"])["shellability"]["intervals"]
-    assert len(rows) == len(calls) == 8 * slices * 2
+    assert len(rows) == 8 * slices * 2
+    assert Counter(kind for kind, _ in searched) == {
+        "intermediate-order": 8 * slices, "k-absolute-order": 8 + 8 + 3 + 2}
 
 
-def test_an_inconclusive_interval_is_not_passed_on(monkeypatch):
-    # the interval [e, c], c the first Coxeter element of A3, is forced
-    # inconclusive: its image under the flip is searched, and the rest
-    # of the orbits are still decided once
+def _forced(monkeypatch, held):
+    """(A3, c, phi, slices, decided rows, searches made for them, rows
+    and searches with the search of [e, c] forced inconclusive where
+    held(kind, c)); c is A3's first Coxeter element, phi the flip."""
     ball = _ball("A3")
     c = ball.coxeter_elements()[0]
     (phi,) = checks._Group(ball).automorphisms
-    searched = []
-    build, search = checks.posets.order_complex, checks.posets.shellability
-
-    def recorded(poset, bottom, top):
-        searched.append(top)
-        return build(poset, bottom, top)
-
-    monkeypatch.setattr(checks.posets, "order_complex", recorded)
-    monkeypatch.setattr(checks.posets, "shellability", lambda cx: (
-        ShellingVerdict("inconclusive") if searched[-1] == c else search(cx)))
-    rows = run_checks(ball, ["shellability"])["shellability"]["intervals"]
+    assert phi[c] != c
     slices = max_k(reflections_in_ball(ball)) + 1
-    for k in range(slices):
-        for flavor in ("intermediate", "absolute"):
-            status = {tuple(r["coxeter_element"]): r["status"] for r in rows
-                      if r["k"] == k and r["order"] == flavor}
-            assert status[tuple(ball.word(c))] == "inconclusive"
-            assert status[tuple(ball.word(phi[c]))] == "shellable"
-    assert phi[c] != c and Counter(searched)[phi[c]] == 2 * slices
-    # 4 Coxeter elements in 3 orbits, one of them searched twice
-    assert len(searched) == 4 * 2 * slices
+    searched = _searched(monkeypatch)
+    decided = run_checks(ball, ["shellability"])["shellability"]["intervals"]
+    assert {r["status"] for r in decided} == {"shellable"}
+    unforced = len(searched)
+    searched.clear()
+    search = checks.posets.shellability
+    monkeypatch.setattr(checks.posets, "shellability", lambda cx: (
+        ShellingVerdict("inconclusive") if held(*searched[-1], c, phi)
+        else search(cx)))
+    rows = run_checks(ball, ["shellability"])["shellability"]["intervals"]
+    return ball, c, phi, slices, decided, unforced, rows, searched
+
+
+def test_an_inconclusive_interval_is_not_passed_on(monkeypatch):
+    # [e, c] is forced inconclusive: c takes the status a class-mate
+    # decided, at one more search per slice and order
+    ball, c, phi, slices, decided, unforced, rows, searched = _forced(
+        monkeypatch, lambda kind, top, c, phi: top == c)
+    assert rows == decided
+    assert Counter(top for _, top in searched)[c] == 2 * slices
+    assert len(searched) == unforced + 2 * slices
+
+
+@pytest.mark.parametrize("forced", ["its orbit", "every c"])
+def test_a_class_whose_every_search_is_inconclusive(monkeypatch, forced):
+    # forced for c and its flip in the intermediate orders, where they
+    # are a class, or for every c: each member of such a class is
+    # searched and reports inconclusive
+    held = {"its orbit": lambda kind, top, c, phi: (kind == "intermediate-order"
+                                                    and top in (c, phi[c])),
+            "every c": lambda kind, top, c, phi: True}[forced]
+    ball, c, phi, slices, decided, unforced, rows, searched = _forced(monkeypatch, held)
+    if forced == "its orbit":
+        orbit = (tuple(ball.word(c)), tuple(ball.word(phi[c])))
+        assert rows == [dict(r, status="inconclusive") if r["order"] == "intermediate"
+                        and tuple(r["coxeter_element"]) in orbit else r
+                        for r in decided]
+        assert Counter(searched)[("intermediate-order", phi[c])] == slices
+    else:
+        assert rows == [dict(r, status="inconclusive") for r in decided]
+        assert len(searched) == 4 * 2 * slices
 
 
 @pytest.mark.parametrize("name,radius", [
-    ("A3", None), ("A4", None), ("D4", None), ("B3", None), ("affA2", 8)])
+    ("A3", None), ("A4", None), ("D4", None), ("B3", None), ("affA2", 8),
+    ("H3", None), ("B4", None), ("D5", None)])
 def test_shellability_rows_are_each_intervals_own_status(name, radius):
     ball = _ball(name, radius)
-    table = reflections_in_ball(ball)
-    expected = []
-    for k in range(max_k(table) + 1):
-        orders = (("intermediate", intermediate_poset(ball, t_k_set(table, k))),
-                  ("absolute", k_absolute_poset(k_absolute_length_all(table, k))))
-        for flavor, poset in orders:
-            for c in ball.coxeter_elements():
-                try:
-                    interval = order_complex(poset, ball.identity, c)
-                except DomainError:
-                    continue
-                expected.append({"k": k, "order": flavor,
-                                 "coxeter_element": list(ball.word(c)),
-                                 "status": shellability(interval).status})
-    assert run_checks(ball, ["shellability"])["shellability"]["intervals"] == expected
+    assert (run_checks(ball, ["shellability"])["shellability"]["intervals"]
+            == reference_shellability_rows(ball))
+
+
+def test_f4_k4_absolute_intervals_are_one_class(monkeypatch):
+    # two conjugations keep lk at k = 4 and, with the diagram flip, join
+    # the 8 Coxeter elements: one search decides them all, where the
+    # search of [e, s0 s2 s1 s3] on its own runs out of its budget
+    ball = _ball("F4")
+    searched = _searched(monkeypatch)
+    rows = run_checks(ball, ["shellability"], ks=[4])["shellability"]["intervals"]
+    absolute = [r for r in rows if r["order"] == "absolute"]
+    assert len(absolute) == 8 and {r["status"] for r in absolute} == {"shellable"}
+    assert [0, 2, 1, 3] in [r["coxeter_element"] for r in absolute]
+    assert [kind for kind, _ in searched].count("k-absolute-order") == 1
+
+
+def test_conjugations_are_certified_on_the_length_table():
+    ball = _ball("H3")
+    group = checks._Group(ball)
+    for s, phi in zip(ball.matrix.generators, group.conjugation):
+        g = ball.right[ball.identity][s]
+        assert phi == [reference_multiply(ball, reference_multiply(ball, g, x), g)
+                       for x in range(len(ball))]
+    lks = [k_absolute_length_all(group.table, k).lk
+           for k in range(max_k(group.table) + 1)]
+    assert [len(group.conjugations(lk)) for lk in lks] == [0, 0, 0, 0, 1, 2, 3]
+    # one entry changed, at a c that no conjugation fixes
+    c = ball.coxeter_elements()[0]
+    assert all(phi[c] != c for phi in group.conjugation)
+    lk = list(lks[-1])
+    lk[c] += 1
+    assert group.conjugations(lk) == []
+    # s x s may leave a truncated ball
+    assert checks._Group(_ball("H3", 7)).conjugation == []
 
 
 @pytest.mark.parametrize("name,radius", [

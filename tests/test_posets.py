@@ -660,6 +660,50 @@ def test_shellability_budget_runs_out_at_the_same_node():
     assert statuses == {"inconclusive", "not_shellable"}
 
 
+def _is_connected(edges):
+    reached = set(edges[0]) if edges else set()
+    grown = True
+    while grown:
+        grown = False
+        for e in edges:
+            if e & reached and not e <= reached:
+                reached |= e
+                grown = True
+    return all(e <= reached for e in edges)
+
+
+def test_a_graph_is_shelled_without_tables_iff_connected(monkeypatch):
+    # every graph with at most 6 edges on at most 5 vertices, its edges in
+    # two orders: the verdict, the order and the budget at which the
+    # search gives up are those of the frozenset search, and a connected
+    # graph builds no shelling tables
+    tables, build = [], posets_mod._shelling_tables
+    monkeypatch.setattr(posets_mod, "_shelling_tables",
+                        lambda facets: tables.append(facets) or build(facets))
+    edges = [frozenset(e) for e in combinations(range(5), 2)]
+    graphs = 0
+    for m in range(7):
+        for graph in combinations(edges, m):
+            connected = _is_connected(graph)
+            for facets in (list(graph), list(graph)[::-1]):
+                complex = OrderComplex(vertices=sorted(set().union(*facets)),
+                                       facets=facets)
+                for budget in range(1, m + 2):
+                    tables.clear()
+                    verdict = shellability(complex, node_budget=budget)
+                    assert ((verdict.status, verdict.order)
+                            == reference_shellability(facets, budget)), facets
+                    if m >= 2:
+                        assert bool(tables) != connected
+                    if connected:
+                        assert verdict.status == (
+                            "inconclusive" if m - 1 > budget else "shellable")
+                    else:
+                        assert verdict.status != "shellable"
+            graphs += 1
+    assert graphs == sum(len(list(combinations(edges, m))) for m in range(7)) == 848
+
+
 def test_is_isomorphism_rejects_what_is_no_isomorphism():
     chain = _chain(3)
     assert is_isomorphism(chain, chain, {0: 0, 1: 1, 2: 2})
